@@ -262,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--tol-abs", type=float, default=1e-8)
     ap.add_argument("--tol-rel", type=float, default=1e-6)
     ap.add_argument("--grid-size", type=int, default=1024)
-    ap.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):

@@ -22,13 +22,7 @@ from scipy.integrate import IntegrationWarning, quad
 from .hardy import BoundaryGrid, KernelCombination, boundary_nodes, szego
 from .measures import BoundaryMeasure, psi_big, w_map
 from .numerics import eig_hermitian
-from .symbols import (
-    _sqrt_psi_modulus,
-    boundary_phase_difference,
-    f_nu,
-    f_nu_boundary,
-    t_map,
-)
+from .symbols import f_nu, f_nu_boundary, h_nu, t_map
 
 __all__ = [
     "HankelGram",
@@ -263,27 +257,6 @@ def rp_certify(nu: BoundaryMeasure, times: Sequence[float],
     return bool(w.min() >= -tol * scale), float(w.min())
 
 
-def _symbol_and_reflected_outer(nu: BoundaryMeasure):
-    """Pointwise x -> h_nu(x) F_nu(-x) with the phase cached per |x|."""
-    K = _sqrt_psi_modulus(nu)
-    cache: dict[float, float] = {}
-
-    def phase(x: float) -> float:
-        d = cache.get(abs(x))
-        if d is None:
-            d = boundary_phase_difference(K, abs(x))
-            cache[abs(x)] = d
-        return d if x > 0 else -d
-
-    def theta_values(x: float) -> tuple[complex, complex]:
-        d = phase(x)
-        h = complex(np.exp(1j * d))
-        F_neg = math.sqrt(psi_big(nu, x)) * complex(np.exp(-0.5j * d))
-        return h, F_neg
-
-    return theta_values
-
-
 def os_isometry_check(nu: BoundaryMeasure, f: KernelCombination,
                       g: KernelCombination, n: int = 1024
                       ) -> tuple[complex, complex, float]:
@@ -296,22 +269,9 @@ def os_isometry_check(nu: BoundaryMeasure, f: KernelCombination,
         raise ValueError("the zero measure has no symbol")
     if not f.terms or not g.terms:
         return 0.0 + 0.0j, 0.0 + 0.0j, 0.0
-    K = _sqrt_psi_modulus(nu)
-    cache: dict[float, float] = {}
-
-    def h(x: NDArray[np.float64]) -> NDArray[np.complex128]:
-        out = np.empty(x.shape, dtype=complex)
-        for j, xj in enumerate(x):
-            d = cache.get(abs(xj))
-            if d is None:
-                d = boundary_phase_difference(K, abs(xj))
-                cache[abs(xj)] = d
-            out[j] = np.exp(1j * (d if xj > 0 else -d))
-        return out
-
     x, w = boundary_nodes(n)
     grid_f = BoundaryGrid(x, w, f(x))
-    theta_g = h(x) * np.asarray(g(-x), dtype=complex)
+    theta_g = h_nu(nu, x) * np.asarray(g(-x), dtype=complex)
     lhs = complex(np.sum(w * np.conj(grid_f.values) * theta_g))
 
     tnu = t_map(nu)
@@ -343,12 +303,8 @@ def fixed_point_check(mu: BoundaryMeasure, anchors: Sequence[complex],
 
 def fixed_point_deviation(nu: BoundaryMeasure, anchors: Sequence[complex],
                            n: int = 1024) -> float:
-    theta_values = _symbol_and_reflected_outer(nu)
     x, w = boundary_nodes(n)
-    tg = np.empty(x.shape, dtype=complex)
-    for j, xj in enumerate(x):
-        h, F_neg = theta_values(xj)
-        tg[j] = h * F_neg
+    tg = h_nu(nu, x) * f_nu_boundary(nu, -x)
     F = f_nu(nu)
     dev = 0.0
     for z in anchors:

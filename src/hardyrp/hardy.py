@@ -9,7 +9,7 @@ about 0 and excluding 0, so that symbols discontinuous only at the origin
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -140,26 +140,19 @@ class BoundaryGrid:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.weights * np.abs(self.values) ** 2)))
 
-    def to_csv_rows(self):
-        for xj, vj in zip(self.x, self.values):
-            yield xj, vj.real, vj.imag
-
 
 @dataclass
 class SymbolFunction:
     """Bounded measurable multiplier on the real line.
 
-    fn is vectorized over numpy arrays of real points.  The symmetry flags
-    record h(-x)* = h(x) (flat) and h(-x)* = h(x) after conjugation by the
-    canonical conjugation (sharp); they are declarations checked on demand,
-    not enforced pointwise.
+    fn is vectorized over numpy arrays of real points.  The flat symmetry
+    h(-x)* = h(x) is checked on demand by flat_defect, not enforced
+    pointwise.
     """
 
     fn: Callable[[NDArray[np.float64]], NDArray[np.complex128]]
     sup_norm: float = 1.0
     unimodular: bool = True
-    flat_symmetric: bool = False
-    sharp_symmetric: bool = False
     name: str = "symbol"
 
     def __call__(self, x):
@@ -167,19 +160,17 @@ class SymbolFunction:
 
     @classmethod
     def i_sgn(cls) -> "SymbolFunction":
-        return cls(lambda x: 1j * np.sign(x), 1.0, True, True, name="i*sgn")
+        return cls(lambda x: 1j * np.sign(x), 1.0, True, name="i*sgn")
 
     @classmethod
     def constant(cls, c: complex) -> "SymbolFunction":
         c = complex(c)
         return cls(lambda x, c=c: np.full(np.shape(x), c, dtype=complex),
-                   abs(c), abs(abs(c) - 1.0) < 1e-12,
-                   flat_symmetric=(c.imag == 0.0), name=f"const({c})")
+                   abs(c), abs(abs(c) - 1.0) < 1e-12, name=f"const({c})")
 
     def negated(self) -> "SymbolFunction":
         return SymbolFunction(lambda x: -self.fn(x), self.sup_norm,
-                              self.unimodular, self.flat_symmetric,
-                              self.sharp_symmetric, name=f"-({self.name})")
+                              self.unimodular, name=f"-({self.name})")
 
     def flat_defect(self, x: NDArray[np.float64]) -> float:
         """max |h(-x)* - h(x)| over the probe points."""

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -102,20 +104,30 @@ class DensityPiece:
                             self.samples, new)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundaryMeasure:
-    """Finite positive Borel measure on [0, inf]."""
+    """Finite positive Borel measure on [0, inf].
+
+    Immutable, so that _cache, the one store of quantities derived from the
+    measure (psi_big values, mass, log-spline, boundary phase, axis values of
+    F_nu), can never go stale.
+    """
 
     atom0: float = 0.0
     atom_inf: float = 0.0
-    atoms: list[tuple[float, float]] = field(default_factory=list)
-    density: list[DensityPiece] = field(default_factory=list)
-    _psi_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    atoms: tuple[tuple[float, float], ...] = ()
+    density: tuple[DensityPiece, ...] = ()
+    # one table per derived quantity, keyed by its argument, next to the
+    # single values "mass" and "logspline"
+    _cache: defaultdict = field(default_factory=partial(defaultdict, dict),
+                                init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.atom0 < 0 or self.atom_inf < 0:
             raise ValueError("atom weights must be nonnegative")
-        self.atoms = [(float(l), float(w)) for l, w in self.atoms]
+        object.__setattr__(self, "atoms",
+                           tuple((float(l), float(w)) for l, w in self.atoms))
+        object.__setattr__(self, "density", tuple(self.density))
         locs = [l for l, _ in self.atoms]
         if any(l <= 0 or not math.isfinite(l) for l in locs):
             raise ValueError("atom locations must lie in (0, inf)")
@@ -186,7 +198,7 @@ class BoundaryMeasure:
             merged[l] = merged.get(l, 0.0) + w
         return BoundaryMeasure(
             self.atom0 + other.atom0, self.atom_inf + other.atom_inf,
-            sorted(merged.items()), list(self.density) + list(other.density),
+            sorted(merged.items()), self.density + other.density,
         )
 
 
@@ -199,7 +211,8 @@ def psi_big(nu: BoundaryMeasure, p: float) -> float:
     if p == 0:
         raise ValueError("psi_big is undefined at p = 0")
     key = p * p
-    cached = nu._psi_cache.get(key)
+    psi = nu._cache["psi"]
+    cached = psi.get(key)
     if cached is not None:
         return cached
     p2 = key
@@ -238,14 +251,13 @@ def psi_big(nu: BoundaryMeasure, p: float) -> float:
     # the kernel lies between min(1, 1/p^2) and max(1, 1/p^2), so the true
     # value sits inside these envelopes; residual quadrature noise at
     # extreme p is pulled back in
-    mass = nu._psi_cache.get("mass")
+    mass = nu._cache.get("mass")
     if mass is None:
-        mass = total_mass(nu)
-        nu._psi_cache["mass"] = mass
+        mass = nu._cache["mass"] = total_mass(nu)
     lo = mass * min(1.0, 1.0 / p2) / np.pi
     hi = mass * max(1.0, 1.0 / p2) / np.pi
     val = min(max(val, lo), hi)
-    nu._psi_cache[key] = val
+    psi[key] = val
     return val
 
 

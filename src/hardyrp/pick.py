@@ -108,21 +108,23 @@ def pick_eval(F: RationalPickFunction, z: complex) -> NDArray[np.complex128]:
     return M
 
 
-def default_probes(count: int = 200) -> NDArray[np.complex128]:
-    """Probe points on a two-parameter log grid over the upper half-plane."""
+def default_probes() -> NDArray[np.complex128]:
+    """Probe points on a two-parameter log grid over the upper half-plane.
+
+    224 points: 14 real parts (0, seven positive and six negative ones of
+    magnitude 10^-2 .. 10^2) times 16 imaginary parts (10^-3 .. 10^3).
+    """
     res = np.concatenate([[0.0], np.logspace(-2, 2, 7), -np.logspace(-2, 2, 6)])
     ims = np.logspace(-3, 3, 16)
-    grid = (res[:, None] + 1j * ims[None, :]).ravel()
-    return grid[:count]
+    return (res[:, None] + 1j * ims[None, :]).ravel()
 
 
 def is_pick(F, probes: Sequence[complex] | None = None, tol: float = 1e-10) -> bool:
     """True iff Im F(z) is positive semidefinite at every probe point."""
-    ev = F if callable(F) else (lambda z: pick_eval(F, z))
     if probes is None:
         probes = default_probes()
     for z in probes:
-        M = ev(z)
+        M = F(z)
         im = (M - M.conj().T) / 2j
         w = np.linalg.eigvalsh((im + im.conj().T) / 2)
         if w.min() < -tol * max(1.0, abs(w).max()):
@@ -134,15 +136,14 @@ def is_regular(F, probes: Sequence[complex] | None = None,
                tol: float = 1e-9) -> bool:
     """True iff Spec F(z) stays in the open upper half-plane at the probes.
 
-    This is a sampled certificate: the probes default to a 200-point log
-    grid, which catches constant directions and real spectrum for the
-    function classes handled here.
+    This is a sampled certificate: the probes default to the 224-point log
+    grid of default_probes, which catches constant directions and real
+    spectrum for the function classes handled here.
     """
-    ev = F if callable(F) else (lambda z: pick_eval(F, z))
     if probes is None:
         probes = default_probes()
     for z in probes:
-        w = np.linalg.eigvals(ev(z))
+        w = np.linalg.eigvals(F(z))
         if w.imag.min() <= tol:
             return False
     return True
@@ -485,10 +486,9 @@ def compose_scalar(f, F, g) -> Callable[[complex], NDArray[np.complex128]]:
         return h
 
     fs, gs = as_scalar(f), as_scalar(g)
-    Fe = F if callable(F) else (lambda z: pick_eval(F, z))
 
     def composed(z: complex) -> NDArray[np.complex128]:
-        return _apply_scalar_to_matrix(fs, Fe(gs(complex(z))))
+        return _apply_scalar_to_matrix(fs, F(gs(complex(z))))
 
     return composed
 

@@ -12,15 +12,16 @@ transformed measure d(T nu)(l) = |F_nu(il)|^{-2} (1+l^2)/l dnu(l).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+from numpy.typing import NDArray
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from .hardy import SymbolFunction
-from .measures import BoundaryMeasure, psi_big, total_mass
+from .measures import BoundaryMeasure, psi_big
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate_line
 
 __all__ = [
@@ -179,24 +180,16 @@ def boundary_phase_difference(K: BoundaryModulus, x: float) -> float:
 
 @dataclass
 class OuterFunction:
-    """Outer function with cached axis values."""
+    """The outer function Out(C, K)."""
 
     K: BoundaryModulus
     C: complex = 1.0 + 0.0j
-    _axis_cache: dict = field(default_factory=dict, repr=False)
 
     def __call__(self, z: complex) -> complex:
         return out_eval(self.C, self.K, z)
 
     def on_axis(self, lam: float) -> float:
-        v = self._axis_cache.get(lam)
-        if v is None:
-            v = out_on_axis(self.K, lam)
-            self._axis_cache[lam] = v
-        return v
-
-    def boundary_modulus(self, x: float) -> float:
-        return self.K(x)
+        return out_on_axis(self.K, lam)
 
 
 # -- measure-driven constructions --------------------------------------------
@@ -213,12 +206,11 @@ def _sqrt_psi_modulus(nu: BoundaryMeasure) -> BoundaryModulus:
     # log psi is smooth in log p, so a cubic spline built once per measure
     # gives cheap, noise-free evaluations; outside the spline window the end
     # slopes continue the power-law behavior (psi sits between p^0 and p^-2)
-    spl = nu._psi_cache.get("logspline")
+    spl = nu._cache.get("logspline")
     if spl is None:
         u = np.linspace(-40.0, 40.0, 4001)
         v = np.array([math.log(psi_big(nu, math.exp(uj))) for uj in u])
-        spl = CubicSpline(u, v)
-        nu._psi_cache["logspline"] = spl
+        spl = nu._cache["logspline"] = CubicSpline(u, v)
     lo, hi = -40.0, 40.0
     slo, shi = float(spl(lo, 1)), float(spl(hi, 1))
     vlo, vhi = float(spl(lo)), float(spl(hi))
@@ -236,60 +228,79 @@ def _sqrt_psi_modulus(nu: BoundaryMeasure) -> BoundaryModulus:
     return BoundaryModulus(K, (0.0,), True, name="sqrt(psi)")
 
 
+def _derived(nu: BoundaryMeasure, name: str, keys,
+             compute: Callable[[BoundaryModulus, float], float],
+             K: BoundaryModulus | None = None) -> NDArray[np.float64]:
+    """compute(K, k) for each entry of the array keys, cached on nu.
+
+    K = sqrt(psi_big(nu, .)) is built at most once per call, and only when
+    some key is not cached yet (on atomic measures every build makes a new
+    closure); a caller evaluating point by point passes the K it holds.
+    """
+    keys = np.asarray(keys, dtype=float)
+    flat = keys.ravel().tolist()
+    table = nu._cache[name]
+    todo = [k for k in dict.fromkeys(flat) if k not in table]
+    if todo:
+        if K is None:
+            K = _sqrt_psi_modulus(nu)
+        for k in todo:
+            table[k] = compute(K, k)
+    return np.array([table[k] for k in flat], dtype=float).reshape(keys.shape)
+
+
+def _phase(nu: BoundaryMeasure, x) -> NDArray[np.float64]:
+    """arg F_nu(x) - arg F_nu(-x) for scalar or array x.
+
+    Every read of the boundary phase goes through here: the values are
+    cached on nu per |x|, so the result is odd in x by construction.
+    """
+    x = np.asarray(x, dtype=float)
+    d = _derived(nu, "phase", np.abs(x), boundary_phase_difference)
+    return np.where(x > 0, d, -d)
+
+
 def f_nu(nu: BoundaryMeasure) -> OuterFunction:
     """The outer function with boundary modulus sqrt(psi_big(nu, .))."""
     return OuterFunction(_sqrt_psi_modulus(nu))
 
 
-def f_nu_axis(nu: BoundaryMeasure, lam: float) -> float:
-    """F_nu(i lam), real and positive."""
-    return f_nu(nu).on_axis(lam)
+def f_nu_axis(nu: BoundaryMeasure, lam):
+    """F_nu(i lam), real and positive, for scalar or array lam > 0.
+
+    The values are cached on nu, where t_map reads them too.
+    """
+    v = _derived(nu, "axis", lam, out_on_axis)
+    return v if np.ndim(lam) else float(v)
 
 
-def h_nu(nu: BoundaryMeasure, x) -> complex:
+def h_nu(nu: BoundaryMeasure, x):
     """The unimodular symbol h_nu(x) = F_nu(x) / F_nu(-x) on the boundary.
 
     Computed as exp(i (arg F_nu(x) - arg F_nu(-x))); the moduli cancel
     exactly, so |h_nu| = 1 and h_nu(-x)* = h_nu(x) hold by construction.
     """
-    K = _sqrt_psi_modulus(nu)
-    if np.ndim(x) == 0:
-        return complex(np.exp(1j * boundary_phase_difference(K, float(x))))
-    return np.array([np.exp(1j * boundary_phase_difference(K, float(xj)))
-                     for xj in np.asarray(x).ravel()]).reshape(np.shape(x))
+    h = np.exp(1j * _phase(nu, x))
+    return h if np.ndim(x) else complex(h)
 
 
 def h_nu_symbol(nu: BoundaryMeasure) -> SymbolFunction:
-    """h_nu packaged as a multiplier symbol with pointwise caching."""
-    K = _sqrt_psi_modulus(nu)
-    cache: dict[float, complex] = {}
-
-    def fn(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty(x.shape, dtype=complex)
-        for j, xj in enumerate(x.ravel()):
-            v = cache.get(xj)
-            if v is None:
-                v = complex(np.exp(1j * boundary_phase_difference(K, xj)))
-                cache[xj] = v
-            out.ravel()[j] = v
-        return out
-
-    return SymbolFunction(fn, 1.0, True, True, name="h_nu")
+    """h_nu packaged as a multiplier symbol; its values are cached on nu."""
+    return SymbolFunction(lambda x: h_nu(nu, np.atleast_1d(x)), 1.0, True,
+                          name="h_nu")
 
 
-def f_nu_boundary(nu: BoundaryMeasure, x: float) -> complex:
+def f_nu_boundary(nu: BoundaryMeasure, x):
     """Boundary value F_nu(x) = sqrt(psi_big(nu, x)) exp(i arg F_nu(x)).
 
     For an even modulus arg F_nu is odd, so it equals half the phase
     difference arg F_nu(x) - arg F_nu(-x); modulus and phase are computed
     separately, making |F_nu(x)|^2 = psi_big(nu, x) exact.
     """
-    K = _sqrt_psi_modulus(nu)
-    x = float(x)
-    return math.sqrt(psi_big(nu, x)) * complex(
-        np.exp(0.5j * boundary_phase_difference(K, x))
-    )
+    x_arr = np.asarray(x, dtype=float)
+    modulus = np.sqrt([psi_big(nu, xj) for xj in x_arr.ravel().tolist()])
+    v = modulus.reshape(x_arr.shape) * np.exp(0.5j * _phase(nu, x_arr))
+    return v if np.ndim(x) else complex(v)
 
 
 def t_map(nu: BoundaryMeasure) -> BoundaryMeasure:
@@ -300,15 +311,16 @@ def t_map(nu: BoundaryMeasure) -> BoundaryMeasure:
     the axis formula for F_nu (real positive, no branch noise).  The result
     is invariant under scaling of nu.
     """
-    F = f_nu(nu)
+    K = _sqrt_psi_modulus(nu)
 
-    def factor(lam: float) -> float:
-        a = F.on_axis(lam)
+    def factor(lam):
+        a = _derived(nu, "axis", lam, out_on_axis, K)
         return (1.0 + lam * lam) / (lam * a * a)
 
+    lam, w = np.array(nu.atoms, dtype=float).reshape(-1, 2).T
     return BoundaryMeasure(
         0.0, 0.0,
-        [(lam, w * factor(lam)) for lam, w in nu.atoms],
+        zip(lam, w * factor(lam)),
         [p.reweighted(factor) for p in nu.density],
     )
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import hardyrp.symbols
 from hardyrp.hankel import (
     HankelGram,
     certify_positive,
@@ -260,3 +261,16 @@ class TestFixedPoint:
     def test_zero_measure_rejected(self):
         with pytest.raises(ValueError):
             fixed_point_check(BoundaryMeasure(), default_anchors(6))
+
+    def test_phase_shared_with_os_check(self, monkeypatch):
+        # both checks read the boundary phase from the measure's one cache
+        calls = []
+        phase = hardyrp.symbols.boundary_phase_difference
+        monkeypatch.setattr(hardyrp.symbols, "boundary_phase_difference",
+                            lambda K, x: calls.append(x) or phase(K, x))
+        nu = BoundaryMeasure(atoms=[(1.0, 1.0), (2.0, 0.5)])
+        f = KernelCombination([(1.0, 1j)])
+        os_isometry_check(nu, f, f, n=64)
+        assert len(calls) == 32     # one per |x| of the 64-node grid
+        fixed_point_deviation(nu, default_anchors(6), n=64)
+        assert len(calls) == 32

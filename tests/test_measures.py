@@ -61,6 +61,22 @@ class TestConstruction:
         assert dict(c.atoms) == {1.0: 3.0, 3.0: 1.0}
 
 
+class TestImmutability:
+    def test_cached_measure_cannot_change(self):
+        # psi_big caches on the measure, so a changed measure would read
+        # stale values: every change must be refused instead
+        nu = BoundaryMeasure(atoms=[(1.0, 1.0)])
+        before = psi_big(nu, 2.0)
+        with pytest.raises(AttributeError):
+            nu.atoms.append((3.0, 1.0))
+        with pytest.raises(AttributeError):
+            nu.atoms = [(1.0, 1.0), (3.0, 1.0)]
+        with pytest.raises(AttributeError):
+            nu.atom0 = 1.0
+        assert psi_big(nu, 2.0) == before
+        assert abs(before - 0.4 / math.pi) < 1e-15
+
+
 class TestPsiBig:
     def test_lebesgue_is_reciprocal(self):
         nu = lebesgue_cauchy_measure()

@@ -10,6 +10,7 @@ from hardyrp.pick import (
     bp_degree,
     bp_eval,
     compose_scalar,
+    default_probes,
     degree_rank,
     degree_winding,
     dump_pick,
@@ -91,6 +92,11 @@ class TestPickAndRegular:
         rng = np.random.default_rng(seed)
         F = random_pick(rng, int(rng.integers(1, 4)), int(rng.integers(0, 3)))
         assert is_pick(F)
+
+    def test_default_probes_cover_whole_grid(self):
+        z = default_probes()
+        assert len(z) == 224
+        assert np.sum(np.isclose(z.real, -100.0)) == 16
 
 
 class TestDegree:
