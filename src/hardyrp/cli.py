@@ -170,9 +170,9 @@ def _cmd_outer_eval(args) -> int:
 
 def _cmd_symbol(args) -> int:
     nu = load_measure(args.measure)
+    xs = _parse_floats(args.points)
     lines = ["x,h_re,h_im"]
-    for x in _parse_floats(args.points):
-        v = h_nu(nu, x)
+    for x, v in zip(xs, h_nu(nu, np.array(xs)).tolist()):
         lines.append(f"{_fmt(x)},{_fmt_complex(v)}")
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK

@@ -86,6 +86,10 @@ class DensityPiece:
         else:
             if self.samples is None:
                 raise ValueError("table density needs samples")
+            # a private copy: the interpolant is built once, so rows the
+            # caller changes later must not reach dump_measure either
+            object.__setattr__(self, "samples",
+                               tuple(tuple(row) for row in self.samples))
             pts = np.asarray(self.samples, dtype=float)
             fn = interp1d(pts[:, 0], pts[:, 1], kind="linear",
                           bounds_error=False, fill_value=0.0)
@@ -206,10 +210,42 @@ def total_mass(nu: BoundaryMeasure) -> float:
     return nu.integrate(lambda lam: 1.0, at_zero=1.0, at_inf=1.0)
 
 
-def psi_big(nu: BoundaryMeasure, p: float) -> float:
-    """(1/pi) int (1+l^2)/(p^2+l^2) dnu(l), the l = inf integrand being 1."""
+def _atom_sum(nu: BoundaryMeasure, p2):
+    """pi psi_big(nu, p) without the density pieces, for float or array p2."""
+    total = nu.atom0 / p2 + nu.atom_inf
+    return total + sum(w * (1.0 + l * l) / (p2 + l * l) for l, w in nu.atoms)
+
+
+def _mass(nu: BoundaryMeasure) -> float:
+    mass = nu._cache.get("mass")
+    if mass is None:
+        mass = nu._cache["mass"] = total_mass(nu)
+    return mass
+
+
+def psi_big(nu: BoundaryMeasure, p):
+    """(1/pi) int (1+l^2)/(p^2+l^2) dnu(l), the l = inf integrand being 1.
+
+    p is a float or an ndarray.  Float values are cached on nu by p^2.  On a
+    measure without density pieces an array takes one closed-form numpy sum
+    (not cached), equal to the float route entry by entry; with density
+    pieces every entry goes through the float route.
+    """
+    if isinstance(p, np.ndarray):
+        p = np.asarray(p, dtype=float)
+        if nu.density:
+            return np.array([psi_big(nu, q) for q in p.ravel().tolist()]
+                            ).reshape(p.shape)
+        if not p.all():
+            raise ValueError("psi_big is undefined at p = 0")
+        p2 = p * p
+        mass = _mass(nu)
+        return np.clip(_atom_sum(nu, p2) / np.pi,
+                       mass * np.minimum(1.0, 1.0 / p2) / np.pi,
+                       mass * np.maximum(1.0, 1.0 / p2) / np.pi)
     if p == 0:
         raise ValueError("psi_big is undefined at p = 0")
+    p = float(p)
     key = p * p
     psi = nu._cache["psi"]
     cached = psi.get(key)
@@ -217,8 +253,7 @@ def psi_big(nu: BoundaryMeasure, p: float) -> float:
         return cached
     p2 = key
     ap = abs(p)
-    total = nu.atom0 / p2 + nu.atom_inf
-    total += sum(w * (1.0 + l * l) / (p2 + l * l) for l, w in nu.atoms)
+    total = _atom_sum(nu, p2)
     for piece in nu.density:
         # substituting lam = |p| e^s turns both scale changes (the kernel's
         # at lam = |p| and the numerator's at lam = 1) into O(1)-wide
@@ -251,9 +286,7 @@ def psi_big(nu: BoundaryMeasure, p: float) -> float:
     # the kernel lies between min(1, 1/p^2) and max(1, 1/p^2), so the true
     # value sits inside these envelopes; residual quadrature noise at
     # extreme p is pulled back in
-    mass = nu._cache.get("mass")
-    if mass is None:
-        mass = nu._cache["mass"] = total_mass(nu)
+    mass = _mass(nu)
     lo = mass * min(1.0, 1.0 / p2) / np.pi
     hi = mass * max(1.0, 1.0 / p2) / np.pi
     val = min(max(val, lo), hi)

@@ -20,6 +20,7 @@ __all__ = [
     "QuadratureError",
     "UnderSampledCurveError",
     "integrate_line",
+    "integrate_batched",
     "winding_number",
     "eig_hermitian",
 ]
@@ -157,6 +158,109 @@ def integrate_line(
             f"quadrature error estimate {err:.3e} above tolerance", value, err
         )
     return value
+
+
+# Gauss-Kronrod 21/10 pair on [-1, 1] (QUADPACK's qk21): the 21 Kronrod
+# nodes, their weights, and the 10-point Gauss weights on the odd nodes
+_GK_X = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_GK_WK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208034641570, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_GK_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+_GK_NODES = np.concatenate([-_GK_X[:-1], _GK_X[::-1]])
+_GK_WEIGHTS = np.concatenate([_GK_WK[:-1], _GK_WK[::-1]])
+_GAUSS_WEIGHTS = np.zeros(21)
+_GAUSS_WEIGHTS[1:10:2] = _GK_WG
+_GAUSS_WEIGHTS[11:20:2] = _GK_WG[::-1]
+
+# integrand values per call of f, nodes times components: keeps each
+# transient array of a pass near a megabyte however many components f has
+_BLOCK = 2 ** 17
+
+
+def _gk_panels(f, lo, hi):
+    """Kronrod sums and |Kronrod - Gauss| error vectors of f on [lo_i, hi_i]."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    kron, err = [], []
+    start, step = 0, 1      # the first call reveals the component count
+    while start < lo.size:
+        blk = slice(start, start + step)
+        s = (mid[blk, None] + half[blk, None] * _GK_NODES).ravel()
+        v = np.asarray(f(s), dtype=float)
+        v = v.reshape(-1, 21, v.shape[-1]) * half[blk, None, None]
+        k = _GK_WEIGHTS @ v
+        kron.append(k)
+        err.append(np.abs(k - _GAUSS_WEIGHTS @ v))
+        start += step
+        step = max(1, _BLOCK // (21 * v.shape[-1]))
+    err = np.concatenate(err)
+    # a non-finite panel is split first and, if it stays so, spends the budget
+    err[~np.isfinite(err)] = np.inf
+    return np.concatenate(kron), err
+
+
+def integrate_batched(
+    f: Callable[[NDArray[np.float64]], NDArray[np.float64]],
+    a: float, b: float,
+    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> NDArray[np.float64]:
+    """Integrate a vector-valued f over the finite interval [a, b].
+
+    f maps a 1-D array of n nodes to an (n, m) array, the m components of
+    the integrand at each node; every pass evaluates f once per block of
+    panels on all their nodes.  Each panel carries the 21-point Kronrod sum
+    and, as its error vector, the componentwise difference to the embedded
+    10-point Gauss sum.  The iteration stops when the max-norm of the summed
+    error vectors falls below max(abs_tol, rel_tol * |I|_inf); otherwise it
+    bisects the fewest worst panels (by their largest component) that leave
+    at most half the tolerance on the panels kept.
+
+    cfg supplies the tolerances and the panel budget (its compactify does
+    not apply: the interval is finite).  Raises QuadratureError, carrying
+    the partial value vector, when the budget is spent.
+    """
+    limit = cfg.effective_subdivisions
+    lo, hi = np.array([float(a)]), np.array([float(b)])
+    kron, err = _gk_panels(f, lo, hi)
+    while True:
+        value = kron.sum(axis=0)
+        total = err.sum(axis=0).max()
+        tol = max(cfg.abs_tol, cfg.rel_tol * float(np.abs(value).max()))
+        if total <= tol:
+            return value
+        order = np.argsort(-err.max(axis=1), kind="stable")
+        # kept[k] = error left on the panels outside the k worst
+        kept = np.cumsum(err[order[::-1]], axis=0)[::-1].max(axis=1)
+        n_split = int(np.count_nonzero(kept > 0.5 * tol))
+        if lo.size + n_split > limit:
+            raise QuadratureError(
+                f"batched quadrature error estimate {total:.3e} above "
+                f"tolerance {tol:.3e} after {lo.size} panels", value, total)
+        split, keep = order[:n_split], order[n_split:]
+        m = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], m])
+        new_hi = np.concatenate([m, hi[split]])
+        k_new, e_new = _gk_panels(f, new_lo, new_hi)
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        kron = np.concatenate([kron[keep], k_new])
+        err = np.concatenate([err[keep], e_new])
 
 
 def winding_number(curve: CurveSample) -> int:

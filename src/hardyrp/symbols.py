@@ -16,13 +16,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.typing import NDArray
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
+from numpy.typing import ArrayLike, NDArray
+# the benchmark's tracer wraps every module's quad binding, this one included
+from scipy.integrate import quad  # noqa: F401
+from scipy.interpolate import CubicSpline, PPoly
 
 from .hardy import SymbolFunction
 from .measures import BoundaryMeasure, psi_big
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, integrate_line
+from .numerics import (DEFAULT_QUADRATURE, QuadratureConfig, integrate_batched,
+                       integrate_line)
 
 __all__ = [
     "BoundaryModulus",
@@ -47,11 +49,14 @@ MIN_IM = 1e-3  # the evaluator refuses points closer to the boundary
 class BoundaryModulus:
     """Nonnegative boundary modulus K with declared singular points.
 
-    The singular points (zeros or poles of K, where log K fails to be
-    smooth) steer the panel splitting of every integral against log K.
+    fn takes a float or an ndarray of floats and returns K elementwise:
+    the boundary phase evaluates it on whole arrays of nodes, the outer
+    function quadratures on one float at a time.  The singular points
+    (zeros or poles of K, where log K fails to be smooth) steer the panel
+    splitting of every integral against log K.
     """
 
-    fn: Callable[[float], float]
+    fn: Callable
     singularities: tuple[float, ...] = ()
     symmetric: bool = False
     name: str = "K"
@@ -59,7 +64,12 @@ class BoundaryModulus:
     def __call__(self, p: float) -> float:
         return float(self.fn(p))
 
-    def log(self, p: float) -> float:
+    def log(self, p):
+        if isinstance(p, np.ndarray):
+            v = np.asarray(self.fn(p), dtype=float)
+            if not (v > 0.0).all():
+                raise ValueError("boundary modulus vanishes at a given point")
+            return np.log(v)
         v = self(p)
         if v <= 0.0:
             raise ValueError(f"boundary modulus vanishes at p = {p}")
@@ -144,38 +154,56 @@ def out_on_axis(K: BoundaryModulus, lam: float,
     return float(np.exp(val.real / np.pi))
 
 
-def boundary_phase_difference(K: BoundaryModulus, x: float) -> float:
-    """arg Out(K)(x) - arg Out(K)(-x) for an even modulus.
+# half-width of the log-variable window beyond the extreme |x|.  With
+# |log K(e^s) - log K(e^u)| <= a |s - u| (a = 1 for every sqrt(psi_big):
+# d log psi / d log p lies in [-2, 0]), the two truncated tails add up to at
+# most a (8/pi) (T+1) e^{-T} / (1 - e^{-2T}), 4.4e-16 a at T = 40
+_PHASE_TAIL = 40.0
+_PHASE_QUADRATURE = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-10,
+                                     max_subdivisions=2000)
+
+
+def boundary_phase_difference(K: BoundaryModulus, x):
+    """arg Out(K)(x) - arg Out(K)(-x) for an even modulus, x float or array.
 
     On the boundary arg Out(K)(x) = -(1/pi) PV int [1/(p-x) - p/(1+p^2)]
     log K(p) dp; in the difference the normalizing term cancels and, K
     being even, the principal-value pair collapses to
 
-        -(4x/pi) int_0^inf (log K(p) - log K(x)) / (p^2 - x^2) dp
+        -(4x/pi) int_0^inf (log K(p) - log K(x)) / (p^2 - x^2) dp.
 
-    with a removable singularity at p = x (PV int_0^inf dp/(p^2-x^2) = 0).
+    In the log variable p = e^s, x = e^u the factor -(4x/pi) p / (p^2-x^2)
+    dp becomes -(2/pi) ds / sinh(s - u), so the phase is
+
+        -(2/pi) int_R (log K(e^s) - log K(e^u)) / sinh(s - u) ds,
+
+    whose integrand is smooth at s = u (removable singularity) and decays
+    like e^{-|s-u|}.  All |x| share one vector integral over
+    [log min|x| - T, log max|x| + T] (integrate_batched, T = _PHASE_TAIL;
+    the tail bound is at its definition), so K is evaluated once per node
+    for every x at once, and the max-norm tolerance bounds each phase.
     """
     if not K.symmetric:
         raise ValueError("boundary phase formula requires a symmetric modulus")
-    if x == 0.0:
+    x = np.asarray(x, dtype=float)
+    if not x.all():
         raise ValueError("phase undefined at x = 0")
-    ax = abs(x)
-    Lx = K.log(ax)
+    ax = np.abs(x).ravel()
+    u = np.log(ax)
+    log_kx = K.log(ax)
 
-    def integrand(theta: float) -> float:
-        p = math.tan(theta)
-        num = K.log(p) - Lx
-        den = p * p - ax * ax
-        if den == 0.0:
-            return 0.0
-        return num / den * (1.0 + p * p)
+    def integrand(s):
+        d = s[:, None] - u
+        num = K.log(np.exp(s))[:, None] - log_kx
+        # at a node on some u_j the quotient is 0/0 and counts as 0; the
+        # Kronrod-Gauss difference of its panel exposes that, so it is split
+        out = np.divide(num, np.sinh(d), out=np.zeros_like(num), where=d != 0)
+        return out * (-2.0 / np.pi)
 
-    pts = sorted({math.atan(ax)} |
-                 {math.atan(abs(s)) for s in K.singularities if s != 0.0})
-    val, _ = quad(integrand, 0.0, np.pi / 2.0, points=pts, limit=400,
-                  epsabs=1e-12, epsrel=1e-10)
-    delta = -(4.0 * ax / np.pi) * val
-    return delta if x > 0 else -delta
+    val = integrate_batched(integrand, u.min() - _PHASE_TAIL,
+                            u.max() + _PHASE_TAIL, _PHASE_QUADRATURE)
+    delta = np.where(x.ravel() > 0, val, -val).reshape(x.shape)
+    return delta if delta.ndim else float(delta)
 
 
 @dataclass
@@ -198,44 +226,45 @@ def _sqrt_psi_modulus(nu: BoundaryMeasure) -> BoundaryModulus:
     if nu.is_zero:
         raise ValueError("the zero measure has no outer function")
     if not nu.density:
-        return BoundaryModulus(
-            lambda p: math.sqrt(psi_big(nu, p)), (0.0,), True, name="sqrt(psi)"
-        )
+        return BoundaryModulus(lambda p: np.sqrt(psi_big(nu, p)), (0.0,),
+                               True, name="sqrt(psi)")
     # with density pieces every psi value is itself a quadrature; the outer
     # and phase integrals would then integrate quadrature noise and stall.
     # log psi is smooth in log p, so a cubic spline built once per measure
     # gives cheap, noise-free evaluations; outside the spline window the end
-    # slopes continue the power-law behavior (psi sits between p^0 and p^-2)
+    # slopes continue the power-law behavior (psi sits between p^0 and
+    # p^-2): a linear piece of zero width at each end, which PPoly extends
     spl = nu._cache.get("logspline")
     if spl is None:
         u = np.linspace(-40.0, 40.0, 4001)
         v = np.array([math.log(psi_big(nu, math.exp(uj))) for uj in u])
-        spl = nu._cache["logspline"] = CubicSpline(u, v)
-    lo, hi = -40.0, 40.0
-    slo, shi = float(spl(lo, 1)), float(spl(hi, 1))
-    vlo, vhi = float(spl(lo)), float(spl(hi))
+        cubic = CubicSpline(u, v)
 
-    def K(p: float) -> float:
-        u0 = math.log(abs(p))
-        if u0 < lo:
-            v0 = vlo + slo * (u0 - lo)
-        elif u0 > hi:
-            v0 = vhi + shi * (u0 - hi)
-        else:
-            v0 = float(spl(u0))
-        return math.exp(0.5 * v0)
+        def line(u0):
+            return [[0.0], [0.0], [float(cubic(u0, 1))], [float(cubic(u0))]]
+
+        spl = nu._cache["logspline"] = PPoly(
+            np.hstack([line(u[0]), cubic.c, line(u[-1])]),
+            np.r_[u[0], cubic.x, u[-1]])
+
+    def K(p):
+        if isinstance(p, float):    # the quadratures' per-node calls
+            return math.exp(0.5 * float(spl(math.log(abs(p)))))
+        return np.exp(0.5 * spl(np.log(np.abs(p))))
 
     return BoundaryModulus(K, (0.0,), True, name="sqrt(psi)")
 
 
 def _derived(nu: BoundaryMeasure, name: str, keys,
-             compute: Callable[[BoundaryModulus, float], float],
+             compute: Callable[[BoundaryModulus, NDArray[np.float64]],
+                               ArrayLike],
              K: BoundaryModulus | None = None) -> NDArray[np.float64]:
-    """compute(K, k) for each entry of the array keys, cached on nu.
+    """Values of compute for the entries of the array keys, cached on nu.
 
-    K = sqrt(psi_big(nu, .)) is built at most once per call, and only when
-    some key is not cached yet (on atomic measures every build makes a new
-    closure); a caller evaluating point by point passes the K it holds.
+    Every key not cached yet goes to compute(K, todo) in one call, as one
+    array, and K = sqrt(psi_big(nu, .)) is built only then (on atomic
+    measures every build makes a new closure); a caller evaluating point by
+    point passes the K it holds.
     """
     keys = np.asarray(keys, dtype=float)
     flat = keys.ravel().tolist()
@@ -244,9 +273,13 @@ def _derived(nu: BoundaryMeasure, name: str, keys,
     if todo:
         if K is None:
             K = _sqrt_psi_modulus(nu)
-        for k in todo:
-            table[k] = compute(K, k)
+        values = np.asarray(compute(K, np.array(todo)), dtype=float)
+        table.update(zip(todo, values.tolist()))
     return np.array([table[k] for k in flat], dtype=float).reshape(keys.shape)
+
+
+def _axis(K: BoundaryModulus, lam: NDArray[np.float64]) -> list[float]:
+    return [out_on_axis(K, l) for l in lam.tolist()]
 
 
 def _phase(nu: BoundaryMeasure, x) -> NDArray[np.float64]:
@@ -270,7 +303,7 @@ def f_nu_axis(nu: BoundaryMeasure, lam):
 
     The values are cached on nu, where t_map reads them too.
     """
-    v = _derived(nu, "axis", lam, out_on_axis)
+    v = _derived(nu, "axis", lam, _axis)
     return v if np.ndim(lam) else float(v)
 
 
@@ -298,8 +331,7 @@ def f_nu_boundary(nu: BoundaryMeasure, x):
     separately, making |F_nu(x)|^2 = psi_big(nu, x) exact.
     """
     x_arr = np.asarray(x, dtype=float)
-    modulus = np.sqrt([psi_big(nu, xj) for xj in x_arr.ravel().tolist()])
-    v = modulus.reshape(x_arr.shape) * np.exp(0.5j * _phase(nu, x_arr))
+    v = np.sqrt(psi_big(nu, x_arr)) * np.exp(0.5j * _phase(nu, x_arr))
     return v if np.ndim(x) else complex(v)
 
 
@@ -314,7 +346,7 @@ def t_map(nu: BoundaryMeasure) -> BoundaryMeasure:
     K = _sqrt_psi_modulus(nu)
 
     def factor(lam):
-        a = _derived(nu, "axis", lam, out_on_axis, K)
+        a = _derived(nu, "axis", lam, _axis, K)
         return (1.0 + lam * lam) / (lam * a * a)
 
     lam, w = np.array(nu.atoms, dtype=float).reshape(-1, 2).T

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 import hardyrp.symbols
 from hardyrp.hankel import (
@@ -226,6 +228,13 @@ class TestOSIsometry:
         assert abs(rhs - want) < 1e-6 * want
         assert dev < 1e-6
 
+    def test_lebesgue_raises_no_integration_warning(self):
+        q = KernelCombination([(1.0, 1j)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            _, _, dev = os_isometry_check(lebesgue_cauchy_measure(), q, q, n=64)
+        assert dev < 1e-6
+
     def test_empty_combination(self):
         nu = lebesgue_cauchy_measure()
         assert os_isometry_check(nu, KernelCombination([]),
@@ -263,14 +272,16 @@ class TestFixedPoint:
             fixed_point_check(BoundaryMeasure(), default_anchors(6))
 
     def test_phase_shared_with_os_check(self, monkeypatch):
-        # both checks read the boundary phase from the measure's one cache
-        calls = []
+        # both checks read the boundary phase from the measure's one cache;
+        # counted in phase points, as the engine takes them in batches
+        points = []
         phase = hardyrp.symbols.boundary_phase_difference
-        monkeypatch.setattr(hardyrp.symbols, "boundary_phase_difference",
-                            lambda K, x: calls.append(x) or phase(K, x))
+        monkeypatch.setattr(
+            hardyrp.symbols, "boundary_phase_difference",
+            lambda K, x: points.append(np.size(x)) or phase(K, x))
         nu = BoundaryMeasure(atoms=[(1.0, 1.0), (2.0, 0.5)])
         f = KernelCombination([(1.0, 1j)])
         os_isometry_check(nu, f, f, n=64)
-        assert len(calls) == 32     # one per |x| of the 64-node grid
+        assert sum(points) == 32    # one per |x| of the 64-node grid
         fixed_point_deviation(nu, default_anchors(6), n=64)
-        assert len(calls) == 32
+        assert sum(points) == 32

@@ -77,7 +77,39 @@ class TestImmutability:
         assert abs(before - 0.4 / math.pi) < 1e-15
 
 
+class TestTableSamples:
+    def test_rows_changed_after_construction_change_nothing(self):
+        rows = [[0.5, 1.0], [2.0, 1.0]]
+        piece = DensityPiece(0.5, 2.0, "table", samples=rows)
+        nu = BoundaryMeasure(density=[piece])
+        before, dumped = psi_big(nu, 1.0), dump_measure(nu)
+        rows[1][1] = 5.0
+        # a fresh measure on the same piece has an empty psi cache
+        assert psi_big(BoundaryMeasure(density=[piece]), 1.0) == before
+        assert dump_measure(nu) == dumped
+        assert psi_big(load_measure(dump_measure(nu)), 1.0) == before
+
+
 class TestPsiBig:
+    def test_array_equals_float_route_on_atoms(self):
+        nu = BoundaryMeasure(atom0=0.3, atom_inf=0.2,
+                             atoms=[(0.4, 1.0), (1.7, 0.25), (6.0, 2.0)])
+        p = np.array([-1e12, -3.0, 1e-9, 0.37, 1.0, 2.5, 1e7])
+        got = psi_big(nu, p)
+        assert got.shape == p.shape
+        assert got.tolist() == [psi_big(nu, float(q)) for q in p]
+
+    def test_array_on_density_goes_through_float_route(self):
+        nu = BoundaryMeasure(atoms=[(1.0, 1.0)],
+                             density=[DensityPiece(1.0, 2.0, expr="3")])
+        p = np.array([[0.5, 2.0], [-2.0, 7.0]])
+        assert psi_big(nu, p).tolist() == \
+            [[psi_big(nu, q) for q in row] for row in p.tolist()]
+
+    def test_array_rejects_zero(self):
+        with pytest.raises(ValueError):
+            psi_big(BoundaryMeasure(atoms=[(1.0, 1.0)]), np.array([1.0, 0.0]))
+
     def test_lebesgue_is_reciprocal(self):
         nu = lebesgue_cauchy_measure()
         for p in (0.5, 1.0, 3.0):

@@ -7,11 +7,51 @@ import pytest
 from hardyrp.numerics import (
     CurveSample,
     QuadratureConfig,
+    QuadratureError,
     UnderSampledCurveError,
     eig_hermitian,
+    integrate_batched,
     integrate_line,
     winding_number,
 )
+
+
+class TestIntegrateBatched:
+    def test_vector_closed_forms(self):
+        def f(s):
+            return np.stack([np.exp(s), np.cos(5.0 * s), 1.0 / (1.0 + s * s)],
+                            axis=1)
+
+        val = integrate_batched(f, -3.0, 3.0, QuadratureConfig(1e-13, 1e-13))
+        want = [2.0 * math.sinh(3.0), 0.4 * math.sin(15.0),
+                2.0 * math.atan(3.0)]
+        assert np.abs(val - want).max() < 1e-13
+
+    def test_polynomials_exact_on_one_panel(self):
+        # one Kronrod panel integrates degree 31 exactly, so the first pass
+        # converges on degree 19 (the Gauss rule is exact there too)
+        calls = []
+
+        def f(s):
+            calls.append(s.size)
+            return np.stack([s ** k for k in range(0, 20, 2)], axis=1)
+
+        val = integrate_batched(f, -1.0, 1.0)
+        assert calls == [21]
+        assert np.abs(val - [2.0 / (k + 1) for k in range(0, 20, 2)]).max() \
+            < 1e-15
+
+    def test_non_integrable_raises_with_partial_value(self):
+        # 1/s on (0, 1) diverges: the panel budget runs out, loudly
+        cfg = QuadratureConfig(1e-10, 1e-10, max_subdivisions=64)
+        with pytest.raises(QuadratureError) as info:
+            integrate_batched(lambda s: np.stack([1.0 / s, s], axis=1),
+                              0.0, 1.0, cfg)
+        err = info.value
+        assert err.value.shape == (2,)
+        assert np.isfinite(err.value).all() and err.value[0] > 10.0
+        assert abs(err.value[1] - 0.5) < 1e-14
+        assert err.error > cfg.abs_tol
 
 
 class TestIntegrateLine:

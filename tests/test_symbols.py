@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from hardyrp.measures import (
     BoundaryMeasure,
+    DensityPiece,
     lebesgue_cauchy_measure,
     psi_big,
     total_mass,
@@ -148,6 +150,79 @@ class TestMeasureSymbols:
         K = BoundaryModulus(lambda p: 1 + p * p, (), True)
         assert boundary_phase_difference(K, 1.5) == \
             -boundary_phase_difference(K, -1.5)
+
+
+DECADES = np.array([1e-12, 1e-6, 1e-2, 1.0, 1e2, 1e6, 1e12])
+
+
+def mp_phase(atoms, x, dps=30):
+    """-(4x/pi) int_0^inf (L(p) - L(x)) / (p^2 - x^2) dp in mpmath, with
+    L = log sqrt(psi_big) of an atomic measure in closed form."""
+    with mp.workdps(dps):
+        def L(p):
+            return mp.log(sum(w * (1 + l * l) / (p * p + l * l)
+                              for l, w in atoms) / mp.pi) / 2
+
+        x = mp.mpf(x)
+        Lx = L(x)
+        pts = sorted({mp.mpf(0), x} | {mp.mpf(l) for l, _ in atoms})
+        def f(p):
+            d = p * p - x * x      # tanh-sinh nodes can round onto p = x
+            return (L(p) - Lx) / d if d else mp.mpf(0)
+
+        val = mp.quad(f, pts + [mp.inf])
+        return float(-4 * x / mp.pi * val)
+
+
+class TestBoundaryPhase:
+    @pytest.mark.parametrize("a", [1.0, -1.0, -0.5])
+    def test_power_law_is_minus_a_pi(self, a):
+        # Out(|p|^a) = (-iz)^a: the phase difference is -a pi at every x > 0
+        K = BoundaryModulus.power_law(a)
+        got = boundary_phase_difference(K, DECADES)
+        assert np.abs(got + a * np.pi).max() < 1e-10
+        for x in DECADES:
+            assert abs(boundary_phase_difference(K, x) + a * np.pi) < 1e-10
+            assert abs(boundary_phase_difference(K, -x) - a * np.pi) < 1e-10
+
+    def test_inverse_sqrt_is_two_arctan(self):
+        K = BoundaryModulus(lambda p: 1.0 / np.sqrt(1.0 + p * p), (), True)
+        got = boundary_phase_difference(K, DECADES)
+        assert np.abs(got - 2.0 * np.arctan(DECADES)).max() < 1e-10
+        x = np.array([[0.5, -3.0], [-1e-6, 1e9]])
+        assert np.abs(boundary_phase_difference(K, x)
+                      - 2.0 * np.arctan(x)).max() < 1e-10
+
+    def test_three_atoms_against_mpmath(self):
+        atoms = [(0.4, 1.0), (1.3, 0.35), (3.2, 2.0)]
+        nu = BoundaryMeasure(atoms=atoms)
+        x = np.array([1e-4, 1e-2, 0.7, 3.0, 1e2, 1e4])
+        want = np.array([mp_phase(atoms, xj) for xj in x])
+        assert np.abs(np.angle(h_nu(nu, x)) - want).max() < 1e-10
+
+    def test_lebesgue_far_out_is_i(self):
+        # psi = 1/|p| for the Cauchy density: the symbol is i sgn(x) at
+        # every magnitude, also beyond the log-spline window
+        nu = lebesgue_cauchy_measure()
+        assert abs(h_nu(nu, 1e8) - 1j) < 1e-8
+        assert abs(h_nu(nu, -1e8) + 1j) < 1e-8
+
+    def test_zero_rejected(self):
+        K = BoundaryModulus.power_law(1.0)
+        with pytest.raises(ValueError):
+            boundary_phase_difference(K, np.array([1.0, 0.0]))
+
+
+class TestSplineModulus:
+    def test_arrays_match_floats_inside_and_beyond_the_window(self):
+        # 3 on (1, 2): psi(p) -> 4.5/pi as p -> 0 and 10/(pi p^2) as p -> inf
+        nu = BoundaryMeasure(density=[DensityPiece(1.0, 2.0, expr="3")])
+        K = f_nu(nu).K
+        p = np.geomspace(1e-30, 1e30, 61)
+        got = K.fn(p)
+        assert np.abs(got / [K(q) for q in p] - 1.0).max() < 1e-13
+        assert abs(K(1e-30) ** 2 * np.pi / 4.5 - 1.0) < 1e-6
+        assert abs(K(1e30) ** 2 * np.pi * 1e60 / 10.0 - 1.0) < 1e-6
 
 
 class TestTMap:
