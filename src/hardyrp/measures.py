@@ -23,7 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import interp1d
+
+from .numerics import QuadratureConfig, integrate_batched
 
 __all__ = [
     "DensityPiece",
@@ -45,17 +46,30 @@ _EXPR_NAMESPACE = {
 }
 
 
-def _compile_expr(expr: str) -> Callable[[float], float]:
+def _compile_expr(expr: str) -> Callable:
     code = compile(expr, "<density>", "eval")
     for name in code.co_names:
         if name not in _EXPR_NAMESPACE and name not in ("lam", "x"):
             raise ValueError(f"disallowed name {name!r} in density expression")
 
-    def f(lam: float) -> float:
-        return float(eval(code, {"__builtins__": {}},
-                          {**_EXPR_NAMESPACE, "lam": lam, "x": lam}))
+    # the namespace is numpy's, so lam may be a float or an ndarray
+    def f(lam):
+        return eval(code, {"__builtins__": {}},
+                    {**_EXPR_NAMESPACE, "lam": lam, "x": lam})
 
     return f
+
+
+def _on_nodes(fn: Callable, lam: np.ndarray) -> np.ndarray:
+    try:
+        v = np.asarray(fn(lam), dtype=float)
+    except (TypeError, ValueError):
+        # a conditional expression ("1 if lam < 2 else 0.5") or a callable
+        # written for floats: node by node
+        v = np.array([float(fn(l)) for l in lam.ravel().tolist()])
+        v = v.reshape(lam.shape)
+    # a constant expression or weight returns a scalar for every lam
+    return np.broadcast_to(v, lam.shape)
 
 
 @dataclass(frozen=True)
@@ -64,6 +78,9 @@ class DensityPiece:
 
     kind is "closed-form" (expr: a formula in `lam`, or a Python callable)
     or "table" (samples: rows of (lam, value), linearly interpolated).
+    A piece evaluates a float, or an ndarray of lam in one call where the
+    expr and weight allow it (numpy arithmetic does) and node by node where
+    they do not.
     """
 
     a: float
@@ -91,15 +108,28 @@ class DensityPiece:
             object.__setattr__(self, "samples",
                                tuple(tuple(row) for row in self.samples))
             pts = np.asarray(self.samples, dtype=float)
-            fn = interp1d(pts[:, 0], pts[:, 1], kind="linear",
-                          bounds_error=False, fill_value=0.0)
+            pts = pts[np.argsort(pts[:, 0], kind="stable")]
+            # np.interp: interp1d's values at a quarter of its cost per float
+            fn = partial(np.interp, xp=pts[:, 0], fp=pts[:, 1],
+                         left=0.0, right=0.0)
         object.__setattr__(self, "_fn", fn)
 
-    def __call__(self, lam: float) -> float:
+    def __call__(self, lam):
+        if isinstance(lam, np.ndarray):
+            v = _on_nodes(self._fn, lam)
+            return v if self.weight is None else v * _on_nodes(self.weight, lam)
         v = float(self._fn(lam))
         if self.weight is not None:
             v *= self.weight(lam)
         return v
+
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        """The points of (a, b) where the density is not smooth: a table's
+        sample abscissae, every integral's breakpoints."""
+        if self.kind != "table":
+            return ()
+        return tuple(l for l, _ in self.samples if self.a < l < self.b)
 
     def reweighted(self, w: Callable[[float], float]) -> "DensityPiece":
         old = self.weight
@@ -168,7 +198,8 @@ class BoundaryMeasure:
         for lam, w in self.atoms:
             total += w * fn(lam)
         for piece in self.density:
-            pts = sorted(s for s in singularities if piece.a < s < piece.b)
+            pts = sorted({s for s in (*singularities, *piece.kinks)
+                          if piece.a < s < piece.b})
             g = lambda l: fn(l) * piece(l)
             if pts and np.isinf(piece.b):
                 # QUADPACK rejects breakpoints on infinite ranges: split there
@@ -223,26 +254,94 @@ def _mass(nu: BoundaryMeasure) -> float:
     return mass
 
 
+# the batched density route of psi_big.  At the float route's relative
+# 1e-10 its honest |Kronrod - Gauss| estimate left a Cauchy density's long
+# tail panel 1.6e-13 off, where QUADPACK's quads land within 1e-15;
+# relative 1e-12 per p matches them at next to no extra cost.  abs_tol only
+# keeps the componentwise test defined where a piece's integral is 0.  Keys
+# go in chunks of _PSI_CHUNK, so a pass holds at most that many components
+# whatever the array's size.
+_PSI_QUADRATURE = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-12,
+                                   max_subdivisions=2000)
+_PSI_CHUNK = 256
+# both routes take the density as 0 beyond lam = e^300, where lam^2 nears
+# overflow; a finite measure has next to no mass there
+_LOG_LAM_MAX = 300.0
+
+
+def _clamped_psi(nu: BoundaryMeasure, p2: np.ndarray,
+                 total: np.ndarray) -> np.ndarray:
+    """psi_big = total / pi, with total (pi psi_big) pulled into its
+    envelope: the kernel lies between min(1, 1/p^2) and max(1, 1/p^2), so
+    the true value does too, and residual quadrature noise at extreme p is
+    pulled back in.  Division by pi being monotone, this is bitwise the
+    float route's clamp of total / pi."""
+    mass = _mass(nu)
+    return np.clip(total, mass * np.minimum(1.0, 1.0 / p2),
+                   mass * np.maximum(1.0, 1.0 / p2)) / np.pi
+
+
+def _piece_psi(piece: DensityPiece, p2: np.ndarray) -> np.ndarray:
+    """int (1+l^2)/(p2_i+l^2) piece(l) dl for every entry of p2, in one
+    adaptive Gauss-Kronrod pass in v = log l, dl = l dv: the density is
+    evaluated once per node for all p at once."""
+    lo = math.log(piece.a)
+    hi = min(math.log(piece.b), _LOG_LAM_MAX)
+    if lo >= hi:
+        return np.zeros_like(p2)
+
+    def f(v):
+        lam = np.exp(v)
+        lam2 = lam * lam
+        return ((1.0 + lam2)[:, None] / (p2 + lam2[:, None])
+                * (piece(lam) * lam)[:, None])
+
+    # v = 0 is where the numerator 1 + l^2 turns from 1 to l^2
+    breaks = [0.0, *(math.log(k) for k in piece.kinks)]
+    return integrate_batched(f, lo, hi, _PSI_QUADRATURE, breaks)
+
+
+def _psi_array(nu: BoundaryMeasure, p: np.ndarray) -> np.ndarray:
+    p2 = (p * p).ravel()
+    psi = nu._cache["psi"]
+    todo = np.array(sorted({k for k in p2.tolist() if k not in psi}))
+    # sorted keys make each chunk a narrow band of p, whose kernels change
+    # on the same stretch of v
+    for start in range(0, todo.size, _PSI_CHUNK):
+        keys = todo[start:start + _PSI_CHUNK]
+        total = _atom_sum(nu, keys)
+        for piece in nu.density:
+            total = total + _piece_psi(piece, keys)
+        psi.update(zip(keys.tolist(), _clamped_psi(nu, keys, total).tolist()))
+    return np.array([psi[k] for k in p2.tolist()]).reshape(p.shape)
+
+
 def psi_big(nu: BoundaryMeasure, p):
     """(1/pi) int (1+l^2)/(p^2+l^2) dnu(l), the l = inf integrand being 1.
 
-    p is a float or an ndarray.  Float values are cached on nu by p^2.  On a
-    measure without density pieces an array takes one closed-form numpy sum
-    (not cached), equal to the float route entry by entry; with density
-    pieces every entry goes through the float route.
+    p is a float or an ndarray; the result is clamped into the envelope
+    mass min(1, 1/p^2) <= pi psi_big <= mass max(1, 1/p^2).  On a measure
+    without density pieces an array takes one closed-form numpy sum (not
+    cached), equal to the float route entry by entry.  With density pieces
+    both routes share one cache of values on nu, keyed by p^2:
+
+    - a float is one QUADPACK quad per piece in s = log(l/|p|), with
+      breakpoints at the kernel's and the numerator's scales and at the
+      kinks of a table density;
+    - an array integrates all its uncached p at once, per piece one
+      adaptive Gauss-Kronrod pass in v = log l (integrate_batched) whose
+      components are the p of a chunk of at most _PSI_CHUNK sorted keys;
+      the table kinks are initial panel edges.  Raises QuadratureError
+      when a pass spends its panel budget.
     """
     if isinstance(p, np.ndarray):
         p = np.asarray(p, dtype=float)
-        if nu.density:
-            return np.array([psi_big(nu, q) for q in p.ravel().tolist()]
-                            ).reshape(p.shape)
         if not p.all():
             raise ValueError("psi_big is undefined at p = 0")
+        if nu.density:
+            return _psi_array(nu, p)
         p2 = p * p
-        mass = _mass(nu)
-        return np.clip(_atom_sum(nu, p2) / np.pi,
-                       mass * np.minimum(1.0, 1.0 / p2) / np.pi,
-                       mass * np.maximum(1.0, 1.0 / p2) / np.pi)
+        return _clamped_psi(nu, p2, _atom_sum(nu, p2))
     if p == 0:
         raise ValueError("psi_big is undefined at p = 0")
     p = float(p)
@@ -261,10 +360,12 @@ def psi_big(nu: BoundaryMeasure, p):
         # any magnitude of p
         slo = math.log(piece.a / ap)
         shi = np.inf if np.isinf(piece.b) else math.log(piece.b / ap)
-        pts = sorted(s for s in (0.0, -math.log(ap)) if slo < s < shi)
+        pts = sorted({s for s in (0.0, -math.log(ap),
+                                  *(math.log(k / ap) for k in piece.kinks))
+                      if slo < s < shi})
 
         def g(s):
-            if s + math.log(ap) > 300.0:
+            if s + math.log(ap) > _LOG_LAM_MAX:
                 return 0.0      # lam^2 overflows; a finite measure is 0 there
             t = math.exp(s)
             lam = ap * t
@@ -283,9 +384,7 @@ def psi_big(nu: BoundaryMeasure, p):
                        epsabs=0.0, epsrel=1e-10)[0]
         total += val
     val = total / np.pi
-    # the kernel lies between min(1, 1/p^2) and max(1, 1/p^2), so the true
-    # value sits inside these envelopes; residual quadrature noise at
-    # extreme p is pulled back in
+    # _clamped_psi in floats: this route is per point
     mass = _mass(nu)
     lo = mass * min(1.0, 1.0 / p2) / np.pi
     hi = mass * max(1.0, 1.0 / p2) / np.pi

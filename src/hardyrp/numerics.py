@@ -219,39 +219,54 @@ def integrate_batched(
     f: Callable[[NDArray[np.float64]], NDArray[np.float64]],
     a: float, b: float,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    breakpoints: Sequence[float] = (),
 ) -> NDArray[np.float64]:
     """Integrate a vector-valued f over the finite interval [a, b].
 
     f maps a 1-D array of n nodes to an (n, m) array, the m components of
     the integrand at each node; every pass evaluates f once per block of
-    panels on all their nodes.  Each panel carries the 21-point Kronrod sum
-    and, as its error vector, the componentwise difference to the embedded
-    10-point Gauss sum.  The iteration stops when the max-norm of the summed
-    error vectors falls below max(abs_tol, rel_tol * |I|_inf); otherwise it
-    bisects the fewest worst panels (by their largest component) that leave
-    at most half the tolerance on the panels kept.
+    panels on all their nodes.  The first panels are [a, b] cut at the
+    breakpoints inside it (kinks of f, where no panel should straddle).
+    Each panel carries the 21-point Kronrod sum and, as its error vector,
+    the componentwise difference to the embedded 10-point Gauss sum.
+
+    The test is componentwise: the iteration stops when the summed error of
+    every component i is at most tol_i = max(abs_tol, rel_tol * |I_i|), so
+    a component many orders of magnitude below the others still gets its
+    relative accuracy.  Otherwise it bisects the fewest worst panels (by
+    their largest error in units of tol_i) that leave at most tol_i / 2 of
+    every component on the panels kept.
 
     cfg supplies the tolerances and the panel budget (its compactify does
     not apply: the interval is finite).  Raises QuadratureError, carrying
-    the partial value vector, when the budget is spent.
+    the partial value vector and the summed error of the component furthest
+    from its tolerance, when the budget is spent.
     """
     limit = cfg.effective_subdivisions
-    lo, hi = np.array([float(a)]), np.array([float(b)])
+    edges = np.unique(np.r_[float(a), float(b),
+                            [t for t in breakpoints if a < t < b]])
+    lo, hi = edges[:-1], edges[1:]
     kron, err = _gk_panels(f, lo, hi)
     while True:
         value = kron.sum(axis=0)
-        total = err.sum(axis=0).max()
-        tol = max(cfg.abs_tol, cfg.rel_tol * float(np.abs(value).max()))
-        if total <= tol:
+        mag = np.abs(value)
+        mag[~np.isfinite(mag)] = 0.0    # only its split panels can mend it
+        # panel errors in units of each component's tolerance
+        scaled = err / np.maximum(cfg.abs_tol, cfg.rel_tol * mag)
+        total = scaled.sum(axis=0)
+        worst = int(np.argmax(total))
+        if total[worst] <= 1.0:
             return value
-        order = np.argsort(-err.max(axis=1), kind="stable")
+        order = np.argsort(-scaled.max(axis=1), kind="stable")
         # kept[k] = error left on the panels outside the k worst
-        kept = np.cumsum(err[order[::-1]], axis=0)[::-1].max(axis=1)
-        n_split = int(np.count_nonzero(kept > 0.5 * tol))
+        kept = np.cumsum(scaled[order[::-1]], axis=0)[::-1].max(axis=1)
+        n_split = int(np.count_nonzero(kept > 0.5))
         if lo.size + n_split > limit:
+            error = float(err[:, worst].sum())
             raise QuadratureError(
-                f"batched quadrature error estimate {total:.3e} above "
-                f"tolerance {tol:.3e} after {lo.size} panels", value, total)
+                f"batched quadrature error estimate {error:.3e} is "
+                f"{total[worst]:.3e} times the tolerance of component "
+                f"{worst} after {lo.size} panels", value, error)
         split, keep = order[:n_split], order[n_split:]
         m = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], m])

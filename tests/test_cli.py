@@ -181,6 +181,19 @@ class TestHankelCommands:
         assert payload["psd"] is True
         assert payload["min_eig"] >= -1e-8
 
+    def test_certify_psd_passes_on_table_density(self, tmp_path):
+        # 64 samples of the positive 1.3/(1+l^2): the Gram integrals must
+        # split at the table's kinks, or the form is certified non-PSD
+        rows = [[float(l), 1.3 / (1.0 + float(l) ** 2)]
+                for l in np.geomspace(0.1, 10.0, 64)]
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"density": [
+            {"interval": [0.1, 10.0], "kind": "table", "samples": rows}]}))
+        out = tmp_path / "cert.json"
+        assert run(["certify-psd", "--measure", str(path),
+                    "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["psd"] is True
+
     def test_rp_certify_passes(self, atom_path, tmp_path):
         out = tmp_path / "rp.json"
         assert run(["rp-certify", "--measure", atom_path,

@@ -1,10 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardyrp import measures
 from hardyrp.measures import (
     BoundaryMeasure,
     DensityPiece,
@@ -17,6 +19,7 @@ from hardyrp.measures import (
     total_mass,
     w_map,
 )
+from hardyrp.numerics import QuadratureError
 
 atom_lists = st.lists(
     st.tuples(st.floats(0.05, 20.0), st.floats(0.01, 5.0)),
@@ -157,6 +160,134 @@ class TestPsiBig:
         assert abs(math.log(ratio)) <= 2 * abs(math.log(p)) + 1e-10
 
 
+def table_rows(a=0.1, b=10.0, c=1.3, n=64):
+    """n samples of c/(1+l^2), geometrically spaced on [a, b]."""
+    return [[float(l), c / (1.0 + float(l) ** 2)] for l in np.geomspace(a, b, n)]
+
+
+def mp_table_psi(rows, p):
+    """psi_big of a linearly interpolated table, segment by segment in
+    closed form: (1+l^2)/(p^2+l^2) = 1 + (1-p^2)/(p^2+l^2)."""
+    with mp.workdps(40):
+        p = mp.mpf(p)
+        total = mp.mpf(0)
+        for (l0, d0), (l1, d1) in zip(rows[:-1], rows[1:]):
+            l0, d0, l1, d1 = (mp.mpf(t) for t in (l0, d0, l1, d1))
+            beta = (d1 - d0) / (l1 - l0)
+            alpha = d0 - beta * l0
+            total += (alpha * (l1 - l0) + beta * (l1 ** 2 - l0 ** 2) / 2
+                      + (1 - p ** 2) * (alpha / p * (mp.atan(l1 / p)
+                                                     - mp.atan(l0 / p))
+                                        + beta / 2 * mp.log((p ** 2 + l1 ** 2)
+                                                            / (p ** 2 + l0 ** 2))))
+        return float(total / mp.pi)
+
+
+def mp_uniform_atom_psi(a, b, c, lam, w, p):
+    """psi_big of c on (a, b) plus w at lam.  The arctan closed form loses
+    about |log10 p^2| digits to cancellation at extreme p, all of a
+    float's at p = e^40, so it is summed at 80 digits."""
+    with mp.workdps(80):
+        a, b, c, lam, w, p = (mp.mpf(t) for t in (a, b, c, lam, w, p))
+        dens = c * ((b - a) + (1 - p ** 2) / p * (mp.atan(b / p)
+                                                  - mp.atan(a / p)))
+        return float((dens + w * (1 + lam ** 2) / (p ** 2 + lam ** 2)) / mp.pi)
+
+
+def mp_cauchy_psi(eps, beta, c, p):
+    """psi_big of 2 c beta/(beta^2+l^2) on (eps, inf), by partial fractions
+    at 80 digits: the kernel times the density is
+    2 c beta [A/(p^2+l^2) + B/(beta^2+l^2)]."""
+    with mp.workdps(80):
+        eps, beta, c, p = (mp.mpf(t) for t in (eps, beta, c, p))
+
+        def tail(q):    # int_eps^inf dl / (q^2 + l^2)
+            return (mp.pi / 2 - mp.atan(eps / q)) / q
+
+        A = (1 - p ** 2) / (beta ** 2 - p ** 2)
+        B = (beta ** 2 - 1) / (beta ** 2 - p ** 2)
+        return float(2 * c * beta * (A * tail(p) + B * tail(beta)) / mp.pi)
+
+
+EXTREME_P = (math.exp(-40.0), 1e-12, 1.0, 1e12, math.exp(40.0))
+
+
+def psi_by_route(nu, p, route):
+    if route == "float":
+        return np.array([psi_big(nu, q) for q in p])
+    return psi_big(nu, np.array(p))
+
+
+class TestDensityRoutes:
+    """The float route (QUADPACK per p) and the array route (one batched
+    Gauss-Kronrod pass per piece for all p) against mpmath references."""
+
+    @pytest.mark.parametrize("route", ["float", "array"])
+    def test_table_against_exact_piecewise_linear(self, route):
+        rows = table_rows()
+        p = [0.05, 0.1, 0.37, 1.0, 2.9, 9.9, 40.0]
+        nu = BoundaryMeasure(density=[DensityPiece(0.1, 10.0, "table",
+                                                   samples=rows)])
+        got = psi_by_route(nu, p, route)
+        want = np.array([mp_table_psi(rows, q) for q in p])
+        assert np.abs(got / want - 1.0).max() < 1e-10
+
+    @pytest.mark.parametrize("route", ["float", "array"])
+    def test_uniform_plus_atom_at_extreme_p(self, route):
+        a, b, c, lam, w = 0.4, 2.9, 1.1, 1.7, 0.6
+        nu = BoundaryMeasure(atoms=[(lam, w)],
+                             density=[DensityPiece(a, b, expr=repr(c))])
+        got = psi_by_route(nu, EXTREME_P, route)
+        want = np.array([mp_uniform_atom_psi(a, b, c, lam, w, q)
+                         for q in EXTREME_P])
+        assert np.abs(got / want - 1.0).max() < 1e-10
+
+    @pytest.mark.parametrize("route", ["float", "array"])
+    def test_cauchy_at_extreme_p(self, route):
+        eps, beta, c = 1e-12, 1.3, 0.8
+        nu = BoundaryMeasure(density=[DensityPiece(
+            eps, np.inf, expr=f"{2 * c * beta!r}/({beta * beta!r}+lam**2)")])
+        got = psi_by_route(nu, EXTREME_P, route)
+        want = np.array([mp_cauchy_psi(eps, beta, c, q) for q in EXTREME_P])
+        assert np.abs(got / want - 1.0).max() < 1e-10
+
+    def test_pieces_evaluate_arrays(self):
+        lam = np.array([[0.5, 1.5], [2.5, 7.0]])
+        ternary = DensityPiece(1.0, 3.0, expr="1.0 if lam < 2 else 0.5")
+        assert ternary(lam).tolist() == [[1.0, 1.0], [0.5, 0.5]]
+        const = BoundaryMeasure(density=[DensityPiece(1.0, 3.0, expr="2")])
+        scaled = const.scaled(1.5).density[0]
+        assert scaled(lam).tolist() == [[3.0, 3.0], [3.0, 3.0]]
+        table = DensityPiece(1.0, 3.0, "table", samples=[[2.0, 1.0], [1.0, 3.0]])
+        assert table(lam).tolist() == [[0.0, 2.0], [0.0, 0.0]]
+
+    def test_array_fills_the_float_cache(self):
+        nu = lebesgue_cauchy_measure()
+        p = np.array([0.5, -0.5, 3.0])
+        got = psi_big(nu, p)
+        assert set(nu._cache["psi"]) == {0.25, 9.0}
+        assert got[0] == got[1] == psi_big(nu, 0.5)
+
+    def test_array_spends_panel_budget_loudly(self, monkeypatch):
+        monkeypatch.setenv("HARDYRP_MAX_PANELS", "8")
+        with pytest.raises(QuadratureError):
+            psi_big(lebesgue_cauchy_measure(), np.geomspace(1e-3, 1e3, 7))
+
+    def test_array_memory_is_chunked(self, monkeypatch):
+        # every pass integrates at most _PSI_CHUNK of the keys
+        widths = []
+        real = measures.integrate_batched
+
+        def spy(f, a, b, cfg, breakpoints):
+            widths.append(f(np.array([0.0])).shape[1])
+            return real(f, a, b, cfg, breakpoints)
+
+        monkeypatch.setattr(measures, "integrate_batched", spy)
+        nu = BoundaryMeasure(density=[DensityPiece(0.5, 2.0, expr="1")])
+        psi_big(nu, np.geomspace(1e-3, 1e3, 600))
+        assert widths == [256, 256, 88]
+
+
 class TestSmallPsiAndPhi:
     @given(atoms=atom_lists, p=st.floats(0.1, 10.0))
     @settings(max_examples=40, deadline=None)
@@ -208,6 +339,16 @@ class TestSerialization:
         nu = load_measure('{"density": [{"interval": [1.0, "inf"], '
                           '"expr": "exp(-lam)"}]}')
         assert np.isinf(nu.density[0].b)
+
+    def test_table_kinks_are_breakpoints_of_integrate(self):
+        # int l dmu for the table: QUADPACK across the kinks missed 1e-10
+        rows = table_rows()
+        nu = BoundaryMeasure(density=[DensityPiece(0.1, 10.0, "table",
+                                                   samples=rows)])
+        want = sum((l1 - l0) * (d0 * (2 * l0 + l1) + d1 * (l0 + 2 * l1)) / 6
+                   for (l0, d0), (l1, d1) in zip(rows[:-1], rows[1:]))
+        got = nu.integrate(lambda lam: lam)
+        assert abs(got / want - 1.0) < 1e-10
 
     def test_table_density(self):
         nu = load_measure({"density": [{"interval": [1.0, 2.0],

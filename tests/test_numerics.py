@@ -41,6 +41,32 @@ class TestIntegrateBatched:
         assert np.abs(val - [2.0 / (k + 1) for k in range(0, 20, 2)]).max() \
             < 1e-15
 
+    def test_each_component_meets_its_relative_tolerance(self):
+        # magnitudes 1e30 apart: a max-norm test would leave the small,
+        # sharply peaked component at the large one's absolute tolerance
+        def f(s):
+            return np.stack([1e15 * np.exp(-s * s),
+                             1e-15 / (1e-4 + s * s)], axis=1)
+
+        val = integrate_batched(f, -3.0, 3.0,
+                                QuadratureConfig(1e-300, 1e-10))
+        want = np.array([1e15 * math.sqrt(math.pi) * math.erf(3.0),
+                         1e-15 * 2.0 * math.atan(300.0) / 1e-2])
+        assert np.abs(val / want - 1.0).max() < 1e-10
+
+    def test_breakpoints_are_initial_panel_edges(self):
+        # |s - 0.3| and a line are exact on the two panels split at the
+        # kink, so the first pass, 2 panels of 21 nodes, converges
+        calls = []
+
+        def f(s):
+            calls.append(s.size)
+            return np.stack([np.abs(s - 0.3), 2.0 * s], axis=1)
+
+        val = integrate_batched(f, -1.0, 1.0, breakpoints=(0.3, 5.0))
+        assert sum(calls) == 42
+        assert np.abs(val - [0.5 * (1.3 ** 2 + 0.7 ** 2), 0.0]).max() < 1e-15
+
     def test_non_integrable_raises_with_partial_value(self):
         # 1/s on (0, 1) diverges: the panel budget runs out, loudly
         cfg = QuadratureConfig(1e-10, 1e-10, max_subdivisions=64)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardyrp import measures
 from hardyrp.measures import (
     BoundaryMeasure,
     DensityPiece,
@@ -223,6 +224,34 @@ class TestSplineModulus:
         assert np.abs(got / [K(q) for q in p] - 1.0).max() < 1e-13
         assert abs(K(1e-30) ** 2 * np.pi / 4.5 - 1.0) < 1e-6
         assert abs(K(1e30) ** 2 * np.pi * 1e60 / 10.0 - 1.0) < 1e-6
+
+
+    @pytest.mark.parametrize("density", [
+        {"density": [DensityPiece(1e-12, np.inf, expr="2.6/(1.69+lam**2)")]},
+        {"atoms": [(1.7, 0.6)], "density": [DensityPiece(0.4, 2.9, expr="1.1")]},
+    ])
+    def test_nodes_match_float_route_of_fresh_measure(self, density,
+                                                      monkeypatch):
+        # the spline is built from one batched psi_big pass, whose only
+        # scalar quad is the mass of the envelope clamp; its node values
+        # agree with the per-point QUADPACK route of a fresh measure
+        quads = []
+        real = measures.quad
+
+        def counted(*args, **kwargs):
+            quads.append(args)
+            return real(*args, **kwargs)
+
+        nu = BoundaryMeasure(**density)
+        with monkeypatch.context() as m:
+            m.setattr(measures, "quad", counted)
+            f_nu(nu)
+        assert len(quads) == 1
+        spl = nu._cache["logspline"]
+        u = np.linspace(-40.0, 40.0, 4001)[::8]
+        fresh = BoundaryMeasure(**density)
+        want = np.array([psi_big(fresh, math.exp(uj)) for uj in u])
+        assert np.abs(np.exp(spl(u)) / want - 1.0).max() < 1e-13
 
 
 class TestTMap:
