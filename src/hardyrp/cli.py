@@ -125,9 +125,10 @@ def eigencurves(F: RationalPickFunction, xs: np.ndarray) -> np.ndarray:
 
 def _cmd_psi(args) -> int:
     nu = load_measure(args.measure)
+    ps = _parse_floats(args.points)
     lines = ["p,psi"]
-    for p in _parse_floats(args.points):
-        lines.append(f"{_fmt(p)},{_fmt(psi_big(nu, p))}")
+    for p, v in zip(ps, psi_big(nu, np.array(ps)).tolist()):
+        lines.append(f"{_fmt(p)},{_fmt(v)}")
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -180,9 +181,9 @@ def _cmd_symbol(args) -> int:
 
 def _cmd_symbol_from_measure(args) -> int:
     mu = load_measure(args.measure)
+    ps = _parse_floats(args.points)
     lines = ["p,h_re,h_im"]
-    for p in _parse_floats(args.points):
-        v = symbol_from_measure(mu, p)
+    for p, v in zip(ps, symbol_from_measure(mu, np.array(ps)).tolist()):
         lines.append(f"{_fmt(p)},{_fmt_complex(v)}")
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK

@@ -10,18 +10,16 @@ and the fixed-point test for symbols built from measures.
 """
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 
 from .hardy import BoundaryGrid, KernelCombination, boundary_nodes, szego
-from .measures import BoundaryMeasure, psi_big, w_map
-from .numerics import eig_hermitian
+from .measures import BoundaryMeasure, w_map
+from .numerics import QuadratureConfig, eig_hermitian
 from .symbols import f_nu, f_nu_boundary, h_nu, t_map
 
 __all__ = [
@@ -44,6 +42,17 @@ __all__ = [
 
 HERM_TOL = 1e-8
 PIVOT_TOL = 1e-12
+
+# vector integrals against a form measure (Gram entries, symbol values):
+# relative 1e-10 per component, as the scalar quads had; the absolute floor
+# keeps the test defined on components that are exactly 0 (the imaginary
+# parts of the diagonal) or far below the form's scale
+_FORM_QUADRATURE = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-10,
+                                    max_subdivisions=2000)
+# phi(t) for every t at once: the closed-form kernel is smooth in log l,
+# so relative 1e-12 costs next to nothing
+_PHI_QUADRATURE = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-12,
+                                   max_subdivisions=2000)
 
 
 def _mass_matrix(anchors: Sequence[complex]) -> NDArray[np.complex128]:
@@ -93,25 +102,42 @@ def default_anchors(count: int = 10) -> tuple[complex, ...]:
 
 def gram_from_measure(mu: BoundaryMeasure,
                       anchors: Sequence[complex]) -> HankelGram:
-    """G_jk = int conj(Q_{z_j}(il)) Q_{z_k}(il) dmu(l) for mu on (0, inf)."""
+    """G_jk = int conj(Q_{z_j}(il)) Q_{z_k}(il) dmu(l) for mu on (0, inf).
+
+    The real and imaginary parts of the n(n+1)/2 entries j <= k are the
+    components of one vector integral against mu
+    (BoundaryMeasure.integrate_vector): atoms are one numpy sum, and each
+    density piece is one Gauss-Kronrod pass in log l that evaluates the
+    density once per node for every entry.  Each component meets relative
+    1e-10 with an absolute floor of 1e-14.  Raises ValueError when the form
+    diverges (a density whose integrand has not decayed at the cut
+    l = e^300) and QuadratureError when a pass spends its panel budget.
+    """
     if mu.atom0 > 0 or mu.atom_inf > 0:
         raise ValueError("the form measure must be supported on (0, inf)")
-    z = np.asarray(anchors, dtype=complex)
-    n = len(z)
+    M = _mass_matrix(anchors)       # validates the anchors first
+    zbar = np.conj(np.asarray(anchors, dtype=complex))
+    n = zbar.size
+    jj, kk = np.triu_indices(n)
+    m = jj.size
+
+    def entries(lam):
+        Q = (0.5j / np.pi) / (1j * lam[:, None] - zbar)     # Q_{z_j}(il)
+        P = np.empty((lam.size, m), dtype=complex)
+        start = 0
+        # row by row of the upper triangle, straight into P: no complex
+        # temporary is larger than one row
+        for j in range(n):
+            np.multiply(np.conj(Q[:, j, None]), Q[:, j:],
+                        out=P[:, start:start + n - j])
+            start += n - j
+        return P.view(float)    # real and imaginary parts interleaved
+
+    v = mu.integrate_vector(entries, _FORM_QUADRATURE)
     G = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(j, n):
-            def fn(lam, zj=z[j], zk=z[k]):
-                return np.conj(szego(zj, 1j * lam)) * szego(zk, 1j * lam)
-            val = complex(
-                mu.integrate(lambda lam: fn(lam).real)
-                + 1j * mu.integrate(lambda lam: fn(lam).imag)
-            )
-            if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-                raise ValueError("form diverges; measure is not Carleson here")
-            G[j, k] = val
-            G[k, j] = np.conj(val)
-    return HankelGram(tuple(anchors), G, _mass_matrix(anchors))
+    G[jj, kk] = v[0::2] + 1j * v[1::2]
+    G[kk, jj] = np.conj(G[jj, kk])
+    return HankelGram(tuple(anchors), G, M)
 
 
 def gram_from_symbol(h: Callable, anchors: Sequence[complex],
@@ -126,17 +152,23 @@ def gram_from_symbol(h: Callable, anchors: Sequence[complex],
     return HankelGram(tuple(anchors), G, _mass_matrix(anchors))
 
 
-def symbol_from_measure(mu: BoundaryMeasure, p) -> complex:
-    """The bounded symbol h(p) = (i/pi) int p/(l^2+p^2) dmu(l) of H_mu."""
+def symbol_from_measure(mu: BoundaryMeasure, p):
+    """The bounded symbol h(p) = (i/pi) int p/(l^2+p^2) dmu(l) of H_mu.
+
+    p is a float (a complex is returned) or an array (an array of the same
+    shape); every p is a component of one vector integral against mu.
+    """
     if mu.atom0 > 0 or mu.atom_inf > 0:
         raise ValueError("the form measure must be supported on (0, inf)")
-    if np.ndim(p) > 0:
-        return np.array([symbol_from_measure(mu, pj) for pj in p])
-    p = float(p)
-    if p == 0.0:
+    ps = np.asarray(p, dtype=float)
+    flat = ps.ravel()
+    if not flat.all():
         raise ValueError("symbol undefined at p = 0")
-    val = mu.integrate(lambda lam: p / (lam * lam + p * p))
-    return 1j * val / np.pi
+    val = mu.integrate_vector(
+        lambda lam: flat / ((lam * lam)[:, None] + flat * flat),
+        _FORM_QUADRATURE)
+    h = 1j * val / np.pi
+    return complex(h[0]) if ps.ndim == 0 else h.reshape(ps.shape)
 
 
 def pencil_eigenvalues(g: HankelGram) -> NDArray[np.float64]:
@@ -202,42 +234,70 @@ def compactness_check(mu: BoundaryMeasure) -> bool:
     return True
 
 
-def phi_from_psi(nu: BoundaryMeasure, t: float, p_min: float = 1e-16) -> float:
+def _phi_kernel(lam: NDArray[np.float64], t: NDArray[np.float64],
+                p_min: float) -> NDArray[np.float64]:
+    """int_{p_min}^inf cos(tp) (1+l^2)/(p^2+l^2) dp, rows l, columns t.
+
+    With cos(tp) = 1 on [0, p_min] and int_0^inf cos(tp)/(p^2+l^2) dp =
+    pi e^{-lt}/(2l) this is (1+l^2)[(pi/2) expm1(-lt) + arctan(l/p_min)]/l,
+    which does not cancel for l << p_min or for small lt.  Where lt >= 1 the
+    same value is written (pi/2) e^{-lt} - arctan(p_min/l), which does not
+    cancel when e^{-lt} underflows against 1.
+    """
+    lt = lam[:, None] * t
+    near = (np.pi / 2) * np.expm1(-lt) + np.arctan(lam / p_min)[:, None]
+    far = (np.pi / 2) * np.exp(-lt) - np.arctan(p_min / lam)[:, None]
+    return (1.0 / lam + lam)[:, None] * np.where(lt < 1.0, near, far)
+
+
+def phi_from_psi(nu: BoundaryMeasure, t, p_min: float = 1e-16):
     """phi(t) = int exp(-itp) psi_big(nu, p) dp, the correlation function.
 
     psi_big is even, so this is 2 int_0^inf cos(tp) psi_big dp; the lower
     limit is regularized at p_min, which shifts every phi(t) by the same
     positive constant when psi ~ 1/|p| near 0 and leaves the positivity of
     the Gram matrix [phi(t_j + t_k)] unchanged.
+
+    t is a float (a float is returned) or an array (an array of the same
+    shape).  By Fubini, phi(t) = (2/pi) int K(l, t) dnu(l) with the exact
+    inner integral K = _phi_kernel, so every t is a component of one
+    vector integral against nu; the atom at 0 contributes
+    K(0, t) = 1/p_min - pi t/2 and the atom at infinity, for t > 0,
+    K(inf, t) = -p_min.  Both use cos(tp) = 1 on [0, p_min], so t p_min
+    must stay below 1e-8.  phi(0) diverges, and ValueError says so, when
+    nu has an atom at infinity or a density whose t = 0 integrand has not
+    decayed at the cut l = e^300.
     """
-    f = lambda p: psi_big(nu, p)
-    t = abs(float(t))
-    segs = [p for p in (p_min, 1e-8, 1e-4, 1e-2, 1.0) if p >= p_min]
-    with warnings.catch_warnings():
-        # psi ~ 1/p near 0 for measures with mass near the origin; the
-        # truncated integral is still the right regularization, so the
-        # slow-convergence complaints on the innermost segments are expected
-        warnings.simplefilter("ignore", IntegrationWarning)
-        inner = sum(
-            quad(lambda p: math.cos(t * p) * f(p), lo, hi, limit=200,
-                 epsabs=1e-12, epsrel=1e-10)[0]
-            for lo, hi in zip(segs[:-1], segs[1:])
-        )
-    if t == 0.0:
-        tail, _ = quad(f, 1.0, np.inf, limit=200, epsabs=1e-12, epsrel=1e-10)
-    else:
-        tail, _ = quad(f, 1.0, np.inf, weight="cos", wvar=t, limit=200,
-                       epsabs=1e-12)
-    return 2.0 * (inner + tail)
+    ts = np.abs(np.asarray(t, dtype=float))
+    flat = ts.ravel()
+    if not p_min > 0:
+        raise ValueError("p_min must be positive")
+    if flat.size and flat.max() * p_min > 1e-8:
+        raise ValueError("phi_from_psi needs t p_min <= 1e-8")
+    at_inf = None
+    if nu.atom_inf > 0:
+        if not flat.all():
+            raise ValueError("phi(0) diverges: the atom at infinity makes "
+                             "psi_big tend to a positive constant")
+        at_inf = np.full(flat.shape, -p_min)
+    val = (2.0 / np.pi) * nu.integrate_vector(
+        lambda lam: _phi_kernel(lam, flat, p_min), _PHI_QUADRATURE,
+        at_zero=1.0 / p_min - (np.pi / 2) * flat, at_inf=at_inf)
+    return float(val[0]) if ts.ndim == 0 else val.reshape(ts.shape)
+
+
+def _time_sums(times: Sequence[float]) -> tuple[list[float], list[float]]:
+    times = [float(t) for t in times]
+    if any(t < 0 for t in times):
+        raise ValueError("times must be nonnegative")
+    return times, sorted({tj + tk for tj in times for tk in times})
 
 
 def rp_matrix(phi: Callable[[float], float],
               times: Sequence[float]) -> NDArray[np.float64]:
     """The reflection-positivity Gram matrix [phi(t_j + t_k)]."""
-    times = [float(t) for t in times]
-    if any(t < 0 for t in times):
-        raise ValueError("times must be nonnegative")
-    cache = {s: phi(s) for s in sorted({tj + tk for tj in times for tk in times})}
+    times, sums = _time_sums(times)
+    cache = {s: phi(s) for s in sums}
     return np.array([[cache[tj + tk] for tk in times] for tj in times])
 
 
@@ -245,13 +305,16 @@ def rp_certify(nu: BoundaryMeasure, times: Sequence[float],
                tol: float = 1e-8) -> tuple[bool, float]:
     """Reflection positivity of nu through the Fourier route.
 
-    Builds phi = (Fourier transform of psi_big(nu, .)) and checks the
-    matrix [phi(t_j + t_k)] for positive semidefiniteness relative to its
-    scale.
+    Builds phi = (Fourier transform of psi_big(nu, .)) at every distinct
+    sum t_j + t_k in one phi_from_psi call and checks the matrix
+    [phi(t_j + t_k)] for positive semidefiniteness relative to its scale.
+    Raises ValueError when phi(0) diverges and 0 is among the times.
     """
     if nu.is_zero:
         raise ValueError("reflection positivity is undefined for the zero measure")
-    A = rp_matrix(lambda t: phi_from_psi(nu, t), times)
+    _, sums = _time_sums(times)
+    phi = dict(zip(sums, phi_from_psi(nu, np.array(sums)).tolist()))
+    A = rp_matrix(phi.__getitem__, times)
     w, _ = eig_hermitian(A.astype(complex))
     scale = max(1.0, float(np.abs(w).max()))
     return bool(w.min() >= -tol * scale), float(w.min())

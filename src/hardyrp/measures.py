@@ -213,6 +213,40 @@ class BoundaryMeasure:
             total += val
         return total
 
+    def integrate_vector(
+        self,
+        fn: Callable[[np.ndarray], np.ndarray],
+        cfg: QuadratureConfig,
+        at_zero=None,
+        at_inf=None,
+    ) -> np.ndarray:
+        """Integral of the vector-valued fn against the measure.
+
+        fn maps an ndarray of n points l to a new (n, m) float array, the
+        m components of the integrand, which the density passes scale in
+        place.  The interior atoms are one numpy sum; each density piece is
+        one integrate_batched pass in v = log l (_piece_integral) under
+        cfg's componentwise tolerances.  at_zero / at_inf are the m
+        integrand values at the endpoint atoms, required only when that
+        atom carries mass.  Raises QuadratureError when a pass spends its
+        panel budget and ValueError on a non-finite integrand or a density
+        whose integrand has not decayed at the cut l = e^_LOG_LAM_MAX.
+        """
+        locs, weights = np.array(self.atoms, dtype=float).reshape(-1, 2).T
+        total = weights @ fn(locs)
+        for mass, value, name in ((self.atom0, at_zero, "at_zero"),
+                                  (self.atom_inf, at_inf, "at_inf")):
+            if mass > 0:
+                if value is None:
+                    raise ValueError(f"measure has an endpoint atom; "
+                                     f"supply {name}")
+                total = total + mass * np.asarray(value, dtype=float)
+        for piece in self.density:
+            total = total + _piece_integral(piece, fn, cfg)
+        if not np.isfinite(total).all():
+            raise ValueError("integral against the measure is not finite")
+        return total
+
     @property
     def is_zero(self) -> bool:
         return (self.atom0 == 0 and self.atom_inf == 0 and not self.atoms
@@ -281,24 +315,46 @@ def _clamped_psi(nu: BoundaryMeasure, p2: np.ndarray,
                    mass * np.maximum(1.0, 1.0 / p2)) / np.pi
 
 
-def _piece_psi(piece: DensityPiece, p2: np.ndarray) -> np.ndarray:
-    """int (1+l^2)/(p2_i+l^2) piece(l) dl for every entry of p2, in one
+def _piece_integral(piece: DensityPiece, fn: Callable,
+                    cfg: QuadratureConfig):
+    """int fn(l) piece(l) dl, fn(l) a new (n, m) array for n nodes l, in one
     adaptive Gauss-Kronrod pass in v = log l, dl = l dv: the density is
-    evaluated once per node for all p at once."""
+    evaluated once per node for all m components.  v = 0 (where 1 + l^2
+    turns from 1 to l^2) and the table kinks are initial panel edges.  The
+    piece is cut at l = e^_LOG_LAM_MAX, and ValueError says the integral
+    diverges when the integrand there is above some component's tolerance."""
     lo = math.log(piece.a)
     hi = min(math.log(piece.b), _LOG_LAM_MAX)
     if lo >= hi:
-        return np.zeros_like(p2)
+        return 0.0
 
     def f(v):
         lam = np.exp(v)
-        lam2 = lam * lam
-        return ((1.0 + lam2)[:, None] / (p2 + lam2[:, None])
-                * (piece(lam) * lam)[:, None])
+        out = fn(lam)
+        out *= (piece(lam) * lam)[:, None]
+        if not np.isfinite(out).all():
+            raise ValueError("integrand against the measure is not finite")
+        return out
 
-    # v = 0 is where the numerator 1 + l^2 turns from 1 to l^2
     breaks = [0.0, *(math.log(k) for k in piece.kinks)]
-    return integrate_batched(f, lo, hi, _PSI_QUADRATURE, breaks)
+    value = integrate_batched(f, lo, hi, cfg, breaks)
+    if hi < math.log(piece.b):
+        edge = np.abs(f(np.array([hi]))[0])
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
+        if not (edge <= tol).all():
+            raise ValueError(
+                f"the integral against the density on ({piece.a:g}, "
+                f"{piece.b:g}) diverges: its integrand has not decayed at "
+                f"the cut l = e^{_LOG_LAM_MAX:g}")
+    return value
+
+
+def _psi_kernel(p2: np.ndarray) -> Callable:
+    """l -> (1+l^2)/(p2_i+l^2), an (n, m) array for n nodes and m keys."""
+    def fn(lam):
+        lam2 = lam * lam
+        return (1.0 + lam2)[:, None] / (p2 + lam2[:, None])
+    return fn
 
 
 def _psi_array(nu: BoundaryMeasure, p: np.ndarray) -> np.ndarray:
@@ -311,7 +367,8 @@ def _psi_array(nu: BoundaryMeasure, p: np.ndarray) -> np.ndarray:
         keys = todo[start:start + _PSI_CHUNK]
         total = _atom_sum(nu, keys)
         for piece in nu.density:
-            total = total + _piece_psi(piece, keys)
+            total = total + _piece_integral(piece, _psi_kernel(keys),
+                                            _PSI_QUADRATURE)
         psi.update(zip(keys.tolist(), _clamped_psi(nu, keys, total).tolist()))
     return np.array([psi[k] for k in p2.tolist()]).reshape(p.shape)
 

@@ -203,7 +203,8 @@ def _gk_panels(f, lo, hi):
         blk = slice(start, start + step)
         s = (mid[blk, None] + half[blk, None] * _GK_NODES).ravel()
         v = np.asarray(f(s), dtype=float)
-        v = v.reshape(-1, 21, v.shape[-1]) * half[blk, None, None]
+        v = v.reshape(-1, 21, v.shape[-1])
+        v *= half[blk, None, None]      # in place: one block live, not two
         k = _GK_WEIGHTS @ v
         kron.append(k)
         err.append(np.abs(k - _GAUSS_WEIGHTS @ v))
@@ -223,10 +224,11 @@ def integrate_batched(
 ) -> NDArray[np.float64]:
     """Integrate a vector-valued f over the finite interval [a, b].
 
-    f maps a 1-D array of n nodes to an (n, m) array, the m components of
-    the integrand at each node; every pass evaluates f once per block of
-    panels on all their nodes.  The first panels are [a, b] cut at the
-    breakpoints inside it (kinks of f, where no panel should straddle).
+    f maps a 1-D array of n nodes to a new (n, m) array, the m components
+    of the integrand at each node, which the integrator scales in place;
+    every pass evaluates f once per block of panels on all their nodes.
+    The first panels are [a, b] cut at the breakpoints inside it (kinks of
+    f, where no panel should straddle).
     Each panel carries the 21-point Kronrod sum and, as its error vector,
     the componentwise difference to the embedded 10-point Gauss sum.
 

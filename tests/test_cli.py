@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import hardyrp.cli
 from hardyrp.cli import eigencurves, polyline_svg, run
 from hardyrp.measures import (
     BoundaryMeasure,
@@ -34,6 +35,24 @@ def atom_path(tmp_path):
     path = tmp_path / "atom.json"
     path.write_text(json.dumps({"atoms": [[1.0, 1.0]]}))
     return str(path)
+
+
+@pytest.fixture
+def sample_path(tmp_path):
+    # the measure of the console-script step in CI
+    path = tmp_path / "sample.json"
+    path.write_text(json.dumps({"atoms": [[1.0, 1.0]], "density": [
+        {"interval": [0.5, 2.0], "expr": "1"}]}))
+    return str(path)
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls the CLI makes of its binding `name`."""
+    calls = []
+    real = getattr(hardyrp.cli, name)
+    monkeypatch.setattr(hardyrp.cli, name,
+                        lambda *a: calls.append(a) or real(*a))
+    return calls
 
 
 @pytest.fixture
@@ -76,6 +95,20 @@ class TestPsi:
     def test_stdout_default(self, atom_path, capsys):
         assert run(["psi", "--measure", atom_path, "--points", "1"]) == 0
         assert capsys.readouterr().out.startswith("p,psi\n")
+
+    def test_points_are_one_array_call(self, sample_path, tmp_path,
+                                       monkeypatch):
+        calls = count_calls(monkeypatch, "psi_big")
+        out = tmp_path / "psi.csv"
+        assert run(["psi", "--measure", sample_path,
+                    "--points", "0.5,1,3,1", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        _, rows = read_csv(out)
+        assert [p for p, _ in rows] == ["0.5", "1", "3", "1"]
+        assert rows[1][1] == rows[3][1]
+
+    def test_zero_point_is_input_error(self, sample_path):
+        assert run(["psi", "--measure", sample_path, "--points", "1,0"]) == 2
 
 
 class TestDegree:
@@ -162,6 +195,18 @@ class TestEvaluationCommands:
             v = complex(float(row[1]), float(row[2]))
             assert abs(v - 1j * np.sign(p)) < 1e-6
 
+    def test_symbol_from_measure_is_one_call(self, sample_path, tmp_path,
+                                             monkeypatch):
+        calls = count_calls(monkeypatch, "symbol_from_measure")
+        out = tmp_path / "h.csv"
+        assert run(["symbol-from-measure", "--measure", sample_path,
+                    "--points", "0.5,1,3", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        _, rows = read_csv(out)
+        assert len(rows) == 3 and all(float(r[1]) == 0.0 for r in rows)
+        assert run(["symbol-from-measure", "--measure", sample_path,
+                    "--points", "1,0"]) == 2
+
 
 class TestHankelCommands:
     def test_gram_shape_and_header(self, atom_path, tmp_path):
@@ -200,6 +245,29 @@ class TestHankelCommands:
                     "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["psd"] is True
+
+    def test_rp_certify_atom_at_zero_passes(self, tmp_path):
+        # a positive measure: the parent's quadrature of psi_big ~ 1/p^2
+        # missed the 1/p_min term and reported min eig -4.7
+        path = tmp_path / "atom0.json"
+        path.write_text(json.dumps({"atom0": 0.3, "atoms": [[1, 1]]}))
+        out = tmp_path / "rp.json"
+        assert run(["rp-certify", "--measure", str(path),
+                    "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["psd"] is True
+
+    def test_rp_certify_divergent_phi_exits_two(self, lebesgue_path, capsys):
+        # the default times include 0, where phi of Lebesgue diverges
+        assert run(["rp-certify", "--measure", lebesgue_path]) == 2
+        assert "diverges" in capsys.readouterr().err
+        assert run(["rp-certify", "--measure", lebesgue_path,
+                    "--times", "0.5,1,2"]) == 0
+
+    @pytest.mark.parametrize("command", ["certify-psd", "rp-certify"])
+    def test_sample_measure_certifies(self, command, sample_path, tmp_path):
+        out = tmp_path / "cert.json"
+        assert run([command, "--measure", sample_path, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["psd"] is True
 
     def test_os_check_passes(self, lebesgue_path, tmp_path):
         out = tmp_path / "os.json"

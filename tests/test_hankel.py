@@ -1,12 +1,16 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
+import hardyrp.hankel
+import hardyrp.measures
 import hardyrp.symbols
 from hardyrp.hankel import (
+    _phi_kernel,
     HankelGram,
     certify_positive,
     compactness_check,
@@ -30,6 +34,14 @@ from hardyrp.symbols import h_nu_symbol, t_map
 
 def two_lebesgue() -> BoundaryMeasure:
     return BoundaryMeasure(density=[DensityPiece(1e-12, np.inf, expr="2")])
+
+
+def table_measure(n: int = 64) -> BoundaryMeasure:
+    """n samples of 1.3/(1+l^2), geometrically spaced on [0.1, 10]."""
+    rows = [[float(l), 1.3 / (1.0 + float(l) ** 2)]
+            for l in np.geomspace(0.1, 10.0, n)]
+    return BoundaryMeasure(density=[DensityPiece(0.1, 10.0, "table",
+                                                 samples=rows)])
 
 
 def random_atomic(rng: np.random.Generator, k: int = 2) -> BoundaryMeasure:
@@ -109,6 +121,83 @@ class TestGram:
         assert np.abs(gm.G - gs.G).max() < 1e-6 * scale
 
 
+def mp_gram_entry(zj, zk, rational, segments):
+    """int conj(Q_zj(il)) Q_zk(il) rho(l) dl at 20 digits, segment by segment.
+
+    The kernel product is 1/(4 pi^2 (l - al)(l - be)) with al = i zj and
+    be = -i conj(zk), both in Re < 0.  rho is either rational(l), integrated
+    by mpmath over the breakpoint list `segments`, or piecewise linear, with
+    `segments` of (a, b, rho(a), rho(b)) integrated in closed form by
+    partial fractions (a double pole when al = be: a diagonal entry on the
+    axis)."""
+    with mp.workdps(20):
+        al, be = 1j * mp.mpc(zj), -1j * mp.conj(mp.mpc(zk))
+        if rational is not None:
+            return complex(mp.quad(
+                lambda l: rational(l) / (4 * mp.pi ** 2 * (l - al) * (l - be)),
+                segments))
+        total = mp.mpc(0)
+        for a, b, da, db in segments:
+            a, b, da, db = (mp.mpf(v) for v in (a, b, da, db))
+            s = (db - da) / (b - a)
+            r = da - s * a
+            if al == be:
+                F = lambda l: s * mp.log(l - al) - (s * al + r) / (l - al)
+            else:
+                A = (s * al + r) / (al - be)
+                B = (s * be + r) / (be - al)
+                F = lambda l: A * mp.log(l - al) + B * mp.log(l - be)
+            total += F(b) - F(a)
+        return complex(total / (4 * mp.pi ** 2))
+
+
+def assert_gram_matches(G, anchors, rational=None, segments=()):
+    for j, zj in enumerate(anchors):
+        for k in range(j, len(anchors)):
+            want = mp_gram_entry(zj, anchors[k], rational, segments)
+            for got_part, want_part in ((G[j, k].real, want.real),
+                                        (G[j, k].imag, want.imag)):
+                assert abs(got_part - want_part) <= max(
+                    1e-10 * abs(want_part), 1e-14), (j, k)
+
+
+class TestGramAgainstMpmath:
+    """The batched Gram entries (one vector integral, 110 components for
+    10 anchors) against QUADPACK-free references."""
+
+    def test_cauchy_density(self):
+        eps, beta, c = 1e-12, 1.3, 0.8
+        mu = BoundaryMeasure(density=[DensityPiece(
+            eps, np.inf, expr=f"{2 * c * beta!r}/({beta * beta!r}+lam**2)")])
+        anchors = default_anchors(10)
+        G = gram_from_measure(mu, anchors).G
+        assert_gram_matches(
+            G, anchors, rational=lambda l: 2 * c * beta / (beta ** 2 + l * l),
+            segments=[eps, 1e-6, 0.1, 1, 10, 1e3, mp.inf])
+
+    def test_table_density(self):
+        mu = table_measure()
+        rows = mu.density[0].samples
+        anchors = default_anchors(10)
+        G = gram_from_measure(mu, anchors).G
+        assert_gram_matches(G, anchors, segments=[
+            (l0, l1, d0, d1) for (l0, d0), (l1, d1) in zip(rows[:-1], rows[1:])])
+
+    def test_density_gram_makes_no_scalar_quad(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hardyrp.measures, "quad",
+                            lambda *a, **k: calls.append(a) or (0.0, 0.0))
+        for mu in (table_measure(), lebesgue_cauchy_measure()):
+            gram_from_measure(mu, default_anchors(10))
+        assert calls == []
+
+    def test_divergent_form_raises(self):
+        # l dl on (1, inf) is not a Carleson measure: |Q|^2 l does not decay
+        mu = BoundaryMeasure(density=[DensityPiece(1.0, np.inf, expr="lam")])
+        with pytest.raises(ValueError, match="diverges"):
+            gram_from_measure(mu, default_anchors(4))
+
+
 class TestSymbolFromMeasure:
     def test_two_lebesgue_is_i_sgn(self):
         mu = two_lebesgue()
@@ -127,6 +216,21 @@ class TestSymbolFromMeasure:
     def test_rejects_origin(self):
         with pytest.raises(ValueError):
             symbol_from_measure(two_lebesgue(), 0.0)
+        with pytest.raises(ValueError):
+            symbol_from_measure(two_lebesgue(), np.array([1.0, 0.0]))
+
+    def test_array_is_one_vector_integral(self, monkeypatch):
+        mu = table_measure()
+        p = np.array([[-3.0, 0.1], [0.7, 11.0]])
+        singles = [symbol_from_measure(mu, float(q)) for q in p.ravel()]
+        calls = []
+        real = BoundaryMeasure.integrate_vector
+        monkeypatch.setattr(BoundaryMeasure, "integrate_vector",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        got = symbol_from_measure(mu, p)
+        assert len(calls) == 1 and got.shape == p.shape
+        # one pass refines its panels for all p, so only the tolerance holds
+        assert np.abs(got.ravel() / singles - 1.0).max() <= 1e-10
 
 
 class TestCertify:
@@ -217,6 +321,126 @@ class TestReflectionPositivity:
         nu = random_atomic(np.random.default_rng(60 + seed))
         ok, mn = rp_certify(nu, (0.0, 0.5, 1.0, 2.0))
         assert ok, mn
+
+    def test_certify_calls_phi_once(self, monkeypatch):
+        calls = []
+        real = hardyrp.hankel.phi_from_psi
+        monkeypatch.setattr(hardyrp.hankel, "phi_from_psi",
+                            lambda nu, t: calls.append(np.size(t)) or real(nu, t))
+        ok, _ = rp_certify(table_measure(), (0.0, 0.5, 1.0, 2.0, 4.0))
+        assert ok
+        assert calls == [12]        # the distinct sums t_j + t_k
+
+    def test_phi_of_density_makes_no_scalar_quad(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(hardyrp.measures, "quad",
+                            lambda *a, **k: calls.append(a) or (0.0, 0.0))
+        phi_from_psi(table_measure(), np.array([0.0, 1.0, 8.0]))
+        phi_from_psi(lebesgue_cauchy_measure(), 0.5)
+        assert calls == []
+
+    def test_phi_array_equals_its_floats(self):
+        nu = table_measure()
+        t = np.array([[0.0, 0.5], [3.0, 8.0]])
+        got = phi_from_psi(nu, t)
+        assert got.shape == t.shape
+        assert isinstance(phi_from_psi(nu, 0.5), float)
+        singles = [phi_from_psi(nu, float(s)) for s in t.ravel()]
+        assert np.abs(got.ravel() / singles - 1.0).max() <= 1e-12
+
+
+P_MIN = 1e-16
+
+
+def mp_phi_kernel(lam, t):
+    """int_{p_min}^inf cos(tp)(1+l^2)/(p^2+l^2) dp at 50 digits, as
+    (1+l^2) [pi e^{-lt}/(2l) - int_0^{p_min} cos(tp)/(p^2+l^2) dp], the
+    short integral by mpmath quadrature with the cosine kept."""
+    with mp.workdps(50):
+        lam, t, p_min = mp.mpf(lam), mp.mpf(t), mp.mpf(P_MIN)
+        lo = min(lam, p_min)
+        pts = sorted({mp.mpf(0), p_min, *(lo * 10 ** k for k in
+                                          range(int(mp.log10(p_min / lo)) + 1))})
+        head = mp.quad(lambda p: mp.cos(t * p) / (p * p + lam * lam), pts)
+        return float((1 + lam ** 2) * (mp.pi * mp.exp(-lam * t) / (2 * lam)
+                                       - head))
+
+
+def mp_uniform_atom_phi(a, b, c, lam, w, t):
+    """2 int_{p_min}^inf cos(tp) psi_big(p) dp of c on (a, b) plus w at lam,
+    psi_big in closed form: mpmath quadrature on [p_min, 1] and quadosc on
+    the tail."""
+    with mp.workdps(20):
+        a, b, c, lam, w, t = (mp.mpf(v) for v in (a, b, c, lam, w, t))
+
+        def psi(p):
+            dens = c * ((b - a) + (1 - p ** 2) / p * (mp.atan(b / p)
+                                                      - mp.atan(a / p)))
+            return (dens + w * (1 + lam ** 2) / (p ** 2 + lam ** 2)) / mp.pi
+
+        f = lambda p: mp.cos(t * p) * psi(p)
+        head = mp.quad(f, [mp.mpf(P_MIN), 1e-8, 1e-4, 1e-2, 1])
+        return float(2 * (head + mp.quadosc(f, [1, mp.inf], omega=t)))
+
+
+class TestPhiAgainstMpmath:
+    """phi_from_psi by Fubini and the closed-form kernel, against
+    QUADPACK-free references."""
+
+    @pytest.mark.parametrize("lam", [1e-20, 1e-16, 1e-12, 1.0, 1e6])
+    def test_kernel_identity(self, lam):
+        t = np.array([0.0, 1e-3, 8.0])
+        got = _phi_kernel(np.array([lam]), t, P_MIN)[0]
+        want = np.array([mp_phi_kernel(lam, s) for s in t])
+        assert np.abs(got / want - 1.0).max() <= 1e-12
+
+    def test_atom_at_zero(self):
+        # psi_big = 0.3/(pi p^2): the parent's quadrature gave phi(0) = 0.0116
+        nu = BoundaryMeasure(atom0=0.3)
+        t = np.array([0.0, 0.5, 1.0, 3.0])
+        got = phi_from_psi(nu, t)
+        with mp.workdps(40):
+            want = [float(2 / mp.pi * 0.3 * (mp.cos(s * P_MIN) / P_MIN
+                                              - s * (mp.pi / 2
+                                                     - mp.si(s * P_MIN))))
+                    for s in t]
+        assert np.abs(got / want - 1.0).max() <= 1e-12
+
+    def test_atom_at_zero_certifies(self):
+        ok, _ = rp_certify(BoundaryMeasure(atom0=0.3, atoms=[(1.0, 1.0)]),
+                           (0.0, 0.5, 1.0, 2.0, 4.0))
+        assert ok
+
+    def test_uniform_plus_atom_density(self):
+        a, b, c, lam, w = 0.4, 2.9, 1.1, 1.7, 0.6
+        nu = BoundaryMeasure(atoms=[(lam, w)],
+                             density=[DensityPiece(a, b, expr=repr(c))])
+        t = np.array([0.5, 3.0])
+        want = [mp_uniform_atom_phi(a, b, c, lam, w, s) for s in t]
+        assert np.abs(phi_from_psi(nu, t) / want - 1.0).max() <= 1e-12
+
+    def test_atom_at_infinity(self):
+        # psi_big = 2/(1+p^2) + 1/pi: the constant adds -(2/pi) p_min for t > 0
+        nu = BoundaryMeasure(atom_inf=1.0, atoms=[(1.0, math.pi)])
+        for t in (0.5, 2.0):
+            assert abs(phi_from_psi(nu, t) / (2 * math.pi * math.exp(-t))
+                       - 1.0) <= 1e-12
+
+
+class TestPhiDivergence:
+    def test_atom_at_infinity_at_zero(self):
+        nu = BoundaryMeasure(atom_inf=1.0, atoms=[(1.0, 1.0)])
+        with pytest.raises(ValueError, match="diverges"):
+            phi_from_psi(nu, 0.0)
+        with pytest.raises(ValueError, match="diverges"):
+            rp_certify(nu, (0.0, 1.0))
+
+    def test_lebesgue_at_zero(self):
+        # psi_big ~ 1/p at large p, so int psi_big dp diverges
+        nu = lebesgue_cauchy_measure()
+        with pytest.raises(ValueError, match="diverges"):
+            phi_from_psi(nu, np.array([0.0, 1.0]))
+        assert math.isfinite(phi_from_psi(nu, 0.5))
 
 
 class TestOSIsometry:

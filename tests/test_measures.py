@@ -19,7 +19,7 @@ from hardyrp.measures import (
     total_mass,
     w_map,
 )
-from hardyrp.numerics import QuadratureError
+from hardyrp.numerics import QuadratureConfig, QuadratureError
 
 atom_lists = st.lists(
     st.tuples(st.floats(0.05, 20.0), st.floats(0.01, 5.0)),
@@ -286,6 +286,82 @@ class TestDensityRoutes:
         nu = BoundaryMeasure(density=[DensityPiece(0.5, 2.0, expr="1")])
         psi_big(nu, np.geomspace(1e-3, 1e3, 600))
         assert widths == [256, 256, 88]
+
+
+VECTOR_CFG = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-12,
+                              max_subdivisions=2000)
+
+
+def moments(lam):
+    """(1, l, e^-l, 0) at every l: the rows of a 4-component integrand."""
+    return np.stack([np.ones_like(lam), lam, np.exp(-lam),
+                     np.zeros_like(lam)], axis=1)
+
+
+class TestIntegrateVector:
+    """BoundaryMeasure.integrate_vector: atoms as one numpy sum, one
+    batched pass per density piece, every component to its own tolerance."""
+
+    def test_atoms_and_pieces_against_closed_forms(self):
+        a, b, c = 0.4, 2.9, 1.1
+        nu = BoundaryMeasure(atoms=[(1.7, 0.6), (5.0, 0.25)], density=[
+            DensityPiece(a, b, expr=repr(c)),
+            DensityPiece(3.0, np.inf, expr="exp(-lam)")])
+        got = nu.integrate_vector(moments, VECTOR_CFG)
+        want = [0.85 + c * (b - a) + math.exp(-3.0),
+                0.6 * 1.7 + 0.25 * 5.0 + c * (b * b - a * a) / 2
+                + 4.0 * math.exp(-3.0),
+                0.6 * math.exp(-1.7) + 0.25 * math.exp(-5.0)
+                + c * (math.exp(-a) - math.exp(-b)) + math.exp(-6.0) / 2]
+        assert np.abs(got[:3] / want - 1.0).max() < 1e-12
+        assert got[3] == 0.0
+
+    def test_table_against_exact_piecewise_linear(self):
+        rows = table_rows()
+        nu = BoundaryMeasure(density=[DensityPiece(0.1, 10.0, "table",
+                                                   samples=rows)])
+        got = nu.integrate_vector(moments, VECTOR_CFG)
+        mass = sum((l1 - l0) * (d0 + d1) / 2
+                   for (l0, d0), (l1, d1) in zip(rows[:-1], rows[1:]))
+        first = sum((l1 - l0) * (d0 * (2 * l0 + l1) + d1 * (l0 + 2 * l1)) / 6
+                    for (l0, d0), (l1, d1) in zip(rows[:-1], rows[1:]))
+        assert abs(got[0] / mass - 1.0) < 1e-12
+        assert abs(got[1] / first - 1.0) < 1e-12
+
+    def test_endpoint_atoms_need_their_values(self):
+        nu = BoundaryMeasure(atom0=2.0, atom_inf=3.0, atoms=[(1.0, 1.0)])
+        with pytest.raises(ValueError, match="at_zero"):
+            nu.integrate_vector(moments, VECTOR_CFG, at_inf=np.ones(4))
+        got = nu.integrate_vector(moments, VECTOR_CFG,
+                                  at_zero=[1.0, 0.0, 1.0, 0.0],
+                                  at_inf=[1.0, 0.0, 0.0, 0.0])
+        assert got.tolist() == [6.0, 1.0, 2.0 + math.exp(-1.0), 0.0]
+
+    def test_zero_measure_gives_zeros(self):
+        assert BoundaryMeasure().integrate_vector(
+            moments, VECTOR_CFG).tolist() == [0.0] * 4
+
+    def test_non_finite_integrand_raises(self):
+        nu = BoundaryMeasure(density=[DensityPiece(0.5, 2.0, expr="1")])
+        with pytest.raises(ValueError, match="not finite"):
+            nu.integrate_vector(
+                lambda lam: np.where(lam > 1.0, np.inf, 1.0)[:, None],
+                VECTOR_CFG)
+
+    def test_undecayed_integrand_at_the_cut_raises(self):
+        # int_1^inf dl diverges; the pass alone would return e^300 - 1
+        nu = BoundaryMeasure(density=[DensityPiece(1.0, np.inf, expr="1")])
+        with pytest.raises(ValueError, match="diverges"):
+            nu.integrate_vector(lambda lam: np.ones((lam.size, 1)),
+                                VECTOR_CFG)
+        got = nu.integrate_vector(lambda lam: (lam ** -2.0)[:, None],
+                                  VECTOR_CFG)
+        assert abs(got[0] - 1.0) < 1e-12
+
+    def test_spends_panel_budget_loudly(self, monkeypatch):
+        monkeypatch.setenv("HARDYRP_MAX_PANELS", "8")
+        with pytest.raises(QuadratureError):
+            lebesgue_cauchy_measure().integrate_vector(moments, VECTOR_CFG)
 
 
 class TestSmallPsiAndPhi:
