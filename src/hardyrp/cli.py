@@ -160,10 +160,9 @@ def _cmd_plot_eigencurves(args) -> int:
 
 def _cmd_outer_eval(args) -> int:
     nu = load_measure(args.measure)
-    F = f_nu(nu)
+    zs = _parse_complexes(args.points)
     lines = ["z_re,z_im,F_re,F_im"]
-    for z in _parse_complexes(args.points):
-        v = F(z)
+    for z, v in zip(zs, f_nu(nu)(np.array(zs)).tolist()):
         lines.append(f"{_fmt_complex(z)},{_fmt_complex(v)}")
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK

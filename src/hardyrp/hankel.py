@@ -49,6 +49,14 @@ PIVOT_TOL = 1e-12
 # parts of the diagonal) or far below the form's scale
 _FORM_QUADRATURE = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-10,
                                     max_subdivisions=2000)
+# the right-hand side of os_isometry_check integrates against t_map(nu),
+# whose density weight needs F_nu(il), and so psi_big up to p = l e^40
+# (symbols._LOG_TAIL).  On a heavy-tailed density psi_big meets its
+# tolerance only up to about p = e^270, so that integral is cut at l = e^100
+# instead of e^300.  Its integrand, |Q_z(il)|^2 ~ 1/l^2 times the density of
+# t_map(nu), is 2e-45 there on the Lebesgue-Cauchy measure, and
+# integrate_vector raises when it has not decayed at the cut
+_OS_LOG_CUT = 100.0
 # phi(t) for every t at once: the closed-form kernel is smooth in log l,
 # so relative 1e-12 costs next to nothing
 _PHI_QUADRATURE = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-12,
@@ -213,7 +221,8 @@ def compactness_check(mu: BoundaryMeasure) -> bool:
     """True iff int 1/l dmu(l) < inf, the compactness criterion for H_mu.
 
     Densities reaching toward 0 are probed on dyadic bands; contributions
-    that stop decaying flag a divergent integral.
+    that stop decaying flag a divergent integral.  A table's kinks inside a
+    band are breakpoints of its quad.
     """
     if mu.atom_inf > 0 or mu.atom0 > 0:
         raise ValueError("the form measure must be supported on (0, inf)")
@@ -222,7 +231,9 @@ def compactness_check(mu: BoundaryMeasure) -> bool:
         hi = min(piece.b, 1.0)
         while hi > piece.a * (1.0 + 1e-9) and len(bands) < 48:
             lo = max(piece.a, hi / 2.0)
-            v, _ = quad(lambda l: piece(l) / l, lo, hi, limit=200)
+            kinks = [k for k in piece.kinks if lo < k < hi]
+            v, _ = quad(lambda l: piece(l) / l, lo, hi, limit=200,
+                        points=kinks or None)
             bands.append(v)
             hi = lo
         # convergent tails decay geometrically toward 0
@@ -337,15 +348,13 @@ def os_isometry_check(nu: BoundaryMeasure, f: KernelCombination,
     theta_g = h_nu(nu, x) * np.asarray(g(-x), dtype=complex)
     lhs = complex(np.sum(w * np.conj(grid_f.values) * theta_g))
 
-    tnu = t_map(nu)
-
     def rhs_fn(lam):
-        return np.conj(f(1j * lam)) * g(1j * lam)
+        v = np.conj(f(1j * lam)) * g(1j * lam)
+        return np.stack([v.real, v.imag], axis=1)
 
-    rhs = complex(
-        tnu.integrate(lambda lam: rhs_fn(lam).real, epsrel=1e-9)
-        + 1j * tnu.integrate(lambda lam: rhs_fn(lam).imag, epsrel=1e-9)
-    )
+    re, im = t_map(nu).integrate_vector(rhs_fn, _FORM_QUADRATURE,
+                                        log_cut=_OS_LOG_CUT)
+    rhs = complex(re, im)
     scale = max(abs(lhs), abs(rhs), 1e-30)
     return lhs, rhs, abs(lhs - rhs) / scale
 
@@ -368,10 +377,9 @@ def fixed_point_deviation(nu: BoundaryMeasure, anchors: Sequence[complex],
                            n: int = 1024) -> float:
     x, w = boundary_nodes(n)
     tg = h_nu(nu, x) * f_nu_boundary(nu, -x)
-    F = f_nu(nu)
+    rhs = f_nu(nu)(np.asarray(anchors, dtype=complex))
     dev = 0.0
-    for z in anchors:
+    for z, r in zip(anchors, rhs.tolist()):
         lhs = complex(np.sum(w * np.conj(szego(z, x)) * tg))
-        rhs = F(z)
-        dev = max(dev, abs(lhs - rhs))
+        dev = max(dev, abs(lhs - r))
     return dev

@@ -115,11 +115,19 @@ class DensityPiece:
         object.__setattr__(self, "_fn", fn)
 
     def __call__(self, lam):
+        # the weight is read only where the density is not 0: a reweighted
+        # measure is 0 there too, however large the weight (t_map's grows
+        # like l^3 where a density has already underflowed to 0)
         if isinstance(lam, np.ndarray):
             v = _on_nodes(self._fn, lam)
-            return v if self.weight is None else v * _on_nodes(self.weight, lam)
+            if self.weight is None:
+                return v
+            out = np.zeros(lam.shape)
+            live = v != 0.0
+            out[live] = v[live] * _on_nodes(self.weight, lam[live])
+            return out
         v = float(self._fn(lam))
-        if self.weight is not None:
+        if self.weight is not None and v:
             v *= self.weight(lam)
         return v
 
@@ -143,16 +151,16 @@ class BoundaryMeasure:
     """Finite positive Borel measure on [0, inf].
 
     Immutable, so that _cache, the one store of quantities derived from the
-    measure (psi_big values, mass, log-spline, boundary phase, axis values of
-    F_nu), can never go stale.
+    measure (psi_big values, mass, boundary phase, axis values of F_nu), can
+    never go stale.
     """
 
     atom0: float = 0.0
     atom_inf: float = 0.0
     atoms: tuple[tuple[float, float], ...] = ()
     density: tuple[DensityPiece, ...] = ()
-    # one table per derived quantity, keyed by its argument, next to the
-    # single values "mass" and "logspline"
+    # one table per derived quantity, keyed by its argument ("psi" by p^2,
+    # "phase" by |x|, "axis" by lam), next to the single value "mass"
     _cache: defaultdict = field(default_factory=partial(defaultdict, dict),
                                 init=False, repr=False, compare=False)
 
@@ -219,6 +227,7 @@ class BoundaryMeasure:
         cfg: QuadratureConfig,
         at_zero=None,
         at_inf=None,
+        log_cut: float | None = None,
     ) -> np.ndarray:
         """Integral of the vector-valued fn against the measure.
 
@@ -230,7 +239,8 @@ class BoundaryMeasure:
         integrand values at the endpoint atoms, required only when that
         atom carries mass.  Raises QuadratureError when a pass spends its
         panel budget and ValueError on a non-finite integrand or a density
-        whose integrand has not decayed at the cut l = e^_LOG_LAM_MAX.
+        whose integrand has not decayed at the cut l = e^log_cut (by
+        default _LOG_LAM_MAX, the largest that keeps l^2 finite).
         """
         locs, weights = np.array(self.atoms, dtype=float).reshape(-1, 2).T
         total = weights @ fn(locs)
@@ -242,7 +252,7 @@ class BoundaryMeasure:
                                      f"supply {name}")
                 total = total + mass * np.asarray(value, dtype=float)
         for piece in self.density:
-            total = total + _piece_integral(piece, fn, cfg)
+            total = total + _piece_integral(piece, fn, cfg, log_cut)
         if not np.isfinite(total).all():
             raise ValueError("integral against the measure is not finite")
         return total
@@ -316,15 +326,17 @@ def _clamped_psi(nu: BoundaryMeasure, p2: np.ndarray,
 
 
 def _piece_integral(piece: DensityPiece, fn: Callable,
-                    cfg: QuadratureConfig):
+                    cfg: QuadratureConfig, log_cut: float | None = None):
     """int fn(l) piece(l) dl, fn(l) a new (n, m) array for n nodes l, in one
     adaptive Gauss-Kronrod pass in v = log l, dl = l dv: the density is
     evaluated once per node for all m components.  v = 0 (where 1 + l^2
     turns from 1 to l^2) and the table kinks are initial panel edges.  The
-    piece is cut at l = e^_LOG_LAM_MAX, and ValueError says the integral
-    diverges when the integrand there is above some component's tolerance."""
+    piece is cut at l = e^log_cut (default _LOG_LAM_MAX), and ValueError
+    says the integral diverges when the integrand there is above some
+    component's tolerance."""
+    cut = _LOG_LAM_MAX if log_cut is None else log_cut
     lo = math.log(piece.a)
-    hi = min(math.log(piece.b), _LOG_LAM_MAX)
+    hi = min(math.log(piece.b), cut)
     if lo >= hi:
         return 0.0
 
@@ -345,7 +357,7 @@ def _piece_integral(piece: DensityPiece, fn: Callable,
             raise ValueError(
                 f"the integral against the density on ({piece.a:g}, "
                 f"{piece.b:g}) diverges: its integrand has not decayed at "
-                f"the cut l = e^{_LOG_LAM_MAX:g}")
+                f"the cut l = e^{cut:g}")
     return value
 
 

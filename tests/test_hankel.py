@@ -283,6 +283,21 @@ class TestCompactness:
         mu = BoundaryMeasure(density=[DensityPiece(1e-12, 1.0, expr="lam")])
         assert compactness_check(mu)
 
+    @pytest.mark.parametrize("a, b, c", [
+        (0.1, 8.0, 2.0),
+        (0.14762440408270266, 10.248919757511272, 0.8882966698824899),
+    ])
+    def test_table_bands_converge(self, a, b, c):
+        # 64 nodes of c/(1+l^2): a band quad that straddles the table's
+        # kinks did not converge and warned about roundoff
+        lam = np.geomspace(a, b, 64)
+        rows = [(float(l), float(c / (1.0 + l * l))) for l in lam]
+        mu = BoundaryMeasure(density=[DensityPiece(a, b, "table",
+                                                   samples=rows)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            assert compactness_check(mu)
+
 
 class TestReflectionPositivity:
     def test_lebesgue_certifies(self):

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import mpmath as mp
@@ -80,6 +81,52 @@ class TestOuterEval:
             v = out_on_axis(K, lam)
             w = out_eval(1.0, K, 1j * lam)
             assert abs(v - abs(w)) < 1e-6 * v
+
+    def test_float_only_modulus_on_arrays(self):
+        # an fn that rejects arrays is evaluated node by node
+        K = BoundaryModulus(lambda p: 1 / math.sqrt(1 + p * p), (), True)
+        p = np.array([0.0, 1.0, -3.0])
+        assert np.abs(K.log(p) + 0.5 * np.log1p(p * p)).max() < 1e-15
+        z = np.array([2j, 0.5 + 1j, -1.5 + 0.3j, 1e-9 + 1e-9j, 1e9j])
+        want = 1j / (z + 1j)
+        assert np.abs(out_eval(1.0, K, z) / want - 1.0).max() < 1e-12
+
+    def test_array_matches_points(self):
+        K = BoundaryModulus(lambda p: abs(p) / (1 + p * p), (0.0,), True)
+        z = np.array([[2j, 0.5 + 1j], [-1.5 + 0.3j, 3.0 + 1e-3j]])
+        got = out_eval(1.0, K, z)
+        assert got.shape == z.shape
+        for zj, gj in zip(z.ravel(), got.ravel()):
+            assert abs(out_eval(1.0, K, zj) - gj) < 1e-12 * abs(gj)
+        lam = np.array([1e-8, 1.0, 1e8])
+        axis = out_on_axis(K, lam)
+        assert axis.shape == lam.shape
+        assert [out_on_axis(K, l) for l in lam] == pytest.approx(axis, 1e-12)
+
+    def test_small_and_large_points(self):
+        # the refusal is relative below |z| = 1: 1e-12 (0.6 + 0.8i) is far
+        # from the boundary, 1e-12 + 1e-17i is not
+        K = BoundaryModulus.power_law(-1.0)
+        z = np.array([1e-12 * (0.6 + 0.8j), 1e12 * (-0.6 + 0.8j)])
+        assert np.abs(out_eval(1.0, K, z) / (1j / z) - 1.0).max() < 1e-12
+        with pytest.raises(ValueError):
+            out_eval(1.0, K, 1e-12 + 1e-17j)
+
+    @pytest.mark.parametrize("a", [1.0, -3.0, 0.2])
+    def test_non_even_modulus(self, a):
+        # |p - a + i| is the modulus of the outer function z - a + i; Out
+        # is its multiple that is positive at i
+        K = BoundaryModulus(lambda p: np.sqrt((p - a) ** 2 + 1.0), (), False)
+        z = np.array([2j, 0.5 + 1j, -1.5 + 0.3j, 3.0 + 1e-3j,
+                      1e-6 * (1 + 1j), 1e6 * (-1 + 0.5j)])
+        want = (z - a + 1j) * abs(2j - a) / (2j - a)
+        assert np.abs(out_eval(1.0, K, z) / want - 1.0).max() < 1e-12
+        # log|p - (a - i)| is harmonic in the upper half-plane, so its
+        # Poisson integral at i is log|2i - a|
+        assert abs(log_integral(K) - 0.5 * math.pi * math.log(4 + a * a)) \
+            < 1e-12
+        with pytest.raises(ValueError):
+            out_on_axis(K, 1.0)
 
     def test_modulus_multiplicativity(self):
         # Out(K1 K2) = Out(K1) Out(K2)
@@ -175,6 +222,105 @@ def mp_phase(atoms, x, dps=30):
         return float(-4 * x / mp.pi * val)
 
 
+# -- mpmath oracles: exact psi_big, 30 digits, no QUADPACK --------------------
+# expo and cauchy: an atom plus a density on [1e-12, inf)
+
+EPS = 1e-12
+EXPO = {"atoms": [(2.0, 0.5)],
+        "density": [DensityPiece(EPS, np.inf, expr="exp(-lam)")]}
+CAUCHY = {"atoms": [(1.0, 1.0)],
+          "density": [DensityPiece(EPS, np.inf, expr="2/(1+lam**2)")]}
+
+
+@functools.lru_cache(maxsize=None)
+def mp_psi_expo(p):
+    """psi_big of EXPO at p > 0 in closed form."""
+    eps = mp.mpf(EPS)
+    if p > 1e15:
+        # (1+l^2)/(p^2+l^2) = sum_k (-1)^k (1+l^2) l^{2k} / p^{2k+2}; the
+        # moments are incomplete gamma functions, four terms reach 1e-90
+        tot = 0
+        for k in range(4):
+            m = (mp.mpf(5) / 2 * 4 ** k + mp.gammainc(2 * k + 1, eps)
+                 + mp.gammainc(2 * k + 3, eps))
+            tot += (-1) ** k * m / p ** (2 * k + 2)
+        return tot / mp.pi
+    # (1+l^2)/(p^2+l^2) = 1 + (1-p^2)/(p^2+l^2), and int_eps^inf
+    # e^{-l}/(l^2+p^2) dl = Im(e^{-ip} E1(eps - ip)) / p; the sum cancels
+    # to about 1/p^2, so the digits lost there are carried extra
+    with mp.extradps(int(2 * max(0, mp.log10(p))) + 10):
+        j = mp.im(mp.exp(-1j * p) * mp.e1(eps - 1j * p)) / p
+        v = (mp.mpf(5) / 2 / (p * p + 4) + mp.exp(-eps) + (1 - p * p) * j)
+    return +v / mp.pi
+
+
+def mp_psi_cauchy(p):
+    """psi_big of CAUCHY at p > 0: 2/(pi(1+p^2)) + (2/pi) arctan(p/eps)/p."""
+    return 2 / (mp.pi * (1 + p * p)) + 2 / mp.pi * mp.atan(p / EPS) / p
+
+
+ORACLES = {"expo": (EXPO, mp_psi_expo), "cauchy": (CAUCHY, mp_psi_cauchy)}
+# fixed breakpoints, so psi values repeat across the oracle's integrals
+MP_GRID = [mp.mpf(10) ** k for k in range(-16, 17, 2)]
+
+
+def mp_outer(psi, z, dps=30):
+    """Out(sqrt(psi))(z) = exp((1/(pi i)) int_0^inf 2z/(p^2-z^2) log
+    sqrt(psi(p)) dp), the Herglotz integral of an even modulus."""
+    with mp.workdps(dps):
+        z = mp.mpc(z)
+        pts = sorted(set(MP_GRID) | {abs(z)})
+        val = mp.quad(lambda p: z / (p * p - z * z) * mp.log(psi(p)),
+                      [0] + pts + [mp.inf])
+        return complex(mp.exp(val / (mp.pi * 1j)))
+
+
+def mp_measure_phase(psi, x, dps=30):
+    """-(4x/pi) int_0^inf (L(p) - L(x)) / (p^2 - x^2) dp, L = log sqrt(psi)."""
+    with mp.workdps(dps):
+        x = mp.mpf(x)
+        Lx = mp.log(psi(x)) / 2
+
+        def f(p):
+            d = p * p - x * x
+            return (mp.log(psi(p)) / 2 - Lx) / d if d else mp.mpf(0)
+
+        pts = sorted(set(MP_GRID) | {x, mp.mpf(1)})
+        return float(-4 * x / mp.pi * mp.quad(f, [0] + pts + [mp.inf]))
+
+
+class TestOuterAgainstMpmath:
+    @pytest.mark.parametrize("name", ["expo", "cauchy"])
+    def test_axis(self, name):
+        spec, psi = ORACLES[name]
+        lam = np.array([1e-12, 1.0, 1e12])
+        got = f_nu_axis(BoundaryMeasure(**spec), lam)
+        want = np.array([mp_outer(psi, 1j * l).real for l in lam])
+        assert np.abs(got / want - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("name", ["expo", "cauchy"])
+    def test_out_eval(self, name):
+        spec, psi = ORACLES[name]
+        z = np.array([1e-12 * (0.6 + 0.8j), -0.8 + 0.6j, 1e12 * (0.6 + 0.8j)])
+        got = f_nu(BoundaryMeasure(**spec))(z)
+        want = np.array([mp_outer(psi, zj) for zj in z])
+        assert np.abs(got / want - 1.0).max() < 1e-12
+
+    def test_axis_near_5e4_on_expo(self):
+        # the per-point tangent-map quadrature was off by up to 3.5e-5 here
+        lam = np.array([5e4, 6e4, 7e4])
+        got = f_nu_axis(BoundaryMeasure(**EXPO), lam)
+        want = np.array([mp_outer(mp_psi_expo, 1j * l).real for l in lam])
+        assert np.abs(got / want - 1.0).max() < 1e-12
+
+    def test_cauchy_symbol_matches_exact_phase(self):
+        x = np.array([1e-6, -1e-2, 0.7, -3.0, 1e2, 1e6])
+        got = h_nu(BoundaryMeasure(**CAUCHY), x)
+        want = np.exp(1j * np.array([mp_measure_phase(mp_psi_cauchy, xj)
+                                     for xj in x]))
+        assert np.abs(got - want).max() <= 1e-12
+
+
 class TestBoundaryPhase:
     @pytest.mark.parametrize("a", [1.0, -1.0, -0.5])
     def test_power_law_is_minus_a_pi(self, a):
@@ -214,8 +360,8 @@ class TestBoundaryPhase:
             boundary_phase_difference(K, np.array([1.0, 0.0]))
 
 
-class TestSplineModulus:
-    def test_arrays_match_floats_inside_and_beyond_the_window(self):
+class TestDensityModulus:
+    def test_arrays_match_floats_at_extreme_p(self):
         # 3 on (1, 2): psi(p) -> 4.5/pi as p -> 0 and 10/(pi p^2) as p -> inf
         nu = BoundaryMeasure(density=[DensityPiece(1.0, 2.0, expr="3")])
         K = f_nu(nu).K
@@ -225,16 +371,16 @@ class TestSplineModulus:
         assert abs(K(1e-30) ** 2 * np.pi / 4.5 - 1.0) < 1e-6
         assert abs(K(1e30) ** 2 * np.pi * 1e60 / 10.0 - 1.0) < 1e-6
 
-
     @pytest.mark.parametrize("density", [
         {"density": [DensityPiece(1e-12, np.inf, expr="2.6/(1.69+lam**2)")]},
         {"atoms": [(1.7, 0.6)], "density": [DensityPiece(0.4, 2.9, expr="1.1")]},
     ])
-    def test_nodes_match_float_route_of_fresh_measure(self, density,
-                                                      monkeypatch):
-        # the spline is built from one batched psi_big pass, whose only
-        # scalar quad is the mass of the envelope clamp; its node values
-        # agree with the per-point QUADPACK route of a fresh measure
+    def test_modulus_is_sqrt_of_array_psi_big(self, density, monkeypatch):
+        # K on a density is sqrt(psi_big) of the array route: f_nu builds
+        # nothing, and an array of nodes is one batched psi_big call whose
+        # only scalar quad is the mass of the envelope clamp; its values
+        # equal a fresh measure's array values and agree with its per-point
+        # QUADPACK route
         quads = []
         real = measures.quad
 
@@ -243,15 +389,18 @@ class TestSplineModulus:
             return real(*args, **kwargs)
 
         nu = BoundaryMeasure(**density)
+        p = np.exp(np.linspace(-40.0, 40.0, 501))
         with monkeypatch.context() as m:
             m.setattr(measures, "quad", counted)
-            f_nu(nu)
+            K = f_nu(nu).K
+            assert not quads
+            got = K.fn(p)
         assert len(quads) == 1
-        spl = nu._cache["logspline"]
-        u = np.linspace(-40.0, 40.0, 4001)[::8]
         fresh = BoundaryMeasure(**density)
-        want = np.array([psi_big(fresh, math.exp(uj)) for uj in u])
-        assert np.abs(np.exp(spl(u)) / want - 1.0).max() < 1e-13
+        assert np.array_equal(got, np.sqrt(psi_big(fresh, p)))
+        floats = BoundaryMeasure(**density)
+        want = np.array([psi_big(floats, float(q)) for q in p[::8]])
+        assert np.abs(got[::8] ** 2 / want - 1.0).max() < 1e-13
 
 
 class TestTMap:
