@@ -114,11 +114,8 @@ def eigencurves(F: RationalPickFunction, xs: np.ndarray) -> np.ndarray:
 
     Returns shape (len(xs), dim); pole locations must be excluded from xs.
     """
-    rows = []
-    for x in xs:
-        M = pick_eval(F, float(x))
-        rows.append(np.linalg.eigvalsh((M + M.conj().T) / 2))
-    return np.array(rows)
+    M = pick_eval(F, np.asarray(xs, dtype=float))
+    return np.linalg.eigvalsh((M + np.swapaxes(M.conj(), -1, -2)) / 2)
 
 
 # -- subcommand bodies --------------------------------------------------------
@@ -150,8 +147,8 @@ def _cmd_plot_eigencurves(args) -> int:
     F = load_pick(args.pick)
     lo, hi = (float(t) for t in args.range.split(":"))
     xs = np.linspace(lo, hi, args.grid_size)
-    xs = np.array([x for x in xs
-                   if all(abs(x - l) > 1e-9 for l, _ in F.poles)])
+    locs = np.array([l for l, _ in F.poles])
+    xs = xs[np.all(np.abs(xs[:, None] - locs) > 1e-9, axis=1)]
     branches = eigencurves(F, xs)
     svg = polyline_svg([(xs, branches[:, k]) for k in range(F.dim)])
     _write(args.out, svg)

@@ -150,6 +150,18 @@ class TestPlotEigencurves:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_grid_point_at_a_pole_is_dropped(self, tmp_path):
+        # linspace(-7, 7, 1025) hits the pole at 0 exactly
+        spec = {"dim": 1, "C": [[[0.5, 0.0]]], "D": [[[0.0, 0.0]]],
+                "poles": [{"lambda": 0.0, "A": [[[1.0, 0.0]]]}]}
+        path = tmp_path / "pole.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "curves.svg"
+        assert run(["--grid-size", "1025", "plot-eigencurves", "--pick",
+                    str(path), "--out", str(out)]) == 0
+        points = out.read_text().split('points="')[1].split('"')[0].split()
+        assert len(points) == 1024
+
     def test_branches_match_closed_form(self, pick_path):
         from hardyrp.pick import load_pick
         F = load_pick(pick_path)

@@ -199,6 +199,101 @@ class TestComposition:
         assert np.abs(comp(z) - pick_eval(F, z)).max() < 1e-10
 
 
+def degree3_pick() -> RationalPickFunction:
+    # rank 1 in D and at each of two poles
+    v = np.array([1.0, 1j])
+    return RationalPickFunction(
+        np.array([[0.5, 1.0], [1.0, -0.5]], dtype=complex),
+        np.diag([1.0, 0.0]).astype(complex),
+        ((-1.0, np.outer(v, v.conj())), (2.0, np.diag([0.0, 1.0]).astype(complex))),
+    )
+
+
+def conjugated_example():
+    # f o F o g with f, g the Moebius shifts z -> z - 1 and z -> z + 1
+    m = MobiusTransform(1.0, 1.0, 0.0, 1.0)
+    minv = MobiusTransform(1.0, -1.0, 0.0, 1.0)
+    return compose_scalar(minv.as_pick(), worked_example(), m.as_pick())
+
+
+class TestArrayProtocol:
+    zs = (np.linspace(-3.0, 3.0, 64)
+          + 1j * np.geomspace(0.05, 5.0, 64)[::-1])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pick_eval_stack_equals_points(self, seed):
+        F = random_pick(np.random.default_rng(seed), 3, 2)
+        stack = pick_eval(F, self.zs)
+        assert stack.shape == (64, 3, 3)
+        for z, M in zip(self.zs, stack):
+            assert np.abs(M - pick_eval(F, complex(z))).max() < 1e-12
+        assert np.array_equal(F(self.zs), stack)
+
+    def test_compose_stack_equals_points(self):
+        # f(M) = c + sum_j a_j (l_j - M)^{-1} needs no eigendecomposition
+        c, f_poles = 0.3, [(-1.0, 0.7), (1.5, 1.2)]
+        f = RationalPickFunction.scalar(c, 0.0, f_poles)
+        g = RationalPickFunction.scalar(-0.2, 0.0, [(0.5, 0.9)])
+        F = degree3_pick()
+        comp = compose_scalar(f, F, g)
+        stack = comp(self.zs)
+        assert stack.shape == (64, 2, 2)
+        for z, M in zip(self.zs, stack):
+            assert np.abs(M - comp(complex(z))).max() < 1e-12
+            G = pick_eval(F, complex(pick_eval(g, complex(z))[0, 0]))
+            ref = c * np.eye(2) + sum(a * np.linalg.inv(l * np.eye(2) - G)
+                                      for l, a in f_poles)
+            assert np.abs(M - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
+
+    def test_pole_in_array_raises(self):
+        F = RationalPickFunction.scalar(0.0, 0.0, [(2.0, 1.0)])
+        with pytest.raises(ZeroDivisionError):
+            pick_eval(F, np.array([1j, 2.0, 3 + 1j]))
+
+    def test_identity_mobius_composition_is_pick_eval(self):
+        F = degree3_pick()
+        e = MobiusTransform(1.0, 0.0, 0.0, 1.0).as_pick()
+        comp = compose_scalar(e, F, e)
+        assert np.abs(comp(self.zs) - pick_eval(F, self.zs)).max() < 1e-10
+
+    def test_scalar_point_gives_one_matrix(self):
+        F = degree3_pick()
+        assert pick_eval(F, 0.5 + 1j).shape == (2, 2)
+        assert pick_eval(F, 0.5).shape == (2, 2)
+        assert conjugated_example()(0.5 + 1j).shape == (2, 2)
+
+    def test_probes_judged_on_their_own_scale(self):
+        # Im F(i) = diag(1, -1e-9) fails at its own scale 1, though it
+        # would pass against the scale 1e4 of the other probes
+        F = lambda z: np.where(np.asarray(z)[..., None, None] == 1j,
+                               np.diag([1j, -1e-9j]), np.diag([1e4j, 1e4j]))
+        assert is_pick(F, [2j, 3j])
+        assert not is_pick(F, [1j, 2j])
+
+
+class TestCallableBranch:
+    @pytest.mark.parametrize("make", [worked_example, degree3_pick])
+    def test_wrapped_rational_counts_degree(self, make):
+        F = make()
+        wrapped = lambda z: F(z)
+        d = degree_rank(F)
+        assert multiplicity_winding(wrapped) == d
+        assert degree_winding(wrapped) == d
+
+    def test_composition_called_once_per_block(self):
+        comp = conjugated_example()
+        calls = []
+
+        def counted(z):
+            calls.append(np.size(z))
+            return comp(z)
+
+        assert multiplicity_winding(counted) == 1
+        assert degree_winding(counted) == 1
+        assert len(calls) < 100
+        assert max(calls) > 1
+
+
 class TestBoundaryUnitary:
     @pytest.mark.parametrize("t,x", [(0.0, 1.0), (0.7, 2.0), (-1.3, -0.5)])
     def test_unitary(self, t, x):
