@@ -8,6 +8,7 @@ appendix kernel demo.  Exit codes: 0 success, 1 certification negative,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -254,7 +255,13 @@ def _cmd_fixed_point(args) -> int:
 
 # -- argument wiring ----------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The hardyrp argument parser, built once per process and shared.
+
+    Parsing keeps no state in the parser, and argparse looks up sys.stdout
+    and sys.stderr when it prints, so one parser serves every run() call.
+    """
     ap = argparse.ArgumentParser(prog="hardyrp")
     ap.add_argument("--tol-abs", type=float, default=1e-8)
     ap.add_argument("--tol-rel", type=float, default=1e-6)

@@ -364,9 +364,12 @@ def _winding_count(F, lam: complex, r: float, blaschke: bool) -> int:
     """
     def block(w):
         M = F(cayley_inverse(w))
+        I = np.eye(M.shape[-1])
+        below = np.linalg.det(M - np.conj(lam) * I)
         if blaschke:
-            return np.linalg.det(_matrix_blaschke(M, lam))
-        return np.linalg.det(M - np.conj(lam) * np.eye(M.shape[-1]))
+            # det phi_lam(M) as a ratio of two LU determinants, no solve
+            return np.linalg.det(M - lam * I) / below
+        return below
 
     def fn(w):
         return np.concatenate([block(w[i:i + _SAMPLE_BLOCK])
@@ -433,18 +436,24 @@ class BlaschkePotapovProduct:
     def dim(self) -> int:
         return self.u.shape[0]
 
-    def __call__(self, z: complex) -> NDArray[np.complex128]:
+    def __call__(self, z) -> NDArray[np.complex128]:
         return bp_eval(self, z)
 
 
-def bp_eval(phi: BlaschkePotapovProduct, z: complex) -> NDArray[np.complex128]:
-    z = complex(z)
-    n = phi.dim
-    M = phi.u.copy()
+def bp_eval(phi: BlaschkePotapovProduct, z) -> NDArray[np.complex128]:
+    """phi(z) for a number z, or the stack of phi at every point of an array z.
+
+    An array of shape s gives shape s + (n, n), as pick_eval does; raises
+    ZeroDivisionError if any point is a pole conj(omega_j).
+    """
+    z = np.asarray(z, dtype=complex)
+    zz = z[..., None, None]
+    I = np.eye(phi.dim)
+    M = np.array(np.broadcast_to(phi.u, z.shape + phi.u.shape))
     for omega, P in phi.factors:
-        if z == np.conj(omega):
-            raise ZeroDivisionError(f"evaluation at the pole {z}")
-        M = M @ (blaschke_factor(omega, z) * P + (np.eye(n) - P))
+        if np.any(z == np.conj(omega)):
+            raise ZeroDivisionError(f"evaluation at the pole {np.conj(omega)}")
+        M = M @ (blaschke_factor(omega, zz) * P + (I - P))
     return M
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 
@@ -326,6 +328,12 @@ class TestKernelDemo:
         hm = [float(r[1]) for r in rows]
         assert hm[-1] <= 0.02 and hm[0] > hm[-1]
 
+    def test_spent_panel_budget_exits_three(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HARDYRP_MAX_PANELS", "8")
+        out = tmp_path / "demo.csv"
+        assert run(["kernel-demo", "--out", str(out)]) == 3
+        assert not out.exists()
+
 
 class TestInputErrors:
     def test_missing_measure_file(self, tmp_path):
@@ -345,6 +353,15 @@ class TestInputErrors:
 
     def test_missing_required_flag(self):
         assert run(["psi", "--points", "1"]) == 2
+
+    def test_usage_reaches_each_callers_stderr(self):
+        # the parser is built once; its messages follow the current stderr
+        for argv in (["frobnicate"], ["psi", "--points", "1"]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert run(argv) == 2
+            assert err.getvalue().startswith("usage: hardyrp")
+        assert hardyrp.cli.build_parser() is hardyrp.cli.build_parser()
 
     def test_negative_density_interval_rejected(self, tmp_path):
         path = tmp_path / "neg.json"

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -83,6 +84,11 @@ class TestHalfmass:
         with pytest.raises(ValueError):
             halfmass(0.01, 100)
 
+    @pytest.mark.parametrize("p, n", [(0.7, 10 ** 4), (1.0, 100),
+                                      (2.3, 3000), (5.0, 300)])
+    def test_quadrature_meets_closed_form(self, p, n):
+        assert abs(halfmass_quadrature(p, n) - halfmass(p, n)) <= 1e-12
+
 
 class TestSandwich:
     def test_bounds_on_window(self):
@@ -131,3 +137,50 @@ class TestApproxIdentity:
         assert abs(inner) <= 0.05 and abs(outer) <= 0.05
         inner2, _, outer2 = approx_identity_regions(lambda x: 1.0, 1.0, 10 ** 2)
         assert abs(inner) < abs(inner2) and abs(outer) < abs(outer2)
+
+
+def mp_approx_identity_of_one(p, n):
+    """(1/pi) int f_{p,n} over the line, by 30-digit mpmath quadrature.
+
+    f is even, so this is (2/pi) int_0^inf f.  Panel edges sit at the
+    window ends, at 1 (where f jumps) and geometrically refined toward the
+    resonance at p and the bump's scale 1/n at 0.
+    """
+    with mp.workdps(30):
+        P, N = mp.mpf(p), mp.mpf(n)
+        n2 = 1 / N ** 2
+
+        def f(x):
+            g = x * x / (N * (n2 + x * x) * (1 + x * x * n2))
+            u = x * x - P * P - n2
+            d = g * (u * (1 - x * x) + 2 * x * x * (n2 + 1)) / (u * u + 4 * x * x * n2)
+            corr = 1 / (P * P) if x < 1 else (1 if x > 1 else 0)
+            return d + g * corr
+
+        r = 1 / mp.sqrt(N)
+        edges = {mp.mpf(0), P - r, P, P + r, mp.mpf(1)}
+        h = 1 / N
+        while h < r:
+            edges.update((P - h, P + h, h))
+            h *= 4
+        edges = sorted(edges) + [mp.inf]
+        return float(2 * mp.quad(f, edges) / mp.pi)
+
+
+class TestBatchedRegions:
+    @pytest.mark.parametrize("p, n", [(0.7, 10 ** 4), (1.0, 100), (2.3, 3000)])
+    def test_matches_mpmath(self, p, n):
+        want = mp_approx_identity_of_one(p, n)
+        assert abs(approx_identity(lambda x: 1.0, p, n) - want) <= 1e-10
+
+    @pytest.mark.parametrize("p, n", [(1.0, 100), (0.7, 10 ** 4), (3.0, 1000)])
+    def test_odd_probe_vanishes_in_every_region(self, p, n):
+        regions = approx_identity_regions(lambda x: x / (1.0 + x * x), p, n)
+        assert regions == (0.0, 0.0, 0.0)
+
+    def test_float_result_is_broadcast(self):
+        p, n = 2.0, 1000
+        got = approx_identity_regions(lambda x: 3.0, p, n)
+        want = approx_identity_regions(lambda x: np.full_like(x, 3.0), p, n)
+        assert got == want
+        assert all(isinstance(v, float) for v in got)

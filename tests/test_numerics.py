@@ -1,5 +1,7 @@
+import ast
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,3 +163,31 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+# QUADPACK call sites allowed per module of the library; every other module
+# integrates through integrate_batched.  The numbers may only go down.
+QUAD_CALL_BUDGET = {"measures": 5, "hankel": 1}
+
+
+def quad_call_sites(path: Path) -> int:
+    """Calls of a name or attribute `quad` in a source file.
+
+    The bare `from scipy.integrate import quad` bindings the benchmark's
+    tracer rebinds are imports, not calls, and are not counted.
+    """
+    tree = ast.parse(path.read_text())
+    return sum(1 for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None))
+               == "quad")
+
+
+class TestQuadpackBudget:
+    def test_call_sites_within_budget(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "hardyrp"
+        counts = {p.stem: quad_call_sites(p) for p in sorted(src.glob("*.py"))}
+        assert "kernels" in counts      # the glob found the package
+        over = {m: c for m, c in counts.items()
+                if c > QUAD_CALL_BUDGET.get(m, 0)}
+        assert not over, f"raw quad( calls over budget: {over}"

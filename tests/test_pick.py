@@ -150,15 +150,28 @@ class TestBlaschkePotapov:
         from hardyrp.pick import _matrix_blaschke
         F = worked_example()
         phi = self.factorization()
-        for z in (2 + 1.3j, -1 + 0.5j, 3j):
-            lhs = _matrix_blaschke(pick_eval(F, z), 1j)
-            assert np.abs(lhs - bp_eval(phi, z)).max() < 1e-12
+        z = np.array([2 + 1.3j, -1 + 0.5j, 3j])
+        lhs = _matrix_blaschke(pick_eval(F, z), 1j)
+        assert np.abs(lhs - bp_eval(phi, z)).max() < 1e-12
 
     def test_unimodular_on_real_axis(self):
         phi = self.factorization()
-        for x in (-2.0, 0.3, 5.0):
-            M = bp_eval(phi, x)
-            assert np.abs(M.conj().T @ M - np.eye(2)).max() < 1e-12
+        M = bp_eval(phi, np.array([-2.0, 0.3, 5.0]))
+        assert np.abs(M.conj().swapaxes(-1, -2) @ M - np.eye(2)).max() < 1e-12
+
+    def test_array_is_stack_of_scalar_values(self):
+        phi = self.factorization()
+        z = np.array([[2 + 1.3j, -1 + 0.5j], [3j, 0.7]])
+        M = bp_eval(phi, z)
+        assert M.shape == (2, 2, 2, 2)
+        assert bp_eval(phi, 3j).shape == (2, 2)
+        for idx in np.ndindex(z.shape):
+            assert np.abs(M[idx] - bp_eval(phi, z[idx])).max() < 1e-15
+
+    def test_pole_in_array_rejected(self):
+        phi = self.factorization()
+        with pytest.raises(ZeroDivisionError):
+            bp_eval(phi, np.array([1j, 0.5 - 1.5j]))
 
     def test_scalar_blaschke_modulus(self):
         w = 1 + 2j
