@@ -20,6 +20,7 @@ __all__ = [
     "CurveSample",
     "QuadratureError",
     "UnderSampledCurveError",
+    "DegenerateCurveError",
     "integrate_batched",
     "winding_number",
     "eig_hermitian",
@@ -39,6 +40,12 @@ class QuadratureError(RuntimeError):
 
 class UnderSampledCurveError(RuntimeError):
     """Consecutive curve samples turn by >= pi/2; refinement required."""
+
+
+class DegenerateCurveError(RuntimeError):
+    """A sampled contour curve is unusable: non-finite, through the
+    exclusion disc, or not closed.  A numerical failure of the contour, not
+    an input error."""
 
 
 def _max_panels_cap() -> int | None:

@@ -5,13 +5,17 @@ C Hermitian, D and the residues A_j positive semidefinite and real poles
 lambda_j.  Its degree rk(D) + sum_j rk(A_j) equals the multiplicity of the
 one-parameter group it generates; the module computes that number three
 independent ways: by ranks, and by two winding-number contour counts pulled
-back to a circle of radius r > 1 through the disc model.
+back to a circle of radius r > 1 through the disc model.  winding_counts
+gets both contour counts from one pass: one contour plan, one evaluation of
+F per block of circle points, and det(F - conj(lam)) shared between the two
+curves.  Determinants of 1x1 and 2x2 stacks are closed forms, since
+LAPACK's per-matrix overhead costs far more than their arithmetic.
 
 Every evaluation is batched.  pick_eval, and so a RationalPickFunction
 called as a function, maps an array of m points to a stack of shape
 (m, n, n) and a scalar to one (n, n) matrix; the callables that is_pick,
-is_regular, multiplicity_winding, degree_winding and compose_scalar take
-must do the same.  A callable that handles only scalars can be wrapped as
+is_regular, multiplicity_winding, degree_winding, winding_counts and
+compose_scalar take must do the same.  A callable that handles only scalars can be wrapped as
 np.vectorize(h, signature="()->(n,n)").
 """
 from __future__ import annotations
@@ -25,7 +29,12 @@ import scipy.linalg
 from numpy.typing import NDArray
 
 from .hardy import cayley, cayley_inverse
-from .numerics import CurveSample, UnderSampledCurveError, winding_number
+from .numerics import (
+    CurveSample,
+    DegenerateCurveError,
+    UnderSampledCurveError,
+    winding_number,
+)
 
 __all__ = [
     "RationalPickFunction",
@@ -38,6 +47,7 @@ __all__ = [
     "degree_rank",
     "multiplicity_winding",
     "degree_winding",
+    "winding_counts",
     "bp_eval",
     "bp_degree",
     "blaschke_factor",
@@ -194,6 +204,23 @@ def _matrix_blaschke(M: NDArray[np.complex128], lam: complex) -> NDArray[np.comp
     return _mT(np.linalg.solve(_mT(M - np.conj(lam) * I), _mT(M - lam * I)))
 
 
+def _det(M: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """Determinant of every matrix of a stack.
+
+    For n <= 2 LAPACK's per-matrix overhead costs 50-1000x the arithmetic,
+    so these are closed forms: the entry itself for n = 1 (exact) and
+    ad - bc for n = 2, whose error is of the order of pivoted LU's.  The 3x3
+    cofactor formula is not: on zD + C with rank-1 D at |z| = 1e8 it loses
+    all but one digit where LU keeps eight, so n >= 3 stays on LU.
+    """
+    n = M.shape[-1]
+    if n == 1:
+        return M[..., 0, 0]
+    if n == 2:
+        return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    return np.linalg.det(M)
+
+
 def _mirror_roots(F: RationalPickFunction, lam: complex) -> NDArray[np.complex128]:
     """All z with det(F(z) - conj(lam)) = 0; they lie in the lower half-plane.
 
@@ -258,13 +285,22 @@ def _contour_plan(F: RationalPickFunction, lam: complex,
     return rs, feats
 
 
-def _winding_with_features(fn, rs: float,
+def _winding_with_features(fn, kinds: Sequence[bool], rs: float,
                            feats: Sequence[tuple[float, float]],
-                           base: int = 4096) -> int:
-    """Winding of fn on the circle of radius rs, oversampling each feature."""
+                           base: int = 4096) -> list[int]:
+    """Winding of each curve of fn on the circle of radius rs, one per kind.
+
+    fn(w, kinds) gives one array of curve values per kind (see
+    _curve_sampler).  Each feature is oversampled, and each curve is
+    accepted at its own first refinement level that winding_number does not
+    refuse; a finer level samples only the curves still open.  A
+    non-finite, unclosed or excluded curve raises DegenerateCurveError.
+    """
     span = np.arcsinh(60.0)
+    counts: dict[bool, int] = {}
     last: Exception | None = None
     for refine in range(5):
+        todo = [k for k in kinds if k not in counts]
         grids = [np.linspace(0.0, 2.0 * np.pi, (base << refine) + 1)[:-1]]
         local = (200 << refine) + 1
         for theta, d in feats:
@@ -272,14 +308,20 @@ def _winding_with_features(fn, rs: float,
             grids.append(np.mod(theta + off, 2.0 * np.pi))
         t = np.unique(np.concatenate(grids))
         t = np.append(t, t[0] + 2.0 * np.pi)
-        vals = np.asarray(fn(rs * np.exp(1j * t)), dtype=complex)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("curve degenerated; singular contour point")
-        scale = float(np.median(np.abs(vals)))
-        try:
-            return winding_number(CurveSample(vals, 1e-13 * scale))
-        except UnderSampledCurveError as exc:
-            last = exc
+        for kind, vals in zip(todo, fn(rs * np.exp(1j * t), todo)):
+            if not np.all(np.isfinite(vals)):
+                raise DegenerateCurveError("curve degenerated; singular contour point")
+            scale = float(np.median(np.abs(vals)))
+            try:
+                curve = CurveSample(vals, 1e-13 * scale)
+            except ValueError as exc:
+                raise DegenerateCurveError(str(exc)) from exc
+            try:
+                counts[kind] = winding_number(curve)
+            except UnderSampledCurveError as exc:
+                last = exc
+        if len(counts) == len(kinds):
+            return [counts[k] for k in kinds]
     raise last
 
 
@@ -353,32 +395,46 @@ def _winding_at_radius(fn, r: float, n0: int = 512) -> int:
 _SAMPLE_BLOCK = 2048
 
 
-def _winding_count(F, lam: complex, r: float, blaschke: bool) -> int:
-    """Winding of w -> det phi_lam(F(z)), or det(F(z) - conj(lam)) when not
-    blaschke, with z = cayley_inverse(w), on a circle |w| > 1.
+def _curve_sampler(F, lam: complex):
+    """fn(w, kinds): one array of curve values per kind at the circle points w.
 
-    F is evaluated in blocks of _SAMPLE_BLOCK circle points, one stacked
-    call per block.  Only the contour depends on the input: rational inputs
-    get one planned from their mirror roots; general callables, whose
-    obstruction set is unknown, the radius-shrink schedule.
+    Kind True is det phi_lam(F(z)), kind False det(F(z) - conj(lam)), with
+    z = cayley_inverse(w).  F is evaluated in blocks of _SAMPLE_BLOCK
+    points, one stacked call per block for all kinds, and
+    det(M - conj(lam)) is computed once per block: it is the second curve
+    and the denominator of det phi_lam(M) = det(M - lam) / det(M - conj(lam)).
     """
-    def block(w):
+    def block(w, kinds):
         M = F(cayley_inverse(w))
         I = np.eye(M.shape[-1])
-        below = np.linalg.det(M - np.conj(lam) * I)
-        if blaschke:
-            # det phi_lam(M) as a ratio of two LU determinants, no solve
-            return np.linalg.det(M - lam * I) / below
-        return below
+        below = _det(M - np.conj(lam) * I)
+        return [_det(M - lam * I) / below if blaschke else below
+                for blaschke in kinds]
 
-    def fn(w):
-        return np.concatenate([block(w[i:i + _SAMPLE_BLOCK])
-                               for i in range(0, w.size, _SAMPLE_BLOCK)])
+    # one preallocated (kinds, m) array raised a pick-degree round's peak
+    # RSS by 0.3-0.6 MB; joining the blocks per kind does not
+    def fn(w, kinds):
+        blocks = [block(w[i:i + _SAMPLE_BLOCK], kinds)
+                  for i in range(0, w.size, _SAMPLE_BLOCK)]
+        return [np.concatenate(rows) for rows in zip(*blocks)]
 
+    return fn
+
+
+def _winding_counts(F, lam: complex, r: float,
+                    kinds: Sequence[bool]) -> list[int]:
+    """Winding of each curve of _curve_sampler on a circle |w| > 1.
+
+    Only the contour depends on the input: rational inputs get one planned
+    from their mirror roots and a shared pass for all kinds; general
+    callables, whose obstruction set is unknown, the radius-shrink schedule,
+    one per kind.
+    """
+    fn = _curve_sampler(F, lam)
     if isinstance(F, RationalPickFunction):
         rs, feats = _contour_plan(F, lam, r)
-        return _winding_with_features(fn, rs, feats)
-    return _winding_on_circle(fn, r)
+        return _winding_with_features(fn, kinds, rs, feats)
+    return [_winding_on_circle(lambda w, k=k: fn(w, (k,))[0], r) for k in kinds]
 
 
 def multiplicity_winding(F, lam: complex = 1j, r: float = 1.25) -> int:
@@ -389,7 +445,7 @@ def multiplicity_winding(F, lam: complex = 1j, r: float = 1.25) -> int:
     runs through the lower half-plane where a Pick function's matrix
     Blaschke transform has modulus >= 1.
     """
-    return _winding_count(F, lam, r, blaschke=True)
+    return _winding_counts(F, lam, r, (True,))[0]
 
 
 def degree_winding(F, lam: complex = 1j, r: float = 1.25) -> int:
@@ -397,7 +453,19 @@ def degree_winding(F, lam: complex = 1j, r: float = 1.25) -> int:
 
     Takes the same inputs as multiplicity_winding.
     """
-    return -_winding_count(F, lam, r, blaschke=False)
+    return -_winding_counts(F, lam, r, (False,))[0]
+
+
+def winding_counts(F, lam: complex = 1j, r: float = 1.25) -> tuple[int, int]:
+    """(multiplicity_winding(F, lam, r), degree_winding(F, lam, r)) in one pass.
+
+    For a RationalPickFunction both curves share one contour plan and one
+    evaluation of F per block of circle points, and each is accepted at the
+    refinement level its own call would accept, so the counts are those of
+    the two calls.  A callable gets one radius-shrink schedule per count.
+    """
+    mult, poles = _winding_counts(F, lam, r, (True, False))
+    return mult, -poles
 
 
 # -- Blaschke-Potapov products ------------------------------------------------

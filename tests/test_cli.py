@@ -131,6 +131,22 @@ class TestDegree:
     def test_bad_method_rejected(self, pick_path):
         assert run(["degree", "--pick", pick_path, "--method", "bogus"]) == 2
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_degenerate_curve_exits_three(self, pick_path, monkeypatch, capsys):
+        # F returns NaN on one block of circle points: a numerical failure
+        import hardyrp.pick
+        real = hardyrp.pick.pick_eval
+        calls = []
+
+        def poisoned(F, z):
+            calls.append(None)
+            M = real(F, z)
+            return M * np.nan if len(calls) == 2 else M
+
+        monkeypatch.setattr(hardyrp.pick, "pick_eval", poisoned)
+        assert run(["degree", "--pick", pick_path, "--method", "winding"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
 
 class TestPlotEigencurves:
     def test_svg_output(self, pick_path, tmp_path):
@@ -163,6 +179,16 @@ class TestPlotEigencurves:
                     str(path), "--out", str(out)]) == 0
         points = out.read_text().split('points="')[1].split('"')[0].split()
         assert len(points) == 1024
+
+    def test_no_point_off_the_poles_is_input_error(self, tmp_path, capsys):
+        spec = {"dim": 1, "C": [[[0.5, 0.0]]], "D": [[[0.0, 0.0]]],
+                "poles": [{"lambda": 1.0, "A": [[[1.0, 0.0]]]}]}
+        path = tmp_path / "pole.json"
+        path.write_text(json.dumps(spec))
+        assert run(["plot-eigencurves", "--pick", str(path),
+                    "--range=1:1"]) == 2
+        err = capsys.readouterr().err
+        assert "no sample point of --range 1:1 is off the poles" in err
 
     def test_branches_match_closed_form(self, pick_path):
         from hardyrp.pick import load_pick
@@ -371,7 +397,51 @@ class TestInputErrors:
         assert run(["psi", "--measure", str(path), "--points", "1"]) == 2
 
 
+def per_point_polylines(curves, width=640, height=480):
+    """The points attributes as the writer once made them, point by point."""
+    xs = np.concatenate([c[0] for c in curves])
+    ys = np.concatenate([c[1] for c in curves])
+    x0, x1 = float(xs.min()), float(xs.max())
+    y0, y1 = float(ys.min()), float(ys.max())
+    dx = (x1 - x0) or 1.0
+    dy = (y1 - y0) or 1.0
+    pad = 20.0
+
+    def sx(x):
+        return pad + (x - x0) / dx * (width - 2 * pad)
+
+    def sy(y):
+        return height - pad - (y - y0) / dy * (height - 2 * pad)
+
+    return [" ".join(f"{sx(x):.3f},{sy(y):.3f}" for x, y in zip(cx, cy))
+            for cx, cy in curves]
+
+
 class TestSvgWriter:
+    @pytest.mark.parametrize("example", ["worked", "poles3"])
+    def test_points_match_per_point_formula(self, example):
+        if example == "worked":
+            F = RationalPickFunction(
+                np.array([[1.0, 1.0], [1.0, 0.0]], dtype=complex),
+                np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex))
+        else:
+            v = np.array([1.0, 1j, -0.5])
+            F = RationalPickFunction(
+                np.array([[0.5, 1.0, 0.0], [1.0, -0.5, 0.3], [0.0, 0.3, 2.0]],
+                         dtype=complex),
+                np.diag([1.0, 0.0, 0.5]).astype(complex),
+                ((-1.0, np.outer(v, v.conj())),
+                 (2.0, np.diag([0.0, 1.0, 1.0]).astype(complex))))
+        xs = np.linspace(-7.0, 7.0, 1024)
+        xs = xs[np.all(np.abs(xs[:, None] - [l for l, _ in F.poles]) > 1e-9,
+                       axis=1)]
+        branches = eigencurves(F, xs)
+        curves = [(xs, branches[:, k]) for k in range(F.dim)]
+        svg = polyline_svg(curves)
+        got = [part.split('"')[0] for part in svg.split('points="')[1:]]
+        assert got == per_point_polylines(curves)
+
+
     def test_single_point_range(self):
         xs = np.array([0.0, 1.0])
         svg = polyline_svg([(xs, np.zeros(2))])

@@ -1,6 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
 
+import hardyrp.pick
+from hardyrp.numerics import DegenerateCurveError, UnderSampledCurveError
 from hardyrp.pick import (
     BlaschkePotapovProduct,
     MobiusTransform,
@@ -19,6 +22,7 @@ from hardyrp.pick import (
     load_pick,
     multiplicity_winding,
     pick_eval,
+    winding_counts,
 )
 
 
@@ -128,6 +132,110 @@ class TestDegree:
         d = degree_rank(F)
         assert multiplicity_winding(F) == d
         assert degree_winding(F) == d
+
+
+class TestWindingCounts:
+    @pytest.mark.parametrize("lam", [1j, 2 + 0.5j])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_pass_equals_separate_counts(self, seed, lam):
+        rng = np.random.default_rng(100 + seed)
+        F = random_pick(rng, int(rng.integers(1, 4)), int(rng.integers(0, 4)))
+        assert winding_counts(F, lam=lam) == (multiplicity_winding(F, lam=lam),
+                                              degree_winding(F, lam=lam))
+
+    def test_each_curve_refined_on_its_own(self, monkeypatch):
+        # refuse level 0 of the second curve (det(F - conj(lam))) only: the
+        # first keeps its level-0 count, the second is counted at level 1
+        real = hardyrp.pick.winding_number
+        sizes = []
+
+        def refusing(curve):
+            sizes.append(curve.values.size)
+            if len(sizes) == 2:
+                raise UnderSampledCurveError("refused for the test")
+            return real(curve)
+
+        monkeypatch.setattr(hardyrp.pick, "winding_number", refusing)
+        F = degree3_pick()
+        assert winding_counts(F) == (3, 3)
+        assert len(sizes) == 3
+        assert sizes[0] == sizes[1] < sizes[2]
+
+    def test_one_stacked_call_per_block(self, monkeypatch):
+        real = hardyrp.pick.pick_eval
+        sizes = []
+
+        def counted(F, z):
+            sizes.append(np.size(z))
+            return real(F, z)
+
+        monkeypatch.setattr(hardyrp.pick, "pick_eval", counted)
+        F = worked_example()
+        assert winding_counts(F) == (1, 1)
+        shared = len(sizes)
+        assert multiplicity_winding(F) == 1 and degree_winding(F) == 1
+        assert len(sizes) - shared == 2 * shared
+        assert 1 < max(sizes) <= hardyrp.pick._SAMPLE_BLOCK
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_block_is_numerical_failure(self, monkeypatch):
+        real = hardyrp.pick.pick_eval
+        calls = []
+
+        def poisoned(F, z):
+            calls.append(None)
+            M = real(F, z)
+            return M * np.nan if len(calls) == 2 else M
+
+        monkeypatch.setattr(hardyrp.pick, "pick_eval", poisoned)
+        with pytest.raises(DegenerateCurveError):
+            winding_counts(worked_example())
+
+    def test_callables_count_each_curve(self):
+        comp = conjugated_example()
+        assert winding_counts(comp) == (1, 1)
+
+
+def _mp_det(M) -> complex:
+    with mpmath.workdps(50):
+        rows = [[mpmath.mpc(complex(e)) for e in row] for row in M]
+        return complex(mpmath.det(mpmath.matrix(rows)))
+
+
+class TestSmallDeterminants:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_closed_forms_as_accurate_as_lu(self, n):
+        # zD + C + A/(l - z) - i with rank-1 D: at |z| = 1e8 the leading
+        # z^2 terms of ad - bc cancel; near the pole A/(l - z) dominates
+        from hardyrp.pick import _det
+        rng = np.random.default_rng(7)
+        mags = np.r_[np.geomspace(1.0, 1e8, 9), np.nan]
+        closed, lu = [], []
+        for _ in range(12):
+            B = rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1))
+            C = rng.normal(size=(n, n))
+            A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            l = rng.uniform(-3.0, 3.0)
+            z = mags[:-1] * np.exp(2j * np.pi * rng.uniform(size=9))
+            z = np.r_[z, l + 1e-10 * np.exp(2j * np.pi * rng.uniform())]
+            zz = z[:, None, None]
+            M = (zz * (B @ B.conj().T) + (C + C.T) / 2
+                 + (A @ A.conj().T) / (l - zz) - 1j * np.eye(n))
+            ref = np.array([_mp_det(m) for m in M])
+            closed.append(np.abs(_det(M) - ref) / np.abs(ref))
+            lu.append(np.abs(np.linalg.det(M) - ref) / np.abs(ref))
+        # worst error per |z| over the functions (the last column: at 1e-10
+        # from the pole); pointwise the rounding of either method is noise
+        worst_closed = np.max(closed, axis=0)
+        worst_lu = np.maximum(np.max(lu, axis=0), np.finfo(float).eps)
+        assert np.all(worst_closed <= 10.0 * worst_lu)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_larger_matrices_stay_on_lu(self, n):
+        from hardyrp.pick import _det
+        rng = np.random.default_rng(n)
+        M = rng.normal(size=(50, n, n)) + 1j * rng.normal(size=(50, n, n))
+        assert np.array_equal(_det(M), np.linalg.det(M))
 
 
 class TestBlaschkePotapov:
