@@ -22,7 +22,8 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
+# the benchmark's tracer wraps every module's quad binding, this one included
+from scipy.integrate import quad  # noqa: F401
 
 from .numerics import QuadratureConfig, integrate_batched
 
@@ -182,47 +183,6 @@ class BoundaryMeasure:
 
     def integrate(
         self,
-        fn: Callable[[float], float],
-        at_zero: float | None = None,
-        at_inf: float | None = None,
-        singularities: Sequence[float] = (),
-        epsabs: float = 1.49e-8,
-        epsrel: float = 1e-10,
-    ) -> float:
-        """Integral of fn against the measure.
-
-        at_zero / at_inf supply the integrand values at the endpoint atoms;
-        they are required only when the corresponding atom carries mass.
-        """
-        total = 0.0
-        if self.atom0 > 0:
-            if at_zero is None:
-                raise ValueError("measure has an atom at 0; supply at_zero")
-            total += self.atom0 * at_zero
-        if self.atom_inf > 0:
-            if at_inf is None:
-                raise ValueError("measure has an atom at inf; supply at_inf")
-            total += self.atom_inf * at_inf
-        for lam, w in self.atoms:
-            total += w * fn(lam)
-        for piece in self.density:
-            pts = sorted({s for s in (*singularities, *piece.kinks)
-                          if piece.a < s < piece.b})
-            g = lambda l: fn(l) * piece(l)
-            if pts and np.isinf(piece.b):
-                # QUADPACK rejects breakpoints on infinite ranges: split there
-                edges = [piece.a] + pts + [piece.b]
-                val = sum(quad(g, lo, hi, limit=400,
-                               epsabs=epsabs, epsrel=epsrel)[0]
-                          for lo, hi in zip(edges[:-1], edges[1:]))
-            else:
-                val, _ = quad(g, piece.a, piece.b, points=pts or None,
-                              limit=400, epsabs=epsabs, epsrel=epsrel)
-            total += val
-        return total
-
-    def integrate_vector(
-        self,
         fn: Callable[[np.ndarray], np.ndarray],
         cfg: QuadratureConfig,
         at_zero=None,
@@ -281,8 +241,16 @@ class BoundaryMeasure:
         )
 
 
+def _scalar_integral(nu: BoundaryMeasure, fn: Callable, **ends) -> float:
+    """int fn dnu for a numpy fn of l, as a one-component integrate under
+    _PSI_QUADRATURE (the psi tolerance, so the mass of the envelope clamp
+    is as accurate as the values it clamps)."""
+    return float(nu.integrate(lambda lam: fn(lam)[:, None], _PSI_QUADRATURE,
+                              **ends)[0])
+
+
 def total_mass(nu: BoundaryMeasure) -> float:
-    return nu.integrate(lambda lam: 1.0, at_zero=1.0, at_inf=1.0)
+    return _scalar_integral(nu, np.ones_like, at_zero=1.0, at_inf=1.0)
 
 
 def _atom_sum(nu: BoundaryMeasure, p2):
@@ -298,18 +266,18 @@ def _mass(nu: BoundaryMeasure) -> float:
     return mass
 
 
-# the batched density route of psi_big.  At the float route's relative
-# 1e-10 its honest |Kronrod - Gauss| estimate left a Cauchy density's long
-# tail panel 1.6e-13 off, where QUADPACK's quads land within 1e-15;
-# relative 1e-12 per p matches them at next to no extra cost.  abs_tol only
-# keeps the componentwise test defined where a piece's integral is 0.  Keys
-# go in chunks of _PSI_CHUNK, so a pass holds at most that many components
-# whatever the array's size.
+# psi_big's density passes, and the scalar integrals against a measure.
+# At relative 1e-10 the honest |Kronrod - Gauss| estimate left a Cauchy
+# density's long tail panel 1.6e-13 off, where QUADPACK landed within
+# 1e-15; relative 1e-12 per p matches that at next to no extra cost.
+# abs_tol only keeps the componentwise test defined where a piece's
+# integral is 0.  Keys go in chunks of _PSI_CHUNK, so a pass holds at most
+# that many components whatever the array's size.
 _PSI_QUADRATURE = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-12,
                                    max_subdivisions=2000)
 _PSI_CHUNK = 256
-# both routes take the density as 0 beyond lam = e^300, where lam^2 nears
-# overflow; a finite measure has next to no mass there
+# densities are cut at lam = e^300, where lam^2 nears overflow; a finite
+# measure has next to no mass there
 _LOG_LAM_MAX = 300.0
 
 
@@ -318,8 +286,7 @@ def _clamped_psi(nu: BoundaryMeasure, p2: np.ndarray,
     """psi_big = total / pi, with total (pi psi_big) pulled into its
     envelope: the kernel lies between min(1, 1/p^2) and max(1, 1/p^2), so
     the true value does too, and residual quadrature noise at extreme p is
-    pulled back in.  Division by pi being monotone, this is bitwise the
-    float route's clamp of total / pi."""
+    pulled back in."""
     mass = _mass(nu)
     return np.clip(total, mass * np.minimum(1.0, 1.0 / p2),
                    mass * np.maximum(1.0, 1.0 / p2)) / np.pi
@@ -388,78 +355,27 @@ def _psi_array(nu: BoundaryMeasure, p: np.ndarray) -> np.ndarray:
 def psi_big(nu: BoundaryMeasure, p):
     """(1/pi) int (1+l^2)/(p^2+l^2) dnu(l), the l = inf integrand being 1.
 
-    p is a float or an ndarray; the result is clamped into the envelope
-    mass min(1, 1/p^2) <= pi psi_big <= mass max(1, 1/p^2).  On a measure
-    without density pieces an array takes one closed-form numpy sum (not
-    cached), equal to the float route entry by entry.  With density pieces
-    both routes share one cache of values on nu, keyed by p^2:
-
-    - a float is one QUADPACK quad per piece in s = log(l/|p|), with
-      breakpoints at the kernel's and the numerator's scales and at the
-      kinks of a table density;
-    - an array integrates all its uncached p at once, per piece one
-      adaptive Gauss-Kronrod pass in v = log l (integrate_batched) whose
-      components are the p of a chunk of at most _PSI_CHUNK sorted keys;
-      the table kinks are initial panel edges.  Raises QuadratureError
-      when a pass spends its panel budget.
+    p is a float (a float is returned) or an ndarray (an array of the same
+    shape); a float is a one-element array.  The result is clamped into the
+    envelope mass min(1, 1/p^2) <= pi psi_big <= mass max(1, 1/p^2).  On a
+    measure without density pieces it is one closed-form numpy sum (not
+    cached).  With density pieces the values are cached on nu, keyed by
+    p^2, and all uncached p of a call are integrated at once: per piece one
+    adaptive Gauss-Kronrod pass in v = log l (integrate_batched) whose
+    components are the p of a chunk of at most _PSI_CHUNK sorted keys, with
+    the table kinks as initial panel edges.  Raises QuadratureError when a
+    pass spends its panel budget and ValueError when p = 0 or the mass
+    diverges.
     """
-    if isinstance(p, np.ndarray):
-        p = np.asarray(p, dtype=float)
-        if not p.all():
-            raise ValueError("psi_big is undefined at p = 0")
-        if nu.density:
-            return _psi_array(nu, p)
-        p2 = p * p
-        return _clamped_psi(nu, p2, _atom_sum(nu, p2))
-    if p == 0:
+    if not isinstance(p, np.ndarray):
+        return float(psi_big(nu, np.array([float(p)]))[0])
+    p = np.asarray(p, dtype=float)
+    if not p.all():
         raise ValueError("psi_big is undefined at p = 0")
-    p = float(p)
-    key = p * p
-    psi = nu._cache["psi"]
-    cached = psi.get(key)
-    if cached is not None:
-        return cached
-    p2 = key
-    ap = abs(p)
-    total = _atom_sum(nu, p2)
-    for piece in nu.density:
-        # substituting lam = |p| e^s turns both scale changes (the kernel's
-        # at lam = |p| and the numerator's at lam = 1) into O(1)-wide
-        # features of the log variable, so the subdivision resolves them at
-        # any magnitude of p
-        slo = math.log(piece.a / ap)
-        shi = np.inf if np.isinf(piece.b) else math.log(piece.b / ap)
-        pts = sorted({s for s in (0.0, -math.log(ap),
-                                  *(math.log(k / ap) for k in piece.kinks))
-                      if slo < s < shi})
-
-        def g(s):
-            if s + math.log(ap) > _LOG_LAM_MAX:
-                return 0.0      # lam^2 overflows; a finite measure is 0 there
-            t = math.exp(s)
-            lam = ap * t
-            return ((1.0 + lam * lam) / (p2 * (1.0 + t * t))
-                    * piece(lam) * ap * t)
-
-        if np.isinf(shi):
-            edges = [slo] + pts
-            val = sum(quad(g, e0, e1, limit=400, epsabs=0.0,
-                           epsrel=1e-10)[0]
-                      for e0, e1 in zip(edges[:-1], edges[1:]))
-            val += quad(g, edges[-1], np.inf, limit=400, epsabs=0.0,
-                        epsrel=1e-10)[0]
-        else:
-            val = quad(g, slo, shi, points=pts or None, limit=400,
-                       epsabs=0.0, epsrel=1e-10)[0]
-        total += val
-    val = total / np.pi
-    # _clamped_psi in floats: this route is per point
-    mass = _mass(nu)
-    lo = mass * min(1.0, 1.0 / p2) / np.pi
-    hi = mass * max(1.0, 1.0 / p2) / np.pi
-    val = min(max(val, lo), hi)
-    psi[key] = val
-    return val
+    if nu.density:
+        return _psi_array(nu, p)
+    p2 = p * p
+    return _clamped_psi(nu, p2, _atom_sum(nu, p2))
 
 
 def psi_small(mu: BoundaryMeasure, p: float) -> float:
@@ -469,7 +385,8 @@ def psi_small(mu: BoundaryMeasure, p: float) -> float:
     if mu.atom_inf > 0:
         raise ValueError("psi_small requires no atom at infinity")
     p2 = p * p
-    return mu.integrate(lambda lam: lam / (lam * lam + p2), at_zero=0.0) / np.pi
+    return _scalar_integral(mu, lambda lam: lam / (lam * lam + p2),
+                            at_zero=0.0) / np.pi
 
 
 def phi_mu(mu: BoundaryMeasure, t: float) -> float:
@@ -477,7 +394,7 @@ def phi_mu(mu: BoundaryMeasure, t: float) -> float:
     if mu.atom_inf > 0:
         raise ValueError("phi_mu requires no atom at infinity")
     a = abs(t)
-    return mu.integrate(lambda lam: math.exp(-lam * a), at_zero=1.0)
+    return _scalar_integral(mu, lambda lam: np.exp(-lam * a), at_zero=1.0)
 
 
 def w_map(mu: BoundaryMeasure) -> BoundaryMeasure:

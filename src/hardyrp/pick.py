@@ -408,8 +408,11 @@ def _curve_sampler(F, lam: complex):
         M = F(cayley_inverse(w))
         I = np.eye(M.shape[-1])
         below = _det(M - np.conj(lam) * I)
-        return [_det(M - lam * I) / below if blaschke else below
-                for blaschke in kinds]
+        # a NaN or infinite quotient fails the caller's finiteness check,
+        # which raises DegenerateCurveError; numpy need not warn first
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return [_det(M - lam * I) / below if blaschke else below
+                    for blaschke in kinds]
 
     # one preallocated (kinds, m) array raised a pick-degree round's peak
     # RSS by 0.3-0.6 MB; joining the blocks per kind does not

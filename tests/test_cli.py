@@ -131,7 +131,7 @@ class TestDegree:
     def test_bad_method_rejected(self, pick_path):
         assert run(["degree", "--pick", pick_path, "--method", "bogus"]) == 2
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_degenerate_curve_exits_three(self, pick_path, monkeypatch, capsys):
         # F returns NaN on one block of circle points: a numerical failure
         import hardyrp.pick

@@ -224,8 +224,8 @@ class TestSymbolFromMeasure:
         p = np.array([[-3.0, 0.1], [0.7, 11.0]])
         singles = [symbol_from_measure(mu, float(q)) for q in p.ravel()]
         calls = []
-        real = BoundaryMeasure.integrate_vector
-        monkeypatch.setattr(BoundaryMeasure, "integrate_vector",
+        real = BoundaryMeasure.integrate
+        monkeypatch.setattr(BoundaryMeasure, "integrate",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
         got = symbol_from_measure(mu, p)
         assert len(calls) == 1 and got.shape == p.shape

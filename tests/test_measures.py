@@ -102,12 +102,25 @@ class TestPsiBig:
         assert got.shape == p.shape
         assert got.tolist() == [psi_big(nu, float(q)) for q in p]
 
-    def test_array_on_density_goes_through_float_route(self):
-        nu = BoundaryMeasure(atoms=[(1.0, 1.0)],
-                             density=[DensityPiece(1.0, 2.0, expr="3")])
-        p = np.array([[0.5, 2.0], [-2.0, 7.0]])
-        assert psi_big(nu, p).tolist() == \
-            [[psi_big(nu, q) for q in row] for row in p.tolist()]
+    def test_float_equals_one_element_array_in_either_order(self):
+        # both calls fill and read one cache, so a float and an array must
+        # be the same number whichever a fresh measure meets first
+        float_first, array_first = (BoundaryMeasure(density=[DensityPiece(
+            1e-12, np.inf, expr="2/(1+lam**2)")]) for _ in range(2))
+        x = psi_big(float_first, 0.3)
+        y = psi_big(array_first, np.array([0.3]))[0]
+        assert type(x) is float and x == y
+        assert psi_big(float_first, np.array([0.3]))[0] == x
+        assert psi_big(array_first, 0.3) == y
+
+    @pytest.mark.parametrize("transform", [
+        total_mass, lambda nu: psi_big(nu, 0.5)], ids=["mass", "psi_big"])
+    def test_infinite_mass_density_raises(self, transform):
+        # int_1^inf dl/l diverges: QUADPACK returned a finite number with
+        # only an IntegrationWarning
+        nu = BoundaryMeasure(density=[DensityPiece(1.0, np.inf, expr="1/lam")])
+        with pytest.raises(ValueError, match="diverges"):
+            transform(nu)
 
     def test_array_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -219,8 +232,9 @@ def psi_by_route(nu, p, route):
 
 
 class TestDensityRoutes:
-    """The float route (QUADPACK per p) and the array route (one batched
-    Gauss-Kronrod pass per piece for all p) against mpmath references."""
+    """psi_big of densities against mpmath references, one p per call
+    ("float") and all p in one call ("array"): each p meets the tolerance
+    whichever panels its pass refines."""
 
     @pytest.mark.parametrize("route", ["float", "array"])
     def test_table_against_exact_piecewise_linear(self, route):
@@ -282,8 +296,9 @@ class TestDensityRoutes:
             widths.append(f(np.array([0.0])).shape[1])
             return real(f, a, b, cfg, breakpoints)
 
-        monkeypatch.setattr(measures, "integrate_batched", spy)
         nu = BoundaryMeasure(density=[DensityPiece(0.5, 2.0, expr="1")])
+        measures._mass(nu)      # the envelope's one-component mass pass
+        monkeypatch.setattr(measures, "integrate_batched", spy)
         psi_big(nu, np.geomspace(1e-3, 1e3, 600))
         assert widths == [256, 256, 88]
 
@@ -299,7 +314,7 @@ def moments(lam):
 
 
 class TestIntegrateVector:
-    """BoundaryMeasure.integrate_vector: atoms as one numpy sum, one
+    """BoundaryMeasure.integrate: atoms as one numpy sum, one
     batched pass per density piece, every component to its own tolerance."""
 
     def test_atoms_and_pieces_against_closed_forms(self):
@@ -307,7 +322,7 @@ class TestIntegrateVector:
         nu = BoundaryMeasure(atoms=[(1.7, 0.6), (5.0, 0.25)], density=[
             DensityPiece(a, b, expr=repr(c)),
             DensityPiece(3.0, np.inf, expr="exp(-lam)")])
-        got = nu.integrate_vector(moments, VECTOR_CFG)
+        got = nu.integrate(moments, VECTOR_CFG)
         want = [0.85 + c * (b - a) + math.exp(-3.0),
                 0.6 * 1.7 + 0.25 * 5.0 + c * (b * b - a * a) / 2
                 + 4.0 * math.exp(-3.0),
@@ -320,7 +335,7 @@ class TestIntegrateVector:
         rows = table_rows()
         nu = BoundaryMeasure(density=[DensityPiece(0.1, 10.0, "table",
                                                    samples=rows)])
-        got = nu.integrate_vector(moments, VECTOR_CFG)
+        got = nu.integrate(moments, VECTOR_CFG)
         mass = sum((l1 - l0) * (d0 + d1) / 2
                    for (l0, d0), (l1, d1) in zip(rows[:-1], rows[1:]))
         first = sum((l1 - l0) * (d0 * (2 * l0 + l1) + d1 * (l0 + 2 * l1)) / 6
@@ -331,40 +346,86 @@ class TestIntegrateVector:
     def test_endpoint_atoms_need_their_values(self):
         nu = BoundaryMeasure(atom0=2.0, atom_inf=3.0, atoms=[(1.0, 1.0)])
         with pytest.raises(ValueError, match="at_zero"):
-            nu.integrate_vector(moments, VECTOR_CFG, at_inf=np.ones(4))
-        got = nu.integrate_vector(moments, VECTOR_CFG,
-                                  at_zero=[1.0, 0.0, 1.0, 0.0],
-                                  at_inf=[1.0, 0.0, 0.0, 0.0])
+            nu.integrate(moments, VECTOR_CFG, at_inf=np.ones(4))
+        got = nu.integrate(moments, VECTOR_CFG,
+                           at_zero=[1.0, 0.0, 1.0, 0.0],
+                           at_inf=[1.0, 0.0, 0.0, 0.0])
         assert got.tolist() == [6.0, 1.0, 2.0 + math.exp(-1.0), 0.0]
 
     def test_zero_measure_gives_zeros(self):
-        assert BoundaryMeasure().integrate_vector(
+        assert BoundaryMeasure().integrate(
             moments, VECTOR_CFG).tolist() == [0.0] * 4
 
     def test_non_finite_integrand_raises(self):
         nu = BoundaryMeasure(density=[DensityPiece(0.5, 2.0, expr="1")])
         with pytest.raises(ValueError, match="not finite"):
-            nu.integrate_vector(
-                lambda lam: np.where(lam > 1.0, np.inf, 1.0)[:, None],
-                VECTOR_CFG)
+            nu.integrate(lambda lam: np.where(lam > 1.0, np.inf, 1.0)[:, None],
+                         VECTOR_CFG)
 
     def test_undecayed_integrand_at_the_cut_raises(self):
         # int_1^inf dl diverges; the pass alone would return e^300 - 1
         nu = BoundaryMeasure(density=[DensityPiece(1.0, np.inf, expr="1")])
         with pytest.raises(ValueError, match="diverges"):
-            nu.integrate_vector(lambda lam: np.ones((lam.size, 1)),
-                                VECTOR_CFG)
-        got = nu.integrate_vector(lambda lam: (lam ** -2.0)[:, None],
-                                  VECTOR_CFG)
+            nu.integrate(lambda lam: np.ones((lam.size, 1)), VECTOR_CFG)
+        got = nu.integrate(lambda lam: (lam ** -2.0)[:, None], VECTOR_CFG)
         assert abs(got[0] - 1.0) < 1e-12
 
     def test_spends_panel_budget_loudly(self, monkeypatch):
         monkeypatch.setenv("HARDYRP_MAX_PANELS", "8")
         with pytest.raises(QuadratureError):
-            lebesgue_cauchy_measure().integrate_vector(moments, VECTOR_CFG)
+            lebesgue_cauchy_measure().integrate(moments, VECTOR_CFG)
+
+
+def mp_table_small(rows, p, t):
+    """psi_small(p) and phi_mu(t) of a linearly interpolated table, segment
+    by segment in closed form at 40 digits: on a segment the density is
+    alpha + beta l."""
+    with mp.workdps(40):
+        p, t = mp.mpf(p), mp.mpf(t)
+        psi = phi = mp.mpf(0)
+        for (l0, d0), (l1, d1) in zip(rows[:-1], rows[1:]):
+            l0, d0, l1, d1 = (mp.mpf(v) for v in (l0, d0, l1, d1))
+            beta = (d1 - d0) / (l1 - l0)
+            alpha = d0 - beta * l0
+            psi += (alpha / 2 * mp.log((l1 ** 2 + p ** 2) / (l0 ** 2 + p ** 2))
+                    + beta * (l1 - l0 - p * (mp.atan(l1 / p)
+                                             - mp.atan(l0 / p))))
+            if t == 0:
+                phi += alpha * (l1 - l0) + beta * (l1 ** 2 - l0 ** 2) / 2
+            else:
+                e0, e1 = mp.exp(-l0 * t), mp.exp(-l1 * t)
+                phi += (alpha * (e0 - e1) / t
+                        + beta * ((l0 / t + 1 / t ** 2) * e0
+                                  - (l1 / t + 1 / t ** 2) * e1))
+        return float(psi / mp.pi), float(phi)
 
 
 class TestSmallPsiAndPhi:
+    @pytest.mark.parametrize("p", [0.05, 1.0, 7.3])
+    def test_psi_small_of_uniform_density(self, p):
+        a, b, c = 0.4, 2.9, 1.1
+        mu = BoundaryMeasure(density=[DensityPiece(a, b, expr=repr(c))])
+        want = c / (2 * math.pi) * math.log((b * b + p * p) / (a * a + p * p))
+        assert abs(psi_small(mu, p) / want - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 3.0, -3.0])
+    def test_phi_of_uniform_density(self, t):
+        a, b, c = 0.4, 2.9, 1.1
+        mu = BoundaryMeasure(density=[DensityPiece(a, b, expr=repr(c))])
+        s = abs(t)
+        want = c * (b - a) if s == 0 else \
+            c * (math.exp(-a * s) - math.exp(-b * s)) / s
+        assert abs(phi_mu(mu, t) / want - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("p, t", [(0.05, 0.0), (1.0, 0.5), (7.3, 3.0)])
+    def test_table_against_exact_piecewise_linear(self, p, t):
+        rows = table_rows()
+        mu = BoundaryMeasure(density=[DensityPiece(0.1, 10.0, "table",
+                                                   samples=rows)])
+        want_psi, want_phi = mp_table_small(rows, p, t)
+        assert abs(psi_small(mu, p) / want_psi - 1.0) < 1e-12
+        assert abs(phi_mu(mu, t) / want_phi - 1.0) < 1e-12
+
     @given(atoms=atom_lists, p=st.floats(0.1, 10.0))
     @settings(max_examples=40, deadline=None)
     def test_psi_big_of_w_image(self, atoms, p):
@@ -423,7 +484,7 @@ class TestSerialization:
                                                    samples=rows)])
         want = sum((l1 - l0) * (d0 * (2 * l0 + l1) + d1 * (l0 + 2 * l1)) / 6
                    for (l0, d0), (l1, d1) in zip(rows[:-1], rows[1:]))
-        got = nu.integrate(lambda lam: lam)
+        got = nu.integrate(lambda lam: lam[:, None], VECTOR_CFG)[0]
         assert abs(got / want - 1.0) < 1e-10
 
     def test_table_density(self):

@@ -177,7 +177,7 @@ class TestWindingCounts:
         assert len(sizes) - shared == 2 * shared
         assert 1 < max(sizes) <= hardyrp.pick._SAMPLE_BLOCK
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_block_is_numerical_failure(self, monkeypatch):
         real = hardyrp.pick.pick_eval
         calls = []

@@ -377,10 +377,10 @@ class TestDensityModulus:
     ])
     def test_modulus_is_sqrt_of_array_psi_big(self, density, monkeypatch):
         # K on a density is sqrt(psi_big) of the array route: f_nu builds
-        # nothing, and an array of nodes is one batched psi_big call whose
-        # only scalar quad is the mass of the envelope clamp; its values
-        # equal a fresh measure's array values and agree with its per-point
-        # QUADPACK route
+        # nothing, and an array of nodes is one batched psi_big call with no
+        # scalar quad (the mass of the envelope clamp is a batched pass too);
+        # its values equal a fresh measure's array values and agree with
+        # its one-point calls
         quads = []
         real = measures.quad
 
@@ -395,7 +395,7 @@ class TestDensityModulus:
             K = f_nu(nu).K
             assert not quads
             got = K.fn(p)
-        assert len(quads) == 1
+        assert not quads
         fresh = BoundaryMeasure(**density)
         assert np.array_equal(got, np.sqrt(psi_big(fresh, p)))
         floats = BoundaryMeasure(**density)
