@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 # the benchmark's tracer wraps every module's quad binding, this one included
 from scipy.integrate import quad  # noqa: F401
 
-from .hardy import BoundaryGrid, KernelCombination, boundary_nodes, szego
+from .hardy import KernelCombination, boundary_nodes, szego
 from .measures import BoundaryMeasure, w_map
 from .numerics import QuadratureConfig, eig_hermitian, integrate_batched
 from .symbols import f_nu, f_nu_boundary, h_nu, t_map
@@ -62,6 +62,10 @@ _OS_LOG_CUT = 100.0
 # so relative 1e-12 costs next to nothing
 _PHI_QUADRATURE = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-12,
                                    max_subdivisions=2000)
+# phi_from_psi's lower limit of integration in p, which allows t up to 1e8
+_P_MIN = 1e-16
+# rp_certify's PSD floor, relative to the largest |eigenvalue| (at least 1)
+_RP_TOL = 1e-8
 
 
 def _mass_matrix(anchors: Sequence[complex]) -> NDArray[np.complex128]:
@@ -254,9 +258,10 @@ def compactness_check(mu: BoundaryMeasure) -> bool:
     return True
 
 
-def _phi_kernel(lam: NDArray[np.float64], t: NDArray[np.float64],
-                p_min: float) -> NDArray[np.float64]:
-    """int_{p_min}^inf cos(tp) (1+l^2)/(p^2+l^2) dp, rows l, columns t.
+def _phi_kernel(lam: NDArray[np.float64],
+                t: NDArray[np.float64]) -> NDArray[np.float64]:
+    """int_{p_min}^inf cos(tp) (1+l^2)/(p^2+l^2) dp, rows l, columns t,
+    p_min = _P_MIN.
 
     With cos(tp) = 1 on [0, p_min] and int_0^inf cos(tp)/(p^2+l^2) dp =
     pi e^{-lt}/(2l) this is (1+l^2)[(pi/2) expm1(-lt) + arctan(l/p_min)]/l,
@@ -265,18 +270,18 @@ def _phi_kernel(lam: NDArray[np.float64], t: NDArray[np.float64],
     cancel when e^{-lt} underflows against 1.
     """
     lt = lam[:, None] * t
-    near = (np.pi / 2) * np.expm1(-lt) + np.arctan(lam / p_min)[:, None]
-    far = (np.pi / 2) * np.exp(-lt) - np.arctan(p_min / lam)[:, None]
+    near = (np.pi / 2) * np.expm1(-lt) + np.arctan(lam / _P_MIN)[:, None]
+    far = (np.pi / 2) * np.exp(-lt) - np.arctan(_P_MIN / lam)[:, None]
     return (1.0 / lam + lam)[:, None] * np.where(lt < 1.0, near, far)
 
 
-def phi_from_psi(nu: BoundaryMeasure, t, p_min: float = 1e-16):
+def phi_from_psi(nu: BoundaryMeasure, t):
     """phi(t) = int exp(-itp) psi_big(nu, p) dp, the correlation function.
 
     psi_big is even, so this is 2 int_0^inf cos(tp) psi_big dp; the lower
-    limit is regularized at p_min, which shifts every phi(t) by the same
-    positive constant when psi ~ 1/|p| near 0 and leaves the positivity of
-    the Gram matrix [phi(t_j + t_k)] unchanged.
+    limit is regularized at p_min = _P_MIN, which shifts every phi(t) by the
+    same positive constant when psi ~ 1/|p| near 0 and leaves the positivity
+    of the Gram matrix [phi(t_j + t_k)] unchanged.
 
     t is a float (a float is returned) or an array (an array of the same
     shape).  By Fubini, phi(t) = (2/pi) int K(l, t) dnu(l) with the exact
@@ -284,25 +289,23 @@ def phi_from_psi(nu: BoundaryMeasure, t, p_min: float = 1e-16):
     vector integral against nu; the atom at 0 contributes
     K(0, t) = 1/p_min - pi t/2 and the atom at infinity, for t > 0,
     K(inf, t) = -p_min.  Both use cos(tp) = 1 on [0, p_min], so t p_min
-    must stay below 1e-8.  phi(0) diverges, and ValueError says so, when
-    nu has an atom at infinity or a density whose t = 0 integrand has not
-    decayed at the cut l = e^300.
+    must stay below 1e-8: |t| <= 1e8.  phi(0) diverges, and ValueError says
+    so, when nu has an atom at infinity or a density whose t = 0 integrand
+    has not decayed at the cut l = e^300.
     """
     ts = np.abs(np.asarray(t, dtype=float))
     flat = ts.ravel()
-    if not p_min > 0:
-        raise ValueError("p_min must be positive")
-    if flat.size and flat.max() * p_min > 1e-8:
+    if flat.size and flat.max() * _P_MIN > 1e-8:
         raise ValueError("phi_from_psi needs t p_min <= 1e-8")
     at_inf = None
     if nu.atom_inf > 0:
         if not flat.all():
             raise ValueError("phi(0) diverges: the atom at infinity makes "
                              "psi_big tend to a positive constant")
-        at_inf = np.full(flat.shape, -p_min)
+        at_inf = np.full(flat.shape, -_P_MIN)
     val = (2.0 / np.pi) * nu.integrate(
-        lambda lam: _phi_kernel(lam, flat, p_min), _PHI_QUADRATURE,
-        at_zero=1.0 / p_min - (np.pi / 2) * flat, at_inf=at_inf)
+        lambda lam: _phi_kernel(lam, flat), _PHI_QUADRATURE,
+        at_zero=1.0 / _P_MIN - (np.pi / 2) * flat, at_inf=at_inf)
     return float(val[0]) if ts.ndim == 0 else val.reshape(ts.shape)
 
 
@@ -321,13 +324,14 @@ def rp_matrix(phi: Callable[[float], float],
     return np.array([[cache[tj + tk] for tk in times] for tj in times])
 
 
-def rp_certify(nu: BoundaryMeasure, times: Sequence[float],
-               tol: float = 1e-8) -> tuple[bool, float]:
+def rp_certify(nu: BoundaryMeasure,
+               times: Sequence[float]) -> tuple[bool, float]:
     """Reflection positivity of nu through the Fourier route.
 
     Builds phi = (Fourier transform of psi_big(nu, .)) at every distinct
     sum t_j + t_k in one phi_from_psi call and checks the matrix
-    [phi(t_j + t_k)] for positive semidefiniteness relative to its scale.
+    [phi(t_j + t_k)] for positive semidefiniteness relative to its scale
+    (smallest eigenvalue >= -_RP_TOL max(1, largest |eigenvalue|)).
     Raises ValueError when phi(0) diverges and 0 is among the times.
     """
     if nu.is_zero:
@@ -337,7 +341,7 @@ def rp_certify(nu: BoundaryMeasure, times: Sequence[float],
     A = rp_matrix(phi.__getitem__, times)
     w, _ = eig_hermitian(A.astype(complex))
     scale = max(1.0, float(np.abs(w).max()))
-    return bool(w.min() >= -tol * scale), float(w.min())
+    return bool(w.min() >= -_RP_TOL * scale), float(w.min())
 
 
 def os_isometry_check(nu: BoundaryMeasure, f: KernelCombination,
@@ -353,9 +357,8 @@ def os_isometry_check(nu: BoundaryMeasure, f: KernelCombination,
     if not f.terms or not g.terms:
         return 0.0 + 0.0j, 0.0 + 0.0j, 0.0
     x, w = boundary_nodes(n)
-    grid_f = BoundaryGrid(x, w, f(x))
     theta_g = h_nu(nu, x) * np.asarray(g(-x), dtype=complex)
-    lhs = complex(np.sum(w * np.conj(grid_f.values) * theta_g))
+    lhs = complex(np.sum(w * np.conj(f(x)) * theta_g))
 
     def rhs_fn(lam):
         v = np.conj(f(1j * lam)) * g(1j * lam)

@@ -75,20 +75,23 @@ def inner(f: KernelCombination, g: KernelCombination) -> complex:
     return complex(total)
 
 
-def boundary_nodes(
-    n: int = 4096, nodes_per_panel: int = 8
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+_NODES_PER_PANEL = 8
+
+
+def boundary_nodes(n: int = 4096
+                   ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Symmetric quadrature nodes and weights for integrals over R.
 
-    Built from x = tan(theta): composite Gauss-Legendre panels on each half
-    (0, pi/2), mirrored to the negative axis.  Returns (x, w) with
-    sum w_j F(x_j) ~ int_R F(x) dx; no node sits at 0.
+    Built from x = tan(theta): composite Gauss-Legendre panels of
+    _NODES_PER_PANEL nodes on each half (0, pi/2), mirrored to the negative
+    axis.  Returns (x, w) with sum w_j F(x_j) ~ int_R F(x) dx; no node sits
+    at 0.
     """
     half = n // 2
-    if half % nodes_per_panel:
-        raise ValueError("n/2 must be a multiple of nodes_per_panel")
-    panels = half // nodes_per_panel
-    t, gw = np.polynomial.legendre.leggauss(nodes_per_panel)
+    if half % _NODES_PER_PANEL:
+        raise ValueError(f"n/2 must be a multiple of {_NODES_PER_PANEL}")
+    panels = half // _NODES_PER_PANEL
+    t, gw = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
     edges = np.linspace(0.0, np.pi / 2.0, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     h = 0.5 * np.diff(edges)
@@ -151,8 +154,6 @@ class SymbolFunction:
     """
 
     fn: Callable[[NDArray[np.float64]], NDArray[np.complex128]]
-    sup_norm: float = 1.0
-    unimodular: bool = True
     name: str = "symbol"
 
     def __call__(self, x):
@@ -160,17 +161,16 @@ class SymbolFunction:
 
     @classmethod
     def i_sgn(cls) -> "SymbolFunction":
-        return cls(lambda x: 1j * np.sign(x), 1.0, True, name="i*sgn")
+        return cls(lambda x: 1j * np.sign(x), name="i*sgn")
 
     @classmethod
     def constant(cls, c: complex) -> "SymbolFunction":
         c = complex(c)
         return cls(lambda x, c=c: np.full(np.shape(x), c, dtype=complex),
-                   abs(c), abs(abs(c) - 1.0) < 1e-12, name=f"const({c})")
+                   name=f"const({c})")
 
     def negated(self) -> "SymbolFunction":
-        return SymbolFunction(lambda x: -self.fn(x), self.sup_norm,
-                              self.unimodular, name=f"-({self.name})")
+        return SymbolFunction(lambda x: -self.fn(x), name=f"-({self.name})")
 
     def flat_defect(self, x: NDArray[np.float64]) -> float:
         """max |h(-x)* - h(x)| over the probe points."""

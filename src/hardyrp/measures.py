@@ -153,7 +153,7 @@ class BoundaryMeasure:
 
     Immutable, so that _cache, the one store of quantities derived from the
     measure (psi_big values, mass, boundary phase, axis values of F_nu), can
-    never go stale.
+    never go stale; cached is its one reader and writer.
     """
 
     atom0: float = 0.0
@@ -161,7 +161,7 @@ class BoundaryMeasure:
     atoms: tuple[tuple[float, float], ...] = ()
     density: tuple[DensityPiece, ...] = ()
     # one table per derived quantity, keyed by its argument ("psi" by p^2,
-    # "phase" by |x|, "axis" by lam), next to the single value "mass"
+    # "phase" by |x|, "axis" by lam, "mass" by 0)
     _cache: defaultdict = field(default_factory=partial(defaultdict, dict),
                                 init=False, repr=False, compare=False)
 
@@ -178,6 +178,24 @@ class BoundaryMeasure:
             raise ValueError("atom locations must be distinct")
         if any(w < 0 for _, w in self.atoms):
             raise ValueError("atom weights must be nonnegative")
+
+    def cached(self, name: str, keys,
+               compute: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """Values of the derived quantity name at the float array keys.
+
+        The keys not in the table name yet go to compute in one call, as
+        one sorted array without repeats, and compute returns their values;
+        it is not called when every key is cached.  The result has the
+        shape of keys.
+        """
+        keys = np.asarray(keys, dtype=float)
+        flat = keys.ravel().tolist()
+        table = self._cache[name]
+        todo = sorted({k for k in flat if k not in table})
+        if todo:
+            values = np.asarray(compute(np.array(todo)), dtype=float)
+            table.update(zip(todo, values.tolist()))
+        return np.array([table[k] for k in flat]).reshape(keys.shape)
 
     # -- generic integration -------------------------------------------------
 
@@ -260,10 +278,7 @@ def _atom_sum(nu: BoundaryMeasure, p2):
 
 
 def _mass(nu: BoundaryMeasure) -> float:
-    mass = nu._cache.get("mass")
-    if mass is None:
-        mass = nu._cache["mass"] = total_mass(nu)
-    return mass
+    return float(nu.cached("mass", 0.0, lambda _: [total_mass(nu)]))
 
 
 # psi_big's density passes, and the scalar integrals against a measure.
@@ -336,20 +351,19 @@ def _psi_kernel(p2: np.ndarray) -> Callable:
     return fn
 
 
-def _psi_array(nu: BoundaryMeasure, p: np.ndarray) -> np.ndarray:
-    p2 = (p * p).ravel()
-    psi = nu._cache["psi"]
-    todo = np.array(sorted({k for k in p2.tolist() if k not in psi}))
+def _psi_values(nu: BoundaryMeasure, p2: np.ndarray) -> np.ndarray:
+    """psi_big of a density measure at the sorted keys p2 = p^2."""
+    out = []
     # sorted keys make each chunk a narrow band of p, whose kernels change
     # on the same stretch of v
-    for start in range(0, todo.size, _PSI_CHUNK):
-        keys = todo[start:start + _PSI_CHUNK]
+    for start in range(0, p2.size, _PSI_CHUNK):
+        keys = p2[start:start + _PSI_CHUNK]
         total = _atom_sum(nu, keys)
         for piece in nu.density:
             total = total + _piece_integral(piece, _psi_kernel(keys),
                                             _PSI_QUADRATURE)
-        psi.update(zip(keys.tolist(), _clamped_psi(nu, keys, total).tolist()))
-    return np.array([psi[k] for k in p2.tolist()]).reshape(p.shape)
+        out.append(_clamped_psi(nu, keys, total))
+    return np.concatenate(out)
 
 
 def psi_big(nu: BoundaryMeasure, p):
@@ -373,7 +387,7 @@ def psi_big(nu: BoundaryMeasure, p):
     if not p.all():
         raise ValueError("psi_big is undefined at p = 0")
     if nu.density:
-        return _psi_array(nu, p)
+        return nu.cached("psi", p * p, partial(_psi_values, nu))
     p2 = p * p
     return _clamped_psi(nu, p2, _atom_sum(nu, p2))
 

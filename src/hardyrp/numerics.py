@@ -6,7 +6,6 @@ Hermitian eigendecomposition for small dense matrices.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -48,11 +47,6 @@ class DegenerateCurveError(RuntimeError):
     an input error."""
 
 
-def _max_panels_cap() -> int | None:
-    raw = os.environ.get("HARDYRP_MAX_PANELS")
-    return int(raw) if raw else None
-
-
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Tolerances and panel budget of an integrate_batched pass."""
@@ -66,16 +60,6 @@ class QuadratureConfig:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 8:
             raise ValueError("max_subdivisions must be >= 8")
-
-    @property
-    def effective_subdivisions(self) -> int:
-        cap = _max_panels_cap()
-        if cap is None:
-            return self.max_subdivisions
-        return min(self.max_subdivisions, cap)
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 @dataclass
@@ -166,7 +150,7 @@ def _gk_panels(f, lo, hi):
 def integrate_batched(
     f: Callable[[NDArray[np.float64]], NDArray[np.float64]],
     a: float, b: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    cfg: QuadratureConfig,
     breakpoints: Sequence[float] = (),
 ) -> NDArray[np.float64]:
     """Integrate a vector-valued f over the finite interval [a, b].
@@ -190,7 +174,6 @@ def integrate_batched(
     QuadratureError, carrying the partial value vector and the summed error
     of the component furthest from its tolerance, when the budget is spent.
     """
-    limit = cfg.effective_subdivisions
     edges = np.unique(np.r_[float(a), float(b),
                             [t for t in breakpoints if a < t < b]])
     lo, hi = edges[:-1], edges[1:]
@@ -209,7 +192,7 @@ def integrate_batched(
         # kept[k] = error left on the panels outside the k worst
         kept = np.cumsum(scaled[order[::-1]], axis=0)[::-1].max(axis=1)
         n_split = int(np.count_nonzero(kept > 0.5))
-        if lo.size + n_split > limit:
+        if lo.size + n_split > cfg.max_subdivisions:
             error = float(err[:, worst].sum())
             raise QuadratureError(
                 f"batched quadrature error estimate {error:.3e} is "
@@ -252,19 +235,21 @@ def winding_number(curve: CurveSample) -> int:
     return k
 
 
-def eig_hermitian(
-    A: NDArray[np.complex128], herm_tol: float = 1e-10
-) -> tuple[NDArray[np.float64], NDArray[np.complex128]]:
+_HERM_TOL = 1e-10
+
+
+def eig_hermitian(A: NDArray[np.complex128]
+                  ) -> tuple[NDArray[np.float64], NDArray[np.complex128]]:
     """Eigendecomposition A = U diag(w) U* of a Hermitian matrix.
 
     Returns eigenvalues ascending and the unitary U of column eigenvectors.
-    Rejects input whose anti-Hermitian part exceeds herm_tol * max(1, |A|).
+    Rejects input whose anti-Hermitian part exceeds _HERM_TOL * max(1, |A|).
     """
     A = np.asarray(A, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("expected a square matrix")
     scale = max(1.0, float(np.linalg.norm(A)))
-    if np.linalg.norm(A - A.conj().T) > herm_tol * scale:
+    if np.linalg.norm(A - A.conj().T) > _HERM_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     w, U = np.linalg.eigh(A)
     return w, U

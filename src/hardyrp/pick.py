@@ -59,6 +59,8 @@ __all__ = [
 
 RANK_TOL = 1e-9
 HERM_TOL = 1e-10
+_PICK_TOL = 1e-10
+_REGULAR_TOL = 1e-9
 
 
 def _as_matrix(M, n: int, name: str) -> NDArray[np.complex128]:
@@ -152,33 +154,31 @@ def _adjoint(M: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return _mT(M.conj())
 
 
-def _probe_stack(F, probes: Sequence[complex] | None) -> NDArray[np.complex128]:
-    z = default_probes() if probes is None else np.asarray(probes, dtype=complex)
-    return F(z.ravel())
-
-
-def is_pick(F, probes: Sequence[complex] | None = None, tol: float = 1e-10) -> bool:
+def is_pick(F, probes: Sequence[complex] | None = None) -> bool:
     """True iff Im F(z) is positive semidefinite at every probe point.
 
-    Each probe is judged on its own scale, max(1, largest |eigenvalue|).
+    The probes default to the 224-point grid of default_probes.  Each probe
+    is judged on its own scale: no eigenvalue below -_PICK_TOL max(1,
+    largest |eigenvalue|).
     """
-    M = _probe_stack(F, probes)
+    z = default_probes() if probes is None else np.asarray(probes, complex)
+    M = F(z.ravel())
     im = (M - _adjoint(M)) / 2j
     w = np.linalg.eigvalsh((im + _adjoint(im)) / 2)
-    floor = -tol * np.maximum(1.0, np.abs(w).max(axis=-1))
+    floor = -_PICK_TOL * np.maximum(1.0, np.abs(w).max(axis=-1))
     return not np.any(w.min(axis=-1) < floor)
 
 
-def is_regular(F, probes: Sequence[complex] | None = None,
-               tol: float = 1e-9) -> bool:
+def is_regular(F) -> bool:
     """True iff Spec F(z) stays in the open upper half-plane at the probes.
 
-    This is a sampled certificate: the probes default to the 224-point log
-    grid of default_probes, which catches constant directions and real
-    spectrum for the function classes handled here.
+    This is a sampled certificate: the probes are the 224-point log grid of
+    default_probes, which catches constant directions and real spectrum for
+    the function classes handled here; an eigenvalue counts as real when
+    its imaginary part is at most _REGULAR_TOL.
     """
-    w = np.linalg.eigvals(_probe_stack(F, probes))
-    return not np.any(w.imag <= tol)
+    w = np.linalg.eigvals(F(default_probes()))
+    return not np.any(w.imag <= _REGULAR_TOL)
 
 
 def _rank(M: NDArray[np.complex128]) -> int:
@@ -194,6 +194,15 @@ def degree_rank(F: RationalPickFunction) -> int:
 
 
 # -- winding-number degree computations --------------------------------------
+
+# the disc-model circle every contour starts on, and the uniform samples of
+# a planned contour's coarsest level and of one radius of the shrink schedule
+_RADIUS = 1.25
+_PLANNED_SAMPLES = 4096
+_SHRINK_SAMPLES = 512
+_MAX_SHRINKS = 16
+_AGREEMENTS = 3
+
 
 def _matrix_blaschke(M: NDArray[np.complex128], lam: complex) -> NDArray[np.complex128]:
     """phi_lam(M) = (M - lam)(M - conj(lam))^{-1}, via a linear solve.
@@ -257,8 +266,8 @@ def _mirror_roots(F: RationalPickFunction, lam: complex) -> NDArray[np.complex12
     return w[np.isfinite(w)]
 
 
-def _contour_plan(F: RationalPickFunction, lam: complex,
-                  r0: float) -> tuple[float, list[tuple[float, float]]]:
+def _contour_plan(F: RationalPickFunction,
+                  lam: complex) -> tuple[float, list[tuple[float, float]]]:
     """Safe circle radius plus the angular features needing dense sampling.
 
     The winding formulas are valid on circles below the disc-model images of
@@ -274,7 +283,7 @@ def _contour_plan(F: RationalPickFunction, lam: complex,
     mods = np.abs(ws)
     genuine = mods > 1.0 + 1e-9
     rho = float(mods[genuine].min()) if genuine.any() else np.inf
-    rs = min(r0, 1.0 + (rho - 1.0) / 2.0)
+    rs = min(_RADIUS, 1.0 + (rho - 1.0) / 2.0)
     feats: list[tuple[float, float]] = []
     for wk, m in zip(ws[genuine], mods[genuine]):
         if m < 2.0:
@@ -286,8 +295,7 @@ def _contour_plan(F: RationalPickFunction, lam: complex,
 
 
 def _winding_with_features(fn, kinds: Sequence[bool], rs: float,
-                           feats: Sequence[tuple[float, float]],
-                           base: int = 4096) -> list[int]:
+                           feats: Sequence[tuple[float, float]]) -> list[int]:
     """Winding of each curve of fn on the circle of radius rs, one per kind.
 
     fn(w, kinds) gives one array of curve values per kind (see
@@ -301,7 +309,8 @@ def _winding_with_features(fn, kinds: Sequence[bool], rs: float,
     last: Exception | None = None
     for refine in range(5):
         todo = [k for k in kinds if k not in counts]
-        grids = [np.linspace(0.0, 2.0 * np.pi, (base << refine) + 1)[:-1]]
+        n = _PLANNED_SAMPLES << refine
+        grids = [np.linspace(0.0, 2.0 * np.pi, n + 1)[:-1]]
         local = (200 << refine) + 1
         for theta, d in feats:
             off = d * np.sinh(np.linspace(-span, span, local))
@@ -325,20 +334,20 @@ def _winding_with_features(fn, kinds: Sequence[bool], rs: float,
     raise last
 
 
-def _winding_on_circle(fn: Callable[[NDArray[np.complex128]], NDArray[np.complex128]],
-                       r0: float = 1.25,
-                       max_shrinks: int = 16, agreements: int = 3) -> int:
+def _winding_on_circle(
+        fn: Callable[[NDArray[np.complex128]], NDArray[np.complex128]]) -> int:
     """Winding number of t -> fn(r e^{it}) around 0, shrinking r toward 1.
 
     Used when the obstruction set of the underlying extension is unknown
-    (general callables): counts on a geometric radius schedule toward 1
-    become eventually constant once the circle stops enclosing obstructions.
-    A run of `agreements` equal counts can still sit above an obstruction
-    shell, so each candidate plateau is confirmed at a radius 16x closer to
-    the circle before it is accepted; a disagreement restarts the shrink
-    from the confirmation radius.
+    (general callables): counts on a geometric radius schedule toward 1,
+    at most _MAX_SHRINKS halvings of r - 1, become eventually constant once
+    the circle stops enclosing obstructions.  A run of _AGREEMENTS equal
+    counts can still sit above an obstruction shell, so each candidate
+    plateau is confirmed at a radius 16x closer to the circle before it is
+    accepted; a disagreement restarts the shrink from the confirmation
+    radius.
     """
-    r = r0
+    r = _RADIUS
     streak = 0
     prev: int | None = None
     last_error: Exception | None = None
@@ -352,11 +361,11 @@ def _winding_on_circle(fn: Callable[[NDArray[np.complex128]], NDArray[np.complex
             last_error = exc
             return None
 
-    for _ in range(max_shrinks + 1):
+    for _ in range(_MAX_SHRINKS + 1):
         v = count(r)
         streak = streak + 1 if (v is not None and v == prev) else (
             1 if v is not None else 0)
-        if streak >= agreements:
+        if streak >= _AGREEMENTS:
             r_conf = 1.0 + (r - 1.0) / 16.0
             if count(r_conf) == v:
                 return v
@@ -371,9 +380,9 @@ def _winding_on_circle(fn: Callable[[NDArray[np.complex128]], NDArray[np.complex
     )
 
 
-def _winding_at_radius(fn, r: float, n0: int = 512) -> int:
+def _winding_at_radius(fn, r: float) -> int:
     """fn maps an array of circle points to an array of curve values."""
-    n = max(512, n0)
+    n = _SHRINK_SAMPLES
     while True:
         t = np.linspace(0.0, 2.0 * np.pi, n + 1)
         vals = np.asarray(fn(r * np.exp(1j * t)), dtype=complex)
@@ -424,8 +433,7 @@ def _curve_sampler(F, lam: complex):
     return fn
 
 
-def _winding_counts(F, lam: complex, r: float,
-                    kinds: Sequence[bool]) -> list[int]:
+def _winding_counts(F, lam: complex, kinds: Sequence[bool]) -> list[int]:
     """Winding of each curve of _curve_sampler on a circle |w| > 1.
 
     Only the contour depends on the input: rational inputs get one planned
@@ -435,12 +443,12 @@ def _winding_counts(F, lam: complex, r: float,
     """
     fn = _curve_sampler(F, lam)
     if isinstance(F, RationalPickFunction):
-        rs, feats = _contour_plan(F, lam, r)
+        rs, feats = _contour_plan(F, lam)
         return _winding_with_features(fn, kinds, rs, feats)
-    return [_winding_on_circle(lambda w, k=k: fn(w, (k,))[0], r) for k in kinds]
+    return [_winding_on_circle(lambda w, k=k: fn(w, (k,))[0]) for k in kinds]
 
 
-def multiplicity_winding(F, lam: complex = 1j, r: float = 1.25) -> int:
+def multiplicity_winding(F, lam: complex = 1j) -> int:
     """Multiplicity by zero counting of det(phi_lam o F) in the disc model.
 
     Accepts a RationalPickFunction or any callable mapping an array of z
@@ -448,26 +456,26 @@ def multiplicity_winding(F, lam: complex = 1j, r: float = 1.25) -> int:
     runs through the lower half-plane where a Pick function's matrix
     Blaschke transform has modulus >= 1.
     """
-    return _winding_counts(F, lam, r, (True,))[0]
+    return _winding_counts(F, lam, (True,))[0]
 
 
-def degree_winding(F, lam: complex = 1j, r: float = 1.25) -> int:
+def degree_winding(F, lam: complex = 1j) -> int:
     """Degree by pole-order counting of det(F - conj(lam)) in the disc model.
 
     Takes the same inputs as multiplicity_winding.
     """
-    return -_winding_counts(F, lam, r, (False,))[0]
+    return -_winding_counts(F, lam, (False,))[0]
 
 
-def winding_counts(F, lam: complex = 1j, r: float = 1.25) -> tuple[int, int]:
-    """(multiplicity_winding(F, lam, r), degree_winding(F, lam, r)) in one pass.
+def winding_counts(F, lam: complex = 1j) -> tuple[int, int]:
+    """(multiplicity_winding(F, lam), degree_winding(F, lam)) in one pass.
 
     For a RationalPickFunction both curves share one contour plan and one
     evaluation of F per block of circle points, and each is accepted at the
     refinement level its own call would accept, so the counts are those of
     the two calls.  A callable gets one radius-shrink schedule per count.
     """
-    mult, poles = _winding_counts(F, lam, r, (True, False))
+    mult, poles = _winding_counts(F, lam, (True, False))
     return mult, -poles
 
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
-from numpy.typing import ArrayLike, NDArray
+from numpy.typing import NDArray
 # the benchmark's tracer wraps every module's quad binding, this one included
 from scipy.integrate import quad  # noqa: F401
-from scipy.special import expit
 
 from .hardy import SymbolFunction
 from .measures import BoundaryMeasure, _on_nodes, psi_big
@@ -139,14 +139,15 @@ _LOG_GRID = 10.0
 _T_CLIP = 350.0
 
 
-def _log_window(integrand, u: NDArray[np.float64], cfg: QuadratureConfig,
+def _log_window(integrand, u: NDArray[np.float64],
                 breakpoints) -> NDArray[np.float64]:
     """integrand over [min u - _LOG_TAIL, max u + _LOG_TAIL], widened to
-    multiples of _LOG_GRID, in one pass."""
+    multiples of _LOG_GRID, in one pass under _LOG_QUADRATURE."""
     lo = _LOG_GRID * math.floor((u.min() - _LOG_TAIL) / _LOG_GRID)
     hi = _LOG_GRID * math.ceil((u.max() + _LOG_TAIL) / _LOG_GRID)
     grid = np.arange(lo, hi, _LOG_GRID).tolist()
-    return integrate_batched(integrand, lo, hi, cfg, [*grid, *breakpoints])
+    return integrate_batched(integrand, lo, hi, _LOG_QUADRATURE,
+                             [*grid, *breakpoints])
 
 
 def _singular_breaks(K: BoundaryModulus) -> list[float]:
@@ -154,8 +155,7 @@ def _singular_breaks(K: BoundaryModulus) -> list[float]:
     return [math.log(abs(q)) for q in K.singularities if q]
 
 
-def log_integral(K: BoundaryModulus,
-                 cfg: QuadratureConfig = _LOG_QUADRATURE) -> float:
+def log_integral(K: BoundaryModulus) -> float:
     """I(K) = int |log K(p)| / (1+p^2) dp; finite iff K admits an outer function.
 
     With p = +-e^s, dp / (1+p^2) = sech(s) ds / 2: one pass over |s| <=
@@ -167,12 +167,11 @@ def log_integral(K: BoundaryModulus,
         v = v + (v if K.symmetric else np.abs(K.log(-p)))
         return (0.5 * v / np.cosh(s))[:, None]
 
-    return float(_log_window(integrand, np.zeros(1), cfg,
+    return float(_log_window(integrand, np.zeros(1),
                              [0.0, *_singular_breaks(K)])[0])
 
 
-def out_eval(C: complex, K: BoundaryModulus, z,
-             cfg: QuadratureConfig = _LOG_QUADRATURE):
+def out_eval(C: complex, K: BoundaryModulus, z):
     """Evaluate the outer function Out(C, K) at z in the upper half-plane.
 
     z is a complex (a complex is returned) or an array (an array of the
@@ -181,8 +180,8 @@ def out_eval(C: complex, K: BoundaryModulus, z,
     s = log|p| (kernels and tail bound at _LOG_TAIL), so log K is
     evaluated once per node for every point.  The points' log|z|, and
     log|Re z| where Im z < 0.1 (the kernel peaks there), are initial panel
-    edges, and so is s = 0 for a modulus that is not even.  By default
-    each component meets max(1e-12, 1e-10 |.|).
+    edges, and so is s = 0 for a modulus that is not even.  Each component
+    meets max(1e-12, 1e-10 |.|) (_LOG_QUADRATURE).
 
     Refuses Im z < 1e-3 min(1, |z|): so close to the boundary (in angle,
     below |z| = 1) the Herglotz kernel peaks too sharply for the
@@ -230,17 +229,19 @@ def out_eval(C: complex, K: BoundaryModulus, z,
             t = np.clip(s[:, None] - u, -_T_CLIP, _T_CLIP)
             p = np.exp(s)
             lp, lm = K.log(p), K.log(-p)
+            # e^{2s} / (1 + e^{2s}), without overflow or cancellation
+            e = np.exp(-2.0 * np.abs(s))
+            odd = np.where(s < 0.0, e, 1.0) / (1.0 + e) * (0.5 * (lp - lm))
             k = (even_k * np.exp(t) * (0.5 * (lp + lm)[:, None] - c)
-                 + odd_k * expit(2.0 * s)[:, None] * (0.5 * (lp - lm))[:, None])
+                 + odd_k * odd[:, None])
             return (k / (np.expm1(2.0 * t) - pole)).view(float)
 
-    val = _log_window(integrand, window, cfg, breaks)
+    val = _log_window(integrand, window, breaks)
     out = C * np.exp(c + val[0::2] + 1j * val[1::2])
     return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
-def out_on_axis(K: BoundaryModulus, lam,
-                cfg: QuadratureConfig = _LOG_QUADRATURE):
+def out_on_axis(K: BoundaryModulus, lam):
     """Out(K)(i lam) = exp((1/pi) int lam/(p^2+lam^2) log K(p) dp), K even.
 
     Strictly positive real; the stable route for points on the imaginary
@@ -248,7 +249,7 @@ def out_on_axis(K: BoundaryModulus, lam,
     array (an array of the same shape).  In p = e^s, lam = e^u the
     exponent is log K(lam) + (1/pi) int_R sech(s - u) (log K(e^s) -
     log K(lam)) ds, and every lam is one component of one integrate_batched
-    pass (tail bound at _LOG_TAIL), by default within max(1e-12, 1e-10 |.|).
+    pass (tail bound at _LOG_TAIL), within max(1e-12, 1e-10 |.|).
     """
     if not K.symmetric:
         raise ValueError("axis formula requires a symmetric modulus")
@@ -265,7 +266,7 @@ def out_on_axis(K: BoundaryModulus, lam,
 
     # the sech kernel is smooth, so the lam are no panel edges: as edges,
     # 1365 lam (t_map of a 64-row table) took 1.0 s instead of 0.04 s
-    out = np.exp(c + _log_window(integrand, u, cfg, _singular_breaks(K)))
+    out = np.exp(c + _log_window(integrand, u, _singular_breaks(K)))
     return float(out[0]) if lams.ndim == 0 else out.reshape(lams.shape)
 
 
@@ -339,28 +340,6 @@ def _sqrt_psi_modulus(nu: BoundaryMeasure) -> BoundaryModulus:
                            name="sqrt(psi)")
 
 
-def _derived(nu: BoundaryMeasure, name: str, keys,
-             compute: Callable[[BoundaryModulus, NDArray[np.float64]],
-                               ArrayLike],
-             K: BoundaryModulus | None = None) -> NDArray[np.float64]:
-    """Values of compute for the entries of the array keys, cached on nu.
-
-    Every key not cached yet goes to compute(K, todo) in one call, as one
-    array, with K = sqrt(psi_big(nu, .)) built then unless the caller
-    passes the K it holds.
-    """
-    keys = np.asarray(keys, dtype=float)
-    flat = keys.ravel().tolist()
-    table = nu._cache[name]
-    todo = [k for k in dict.fromkeys(flat) if k not in table]
-    if todo:
-        if K is None:
-            K = _sqrt_psi_modulus(nu)
-        values = np.asarray(compute(K, np.array(todo)), dtype=float)
-        table.update(zip(todo, values.tolist()))
-    return np.array([table[k] for k in flat], dtype=float).reshape(keys.shape)
-
-
 def _phase(nu: BoundaryMeasure, x) -> NDArray[np.float64]:
     """arg F_nu(x) - arg F_nu(-x) for scalar or array x.
 
@@ -368,7 +347,8 @@ def _phase(nu: BoundaryMeasure, x) -> NDArray[np.float64]:
     cached on nu per |x|, so the result is odd in x by construction.
     """
     x = np.asarray(x, dtype=float)
-    d = _derived(nu, "phase", np.abs(x), boundary_phase_difference)
+    d = nu.cached("phase", np.abs(x), lambda ax: boundary_phase_difference(
+        _sqrt_psi_modulus(nu), ax))
     return np.where(x > 0, d, -d)
 
 
@@ -382,7 +362,8 @@ def f_nu_axis(nu: BoundaryMeasure, lam):
 
     The values are cached on nu, where t_map reads them too.
     """
-    v = _derived(nu, "axis", lam, out_on_axis)
+    v = nu.cached("axis", lam,
+                  lambda todo: out_on_axis(_sqrt_psi_modulus(nu), todo))
     return v if np.ndim(lam) else float(v)
 
 
@@ -398,8 +379,7 @@ def h_nu(nu: BoundaryMeasure, x):
 
 def h_nu_symbol(nu: BoundaryMeasure) -> SymbolFunction:
     """h_nu packaged as a multiplier symbol; its values are cached on nu."""
-    return SymbolFunction(lambda x: h_nu(nu, np.atleast_1d(x)), 1.0, True,
-                          name="h_nu")
+    return SymbolFunction(lambda x: h_nu(nu, np.atleast_1d(x)), name="h_nu")
 
 
 def f_nu_boundary(nu: BoundaryMeasure, x):
@@ -425,7 +405,7 @@ def t_map(nu: BoundaryMeasure) -> BoundaryMeasure:
     K = _sqrt_psi_modulus(nu)
 
     def factor(lam):
-        a = _derived(nu, "axis", lam, out_on_axis, K)
+        a = nu.cached("axis", lam, partial(out_on_axis, K))
         return (1.0 + lam * lam) / (lam * a * a)
 
     lam, w = np.array(nu.atoms, dtype=float).reshape(-1, 2).T

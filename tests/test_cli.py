@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hardyrp.cli
+from hardyrp import kernels
 from hardyrp.cli import eigencurves, polyline_svg, run
 from hardyrp.measures import (
     BoundaryMeasure,
@@ -14,6 +15,7 @@ from hardyrp.measures import (
     dump_measure,
     lebesgue_cauchy_measure,
 )
+from hardyrp.numerics import QuadratureConfig
 from hardyrp.pick import RationalPickFunction, dump_pick
 
 
@@ -355,7 +357,8 @@ class TestKernelDemo:
         assert hm[-1] <= 0.02 and hm[0] > hm[-1]
 
     def test_spent_panel_budget_exits_three(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HARDYRP_MAX_PANELS", "8")
+        monkeypatch.setattr(kernels, "_KERNEL_QUADRATURE", QuadratureConfig(
+            abs_tol=1e-12, rel_tol=1e-10, max_subdivisions=8))
         out = tmp_path / "demo.csv"
         assert run(["kernel-demo", "--out", str(out)]) == 3
         assert not out.exists()

@@ -405,7 +405,7 @@ class TestPhiAgainstMpmath:
     @pytest.mark.parametrize("lam", [1e-20, 1e-16, 1e-12, 1.0, 1e6])
     def test_kernel_identity(self, lam):
         t = np.array([0.0, 1e-3, 8.0])
-        got = _phi_kernel(np.array([lam]), t, P_MIN)[0]
+        got = _phi_kernel(np.array([lam]), t)[0]
         want = np.array([mp_phi_kernel(lam, s) for s in t])
         assert np.abs(got / want - 1.0).max() <= 1e-12
 

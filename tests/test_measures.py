@@ -79,6 +79,23 @@ class TestImmutability:
         assert psi_big(nu, 2.0) == before
         assert abs(before - 0.4 / math.pi) < 1e-15
 
+    def test_cached_computes_each_missing_key_once(self):
+        # one call per lookup with uncached keys, on those keys sorted and
+        # without repeats; the values come back in the shape of the keys
+        nu = BoundaryMeasure(atoms=[(1.0, 1.0)])
+        calls = []
+
+        def double(keys):
+            calls.append(keys.tolist())
+            return 2.0 * keys
+
+        got = nu.cached("double", np.array([[3.0, 1.0], [3.0, 2.0]]), double)
+        assert got.tolist() == [[6.0, 2.0], [6.0, 4.0]]
+        assert nu.cached("double", np.array([2.0, 5.0]), double).tolist() \
+            == [4.0, 10.0]
+        assert nu.cached("double", 1.0, double) == 2.0
+        assert calls == [[1.0, 2.0, 3.0], [5.0]]
+
 
 class TestTableSamples:
     def test_rows_changed_after_construction_change_nothing(self):
@@ -283,9 +300,19 @@ class TestDensityRoutes:
         assert got[0] == got[1] == psi_big(nu, 0.5)
 
     def test_array_spends_panel_budget_loudly(self, monkeypatch):
-        monkeypatch.setenv("HARDYRP_MAX_PANELS", "8")
+        monkeypatch.setattr(measures, "_PSI_QUADRATURE", QuadratureConfig(
+            abs_tol=1e-300, rel_tol=1e-12, max_subdivisions=8))
         with pytest.raises(QuadratureError):
             psi_big(lebesgue_cauchy_measure(), np.geomspace(1e-3, 1e3, 7))
+
+    def test_environment_sets_no_panel_budget(self, monkeypatch):
+        # the panel budget is the config's alone: a variable that once
+        # capped every pass at 8 panels now changes nothing
+        monkeypatch.setenv("HARDYRP_MAX_PANELS", "8")
+        p = np.geomspace(1e-3, 1e3, 7)
+        want = (1.0 - (2.0 / np.pi) * np.arctan(1e-12 / p)) / p
+        got = psi_big(lebesgue_cauchy_measure(), p)
+        assert np.abs(got / want - 1.0).max() < 1e-12
 
     def test_array_memory_is_chunked(self, monkeypatch):
         # every pass integrates at most _PSI_CHUNK of the keys
@@ -370,10 +397,11 @@ class TestIntegrateVector:
         got = nu.integrate(lambda lam: (lam ** -2.0)[:, None], VECTOR_CFG)
         assert abs(got[0] - 1.0) < 1e-12
 
-    def test_spends_panel_budget_loudly(self, monkeypatch):
-        monkeypatch.setenv("HARDYRP_MAX_PANELS", "8")
+    def test_spends_panel_budget_loudly(self):
+        cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-12,
+                               max_subdivisions=8)
         with pytest.raises(QuadratureError):
-            lebesgue_cauchy_measure().integrate(moments, VECTOR_CFG)
+            lebesgue_cauchy_measure().integrate(moments, cfg)
 
 
 def mp_table_small(rows, p, t):

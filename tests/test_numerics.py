@@ -1,6 +1,5 @@
 import ast
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,7 @@ class TestIntegrateBatched:
             calls.append(s.size)
             return np.stack([s ** k for k in range(0, 20, 2)], axis=1)
 
-        val = integrate_batched(f, -1.0, 1.0)
+        val = integrate_batched(f, -1.0, 1.0, QuadratureConfig())
         assert calls == [21]
         assert np.abs(val - [2.0 / (k + 1) for k in range(0, 20, 2)]).max() \
             < 1e-15
@@ -64,7 +63,8 @@ class TestIntegrateBatched:
             calls.append(s.size)
             return np.stack([np.abs(s - 0.3), 2.0 * s], axis=1)
 
-        val = integrate_batched(f, -1.0, 1.0, breakpoints=(0.3, 5.0))
+        val = integrate_batched(f, -1.0, 1.0, QuadratureConfig(),
+                                breakpoints=(0.3, 5.0))
         assert sum(calls) == 42
         assert np.abs(val - [0.5 * (1.3 ** 2 + 0.7 ** 2), 0.0]).max() < 1e-15
 
@@ -125,11 +125,6 @@ class TestIntegrateLine:
         val = line_integral(lambda x: (1.0 / ((x - a) ** 2 + 1e-6))[:, None],
                             breakpoints=(a,))
         assert abs(val[0] - math.pi / 1e-3) / (math.pi / 1e-3) < 1e-8
-
-    def test_max_panels_env(self, monkeypatch):
-        monkeypatch.setenv("HARDYRP_MAX_PANELS", "7")
-        cfg = QuadratureConfig()
-        assert cfg.effective_subdivisions == 7
 
 
 class TestWindingNumber:
