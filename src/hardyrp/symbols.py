@@ -8,6 +8,9 @@ whenever I(K) = int |log K(p)|/(1+p^2) dp is finite.  For a finite measure
 nu on [0, inf] the module builds F_nu = Out(sqrt(psi_big(nu, .))), the
 unimodular symbol h_nu = F_nu / (F_nu o (-id)) on the boundary, and the
 transformed measure d(T nu)(l) = |F_nu(il)|^{-2} (1+l^2)/l dnu(l).
+For a measure of atoms alone sqrt(psi_big) is rational, and so are F_nu
+and h_nu (the finite-rank case of Kronecker's theorem): they are evaluated
+in closed form, and only measures with a density integrate log K.
 """
 from __future__ import annotations
 
@@ -54,12 +57,29 @@ class BoundaryModulus:
     floats only, which rejects the array, is evaluated node by node.  The
     nonzero singular points (zeros or poles of K, where log K fails to be
     smooth) are initial panel edges of those integrals.
+
+    rational, when it is not None, is the factorization (a, zeros, poles)
+    of an even rational K,
+
+        K(p) = a prod_k |p + i s_k| / prod_i |p + i l_i|,   every s_k, l_i >= 0,
+
+    with zeros = (s_k) and poles = (l_i).  Its outer function is then
+    a R(-i z), R(w) = prod (w + s_k) / prod (w + l_i), and out_eval,
+    out_on_axis and boundary_phase_difference evaluate that closed form
+    instead of integrating log K.  _sqrt_psi_modulus sets it for measures
+    without density; products and quotients keep it when both factors have
+    one and drop it otherwise, so it always describes fn.
     """
 
     fn: Callable
     singularities: tuple[float, ...] = ()
     symmetric: bool = False
     name: str = "K"
+    rational: tuple[float, tuple[float, ...], tuple[float, ...]] | None = None
+
+    def __post_init__(self):
+        if self.rational is not None and not self.symmetric:
+            raise ValueError("a rational modulus is even: set symmetric")
 
     def __call__(self, p: float) -> float:
         return float(self.fn(p))
@@ -85,20 +105,50 @@ class BoundaryModulus:
         return cls(fn, tuple(singularities), symmetric, name)
 
     def __mul__(self, other: "BoundaryModulus") -> "BoundaryModulus":
+        rational = None
+        if self.rational is not None and other.rational is not None:
+            (a, z, p), (b, y, q) = self.rational, other.rational
+            rational = (a * b, tuple(sorted(z + y)), tuple(sorted(p + q)))
         return BoundaryModulus(
             lambda p: self.fn(p) * other.fn(p),
             tuple(sorted(set(self.singularities) | set(other.singularities))),
             self.symmetric and other.symmetric,
             name=f"{self.name}*{other.name}",
+            rational=rational,
         )
 
     def __truediv__(self, other: "BoundaryModulus") -> "BoundaryModulus":
+        rational = None
+        if self.rational is not None and other.rational is not None:
+            (a, z, p), (b, y, q) = self.rational, other.rational
+            rational = (a / b, tuple(sorted(z + q)), tuple(sorted(p + y)))
         return BoundaryModulus(
             lambda p: self.fn(p) / other.fn(p),
             tuple(sorted(set(self.singularities) | set(other.singularities))),
             self.symmetric and other.symmetric,
             name=f"{self.name}/{other.name}",
+            rational=rational,
         )
+
+
+def _paired(K: BoundaryModulus):
+    """a, zeros s and poles l of K's rational form as arrays, and the number
+    m of pairs (s_k, l_k), k < m, that the closed forms take together."""
+    a, zeros, poles = K.rational
+    return a, np.array(zeros), np.array(poles), min(len(zeros), len(poles))
+
+
+def _rational_outer(K: BoundaryModulus, w):
+    """a R(w), R(w) = prod (w + s_k) / prod (w + l_i), of K's rational form
+    at the array w; Out(K)(z) = a R(-i z).  Zeros and poles pair up in
+    ascending order, so the product is one of ratios, each between min(1,
+    s_k/l_k) and max(1, s_k/l_k) where they interlace, and no partial
+    product overflows where R does not (64 atoms at z = 1e12: a product of
+    the numerator alone is 1e768)."""
+    a, s, l, m = _paired(K)
+    w = w[:, None]
+    return a * (np.prod((w + s[:m]) / (w + l[:m]), axis=1)
+                * np.prod(w + s[m:], axis=1) / np.prod(w + l[m:], axis=1))
 
 
 # The integrals against log K run in the log variable, p = e^s (and p =
@@ -183,9 +233,13 @@ def out_eval(C: complex, K: BoundaryModulus, z):
     edges, and so is s = 0 for a modulus that is not even.  Each component
     meets max(1e-12, 1e-10 |.|) (_LOG_QUADRATURE).
 
+    A K with a rational form makes no pass: Out(C, K)(z) = C a R(-i z),
+    R(w) = prod (w + s_k) / prod (w + l_i), to roundoff.
+
     Refuses Im z < 1e-3 min(1, |z|): so close to the boundary (in angle,
     below |z| = 1) the Herglotz kernel peaks too sharply for the
-    quadrature; use the boundary formulas instead.
+    quadrature; use the boundary formulas instead.  The refusal holds for
+    a rational K too, so a point's validity does not depend on the measure.
     """
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
@@ -199,6 +253,9 @@ def out_eval(C: complex, K: BoundaryModulus, z):
         raise ValueError("leading constant must be unimodular")
     if not flat.size:
         return np.empty(zs.shape, dtype=complex)
+    if K.rational is not None:
+        out = C * _rational_outer(K, -1j * flat)
+        return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
     u = np.log(r)
     zeta = flat / r
     # e^{2t} - zeta^2 = expm1(2t) - 2i sigma zeta with sigma = Im z / |z|,
@@ -249,7 +306,8 @@ def out_on_axis(K: BoundaryModulus, lam):
     array (an array of the same shape).  In p = e^s, lam = e^u the
     exponent is log K(lam) + (1/pi) int_R sech(s - u) (log K(e^s) -
     log K(lam)) ds, and every lam is one component of one integrate_batched
-    pass (tail bound at _LOG_TAIL), within max(1e-12, 1e-10 |.|).
+    pass (tail bound at _LOG_TAIL), within max(1e-12, 1e-10 |.|).  A K with
+    a rational form makes no pass: Out(K)(i lam) = a R(lam), to roundoff.
     """
     if not K.symmetric:
         raise ValueError("axis formula requires a symmetric modulus")
@@ -257,6 +315,9 @@ def out_on_axis(K: BoundaryModulus, lam):
     flat = lams.ravel()
     if not (np.isfinite(flat) & (flat > 0)).all():
         raise ValueError("axis point must satisfy lam > 0")
+    if K.rational is not None:
+        out = _rational_outer(K, flat)
+        return float(out[0]) if lams.ndim == 0 else out.reshape(lams.shape)
     u = np.log(flat)
     c = K.log(flat)
 
@@ -290,12 +351,25 @@ def boundary_phase_difference(K: BoundaryModulus, x):
     the tail bound is at its definition), so K is evaluated once per node
     for every x at once; the test is componentwise, so each phase meets
     max(1e-12, 1e-10 |phase|) on its own.
+
+    A K with a rational form makes no pass: the phase is -2 arg R(ix) =
+    2 [sum atan(x/l_i) - sum atan(x/s_k)], odd in x, to roundoff.
     """
     if not K.symmetric:
         raise ValueError("boundary phase formula requires a symmetric modulus")
     x = np.asarray(x, dtype=float)
     if not x.all():
         raise ValueError("phase undefined at x = 0")
+    if K.rational is not None:
+        # arg Out(K)(x) = arg R(-ix) = sum atan(x/l_i) - sum atan(x/s_k),
+        # a pair's two terms taken as one, atan(x (s - l) / (l s + x^2)):
+        # 64 separate terms near pi/2 left the sum 2.4e-14 off at x = 1e4
+        _, s, l, m = _paired(K)
+        xs = x[..., None]
+        terms = (np.arctan2(xs * (s[:m] - l[:m]), l[:m] * s[:m] + xs * xs),
+                 np.arctan2(xs, l[m:]), -np.arctan2(xs, s[m:]))
+        delta = 2.0 * sum(t.sum(axis=-1) for t in terms)
+        return delta if delta.ndim else float(delta)
     ax = np.abs(x).ravel()
     u = np.log(ax)
     log_kx = K.log(ax)
@@ -330,14 +404,91 @@ class OuterFunction:
 
 # -- measure-driven constructions --------------------------------------------
 
+# Newton takes 1-4 steps from eigvalsh's roots; the bound only stops a root
+# that the safeguard has to bisect first
+_SECULAR_STEPS = 100
+
+
+def _secular_roots(d: NDArray[np.float64], c: NDArray[np.float64],
+                   b: float) -> NDArray[np.float64]:
+    """The roots r of f(r) = b + sum_i c_i / (d_i - r), ascending, for
+    distinct ascending d_i >= 0, c_i > 0 and b >= 0: one in each
+    (d_k, d_{k+1}), and one in (d_n, d_n + sum c / b) when b > 0.
+
+    They are the eigenvalues of diag(d) + u u^T / b, u = sqrt(c), when
+    b > 0, and otherwise those of diag(d) compressed to the complement of
+    q = u / |u|, the trailing block of H diag(d) H for the Householder
+    reflector H = I - v v^T / v_1, v = q + e_1, which maps q to -e_1 (Golub,
+    "Some modified matrix eigenvalue problems", SIAM Review 15, 1973).
+    eigvalsh finds them only to within about eps max(d, |u|^2 / b): 6e-8
+    relative for atoms at 1e-3, 1 and 1e3 and atom_inf = 1e-3.  So each is
+    polished in tau = r - d_j, d_j the nearer pole of its interval (exact
+    differences d_i - d_j where they are small), by safeguarded Newton
+    steps on tau f = tau psi(tau) - c_j, psi the other terms of f: without
+    the pole, Newton does not overshoot a root that lies next to it.
+    """
+    u = np.sqrt(c)
+    if b > 0:
+        r = np.linalg.eigvalsh(np.diag(d) + np.outer(u, u) / b)
+        ends = np.append(d, d[-1:] + c.sum() / b)
+    else:
+        v = u / np.linalg.norm(u)
+        v[0] += 1.0
+        h = np.eye(d.size) - np.outer(v, v) / v[0]
+        r = np.linalg.eigvalsh(((h * d) @ h)[1:, 1:])
+        ends = d
+    k = np.arange(r.size)
+    lo, hi = ends[k], ends[k + 1]
+    j = np.where((k + 1 < d.size) & (hi - r < r - lo), k + 1, k)
+    delta = d[:, None] - d[j]
+    delta[j, k] = np.inf            # psi: f without the pole at d_j
+    lo, hi, tau = lo - d[j], hi - d[j], r - d[j]
+    for _ in range(_SECULAR_STEPS):
+        tau = np.where((tau > lo) & (tau < hi), tau, 0.5 * (lo + hi))
+        q = c[:, None] / (delta - tau)
+        psi = b + q.sum(axis=0)
+        g = tau * psi - c[j]        # tau f(d_j + tau)
+        lo = np.where(g * tau < 0, tau, lo)
+        hi = np.where(g * tau > 0, tau, hi)
+        step = g / (psi + tau * (q * q / c[:, None]).sum(axis=0))
+        tau = tau - step
+        if (np.abs(step) <= 4 * np.finfo(float).eps * (d[j] + tau)).all():
+            break
+    return d[j] + tau
+
+
 def _sqrt_psi_modulus(nu: BoundaryMeasure) -> BoundaryModulus:
     """K = sqrt(psi_big(nu, .)): a closed-form numpy sum on atoms; with
     density pieces an array of nodes is one batched psi_big call, whose
-    values are cached on nu by p^2."""
+    values are cached on nu by p^2.
+
+    A measure without density gets K's rational form too.  With c_i =
+    w_i (1 + l_i^2) for the interior atoms, and c = atom0 for a pole at
+    l = 0,
+
+        pi psi_big(p) = atom_inf + sum c_i / (p^2 + l_i^2)
+                      = lead prod (p^2 + r_k) / prod (p^2 + l_i^2),
+
+    lead = atom_inf if positive, else sum c_i, and the -r_k are the roots
+    of the numerator in p^2 (_secular_roots).  So K has a = sqrt(lead/pi),
+    zeros s_k = sqrt(r_k) and poles l_i.  Atoms of weight 0 are no poles.
+    """
     if nu.is_zero:
         raise ValueError("the zero measure has no outer function")
+    rational = None
+    if not nu.density:
+        lam, w = np.array(sorted(nu.atoms), dtype=float).reshape(-1, 2).T
+        poles, c = lam[w > 0], (w * (1.0 + lam * lam))[w > 0]
+        if nu.atom0 > 0:
+            poles, c = np.append(0.0, poles), np.append(nu.atom0, c)
+        if not (c.size or nu.atom_inf):
+            raise ValueError("the measure has no mass: psi_big vanishes")
+        r = _secular_roots(poles * poles, c, nu.atom_inf) if c.size else c
+        lead = nu.atom_inf if nu.atom_inf > 0 else c.sum()
+        rational = (math.sqrt(lead / np.pi), tuple(np.sqrt(r).tolist()),
+                    tuple(poles.tolist()))
     return BoundaryModulus(lambda p: np.sqrt(psi_big(nu, p)), (0.0,), True,
-                           name="sqrt(psi)")
+                           name="sqrt(psi)", rational=rational)
 
 
 def _phase(nu: BoundaryMeasure, x) -> NDArray[np.float64]:

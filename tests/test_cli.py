@@ -2,12 +2,13 @@ import contextlib
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import hardyrp.cli
-from hardyrp import kernels
+from hardyrp import kernels, numerics
 from hardyrp.cli import eigencurves, polyline_svg, run
 from hardyrp.measures import (
     BoundaryMeasure,
@@ -48,6 +49,30 @@ def sample_path(tmp_path):
     path.write_text(json.dumps({"atoms": [[1.0, 1.0]], "density": [
         {"interval": [0.5, 2.0], "expr": "1"}]}))
     return str(path)
+
+
+@pytest.fixture
+def two_atom_path(tmp_path):
+    # the atom-only measure of the console-script step in CI
+    path = tmp_path / "two_atoms.json"
+    path.write_text(json.dumps({"atoms": [[1.0, 1.0], [2.0, 1.0]]}))
+    return str(path)
+
+
+def count_passes(monkeypatch):
+    """Count the integrate_batched passes of every hardyrp module."""
+    calls = []
+    real = numerics.integrate_batched
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("hardyrp")
+                and getattr(module, "integrate_batched", None) is real):
+            monkeypatch.setattr(module, "integrate_batched", counted)
+    return calls
 
 
 def count_calls(monkeypatch, name):
@@ -344,6 +369,30 @@ class TestHankelCommands:
         assert run(["--tol-abs", "1e-4", "fixed-point",
                     "--measure", atom_path, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["deviation"] <= 1e-4
+
+
+class TestRationalPath:
+    COMMANDS = [["os-check"], ["fixed-point"],
+                ["symbol", "--points=-2,0.5,1,3"],
+                ["outer-eval", "--points", "2j,1+1j,-0.5+0.01j"]]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_atom_only_measure_integrates_nothing(self, command, two_atom_path,
+                                                  monkeypatch, capsys):
+        # sqrt(psi_big) of atoms is rational: F_nu, h_nu and the axis values
+        # are closed forms
+        calls = count_passes(monkeypatch)
+        assert run([command[0], "--measure", two_atom_path, *command[1:]]) == 0
+        assert not calls
+        if command[0] == "fixed-point":
+            assert json.loads(capsys.readouterr().out)["deviation"] <= 1e-10
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_density_measure_still_integrates(self, command, sample_path,
+                                              monkeypatch):
+        calls = count_passes(monkeypatch)
+        assert run([command[0], "--measure", sample_path, *command[1:]]) == 0
+        assert calls
 
 
 class TestKernelDemo:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import functools
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardyrp import measures
+from hardyrp import measures, symbols
 from hardyrp.measures import (
     BoundaryMeasure,
     DensityPiece,
@@ -401,6 +402,171 @@ class TestDensityModulus:
         floats = BoundaryMeasure(**density)
         want = np.array([psi_big(floats, float(q)) for q in p[::8]])
         assert np.abs(got[::8] ** 2 / want - 1.0).max() < 1e-13
+
+
+# -- atom-only measures: the rational form of sqrt(psi_big) ------------------
+
+def clustered_atoms():
+    """64 atoms in two tight clusters, weights from 2e-5 to 1: some zeros of
+    the numerator lie 2e-7 from a pole."""
+    lam = np.concatenate([1.0 + 0.002 * np.arange(32),
+                          3.0 + 0.005 * np.arange(32)])
+    w = 0.5 + 0.5 * np.cos(np.arange(64.0))
+    return BoundaryMeasure(atoms=zip(lam.tolist(), w.tolist()))
+
+
+RATIONAL = {
+    "atom0": lambda: BoundaryMeasure(atom0=0.8),
+    "atom_inf": lambda: BoundaryMeasure(atom_inf=0.8),
+    "ends": lambda: BoundaryMeasure(
+        atom0=0.7, atom_inf=0.3, atoms=[(0.2, 2.0), (1.0, 1.0), (3.0, 0.5)]),
+    # eigvalsh alone misses a zero by 6e-8 relative here
+    "wide": lambda: BoundaryMeasure(
+        atom_inf=1e-3, atoms=[(1e-3, 1.0), (1.0, 1.0), (1e3, 1.0)]),
+    "clustered": clustered_atoms,
+}
+X = np.array([1e-6, -1e-3, 0.3, -1.0, 2.5, -40.0, 1e4])
+Z = np.array([1e-6 * (0.6 + 0.8j), -0.8 + 0.6j, 1j, 2.0 + 0.01j,
+              1e6 * (-0.6 + 0.8j)])
+LAM = np.array([1e-6, 0.05, 1.0, 2.9, 1e6])
+# the clustered numerator has degree 63 and roots 2e-7 from a pole: at 100
+# digits polyroots still misses them by 6e-11, at 200 it meets them
+ROOT_DPS = 200
+
+
+@functools.lru_cache(maxsize=None)
+def mp_rational(name):
+    """(a, zeros, r, poles) of sqrt(psi_big) of RATIONAL[name] in mpmath:
+    the numerator of pi psi_big in P = p^2 expanded from the atoms, its
+    roots -r_k by polyroots from one guess inside each interval the r_k
+    interlace."""
+    nu = RATIONAL[name]()
+    with mp.workdps(ROOT_DPS):
+        pairs = [(mp.mpf(l), w * (1 + mp.mpf(l) ** 2))
+                 for l, w in nu.atoms if w > 0]
+        if nu.atom0 > 0:
+            pairs.append((mp.mpf(0), mp.mpf(nu.atom0)))
+        pairs.sort()
+        poles = [l for l, _ in pairs]
+        d = [l * l for l, _ in pairs]
+        c = [ci for _, ci in pairs]
+        b = mp.mpf(nu.atom_inf)
+        full = [mp.mpf(1)]                    # prod (P + d_j), highest first
+        for dj in d:
+            full = [x + dj * y for x, y in zip(full + [0], [0] + full)]
+        num = [b * x for x in full]
+        for ci, di in zip(c, d):              # c_i full / (P + d_i)
+            q = [full[0]]
+            for x in full[1:-1]:
+                q.append(x - di * q[-1])
+            for k, x in enumerate(q):
+                num[k + 1] += ci * x
+        guesses = [-(u + v) / 2 for u, v in zip(d, d[1:])]
+        if b == 0:
+            num = num[1:]
+        elif d:
+            guesses.append(-(d[-1] + sum(c) / (2 * b)))
+        roots = []
+        if len(num) > 1:
+            roots = mp.polyroots(num, maxsteps=100, extraprec=600,
+                                 roots_init=guesses)
+        r = sorted(-mp.re(x) for x in roots)
+        return mp.sqrt(num[0] / mp.pi), [mp.sqrt(x) for x in r], r, poles
+
+
+def mp_closed_form(form, z=(), lam=(), x=(), dps=30):
+    """F(z) = a prod(-iz + s_k) / prod(-iz + l_i), F(i lam) and the phase
+    2 (sum atan(x/l_i) - sum atan(x/s_k)), in dps digits."""
+    a, zeros, _, poles = form
+    with mp.workdps(dps):
+        def F(w):
+            return a * mp.fprod(w + s for s in zeros) / mp.fprod(
+                w + l for l in poles)
+
+        return (np.array([complex(F(-1j * mp.mpc(v))) for v in z]),
+                np.array([float(F(mp.mpf(v))) for v in lam]),
+                np.array([float(2 * (mp.fsum(mp.atan2(v, l) for l in poles)
+                                     - mp.fsum(mp.atan2(v, s) for s in zeros)))
+                          for v in x]))
+
+
+def derived(nu):
+    """h_nu, f_nu, f_nu_axis and the t_map weights of one fresh measure."""
+    return (h_nu(nu, X), f_nu(nu)(Z), f_nu_axis(nu, LAM),
+            np.array([w for _, w in t_map(nu).atoms]))
+
+
+class TestRationalAtoms:
+    @pytest.mark.parametrize("name", list(RATIONAL))
+    def test_matches_quadrature_path(self, name, monkeypatch):
+        nu = RATIONAL[name]()
+        assert f_nu(nu).K.rational is not None
+        h, F, axis, tw = derived(nu)
+        real = symbols._sqrt_psi_modulus
+        monkeypatch.setattr(
+            symbols, "_sqrt_psi_modulus",
+            lambda m: dataclasses.replace(real(m), rational=None))
+        qh, qF, qaxis, qtw = derived(RATIONAL[name]())
+        assert np.abs(h - qh).max() <= 1e-12
+        assert np.abs(F / qF - 1.0).max() <= 1e-12
+        assert np.abs(axis / qaxis - 1.0).max() <= 1e-12
+        assert np.abs(tw / qtw - 1.0).max(initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("name", list(RATIONAL))
+    def test_matches_mpmath_closed_form(self, name):
+        nu = RATIONAL[name]()
+        form = mp_rational(name)
+        F, axis, phase = mp_closed_form(form, Z, LAM, X)
+        h, got_F, got_axis, tw = derived(nu)
+        assert np.abs(h - np.exp(1j * phase)).max() <= 1e-14
+        assert np.abs(got_F / F - 1.0).max() <= 1e-14
+        assert np.abs(got_axis / axis - 1.0).max() <= 1e-14
+        lam = np.array([l for l, _ in nu.atoms])
+        w = np.array([w for _, w in nu.atoms])
+        _, at_atoms, _ = mp_closed_form(form, lam=lam)
+        want = w * (1.0 + lam * lam) / (lam * at_atoms ** 2)
+        assert np.abs(tw / want - 1.0).max(initial=0.0) <= 1e-14
+
+    def test_endpoint_symbols(self):
+        assert np.abs(h_nu(RATIONAL["atom0"](), X) + 1.0).max() <= 1e-15
+        assert np.abs(h_nu(RATIONAL["atom_inf"](), X) - 1.0).max() == 0.0
+
+    def test_massless_atoms_rejected(self):
+        with pytest.raises(ValueError):
+            h_nu(BoundaryMeasure(atoms=[(1.0, 0.0)]), 1.0)
+
+    def test_clustered_roots_interlace_and_match_polyroots(self):
+        nu = clustered_atoms()
+        _, zeros, poles = f_nu(nu).K.rational
+        r = np.array(zeros) ** 2
+        d = np.array(poles) ** 2
+        assert r.size == d.size - 1
+        assert ((d[:-1] < r) & (r < d[1:])).all()
+        want = np.array([float(x) for x in mp_rational("clustered")[2]])
+        assert np.abs(r / want - 1.0).max() <= 1e-14
+
+    def test_product_and_quotient_of_rational_moduli(self):
+        K1 = f_nu(BoundaryMeasure(atoms=[(0.5, 1.0), (2.0, 3.0)])).K
+        K2 = f_nu(BoundaryMeasure(atom0=0.4, atoms=[(1.5, 0.7)])).K
+        z = np.array([0.3 + 0.2j, -2.0 + 1.0j, 5j])
+        for K, want in ((K1 * K2, out_eval(1.0, K1, z) * out_eval(1.0, K2, z)),
+                        (K1 / K2, out_eval(1.0, K1, z) / out_eval(1.0, K2, z))):
+            assert K.rational is not None
+            got = out_eval(1.0, K, z)
+            assert np.abs(got / want - 1.0).max() <= 1e-12
+            # the form describes K.fn: the quadrature of fn agrees
+            bare = dataclasses.replace(K, rational=None)
+            assert np.abs(got / out_eval(1.0, bare, z) - 1.0).max() <= 1e-12
+
+    def test_product_with_a_modulus_without_form_has_none(self):
+        K = f_nu(BoundaryMeasure(atoms=[(1.0, 1.0)])).K
+        P = BoundaryModulus.power_law(0.5)
+        assert P.rational is None
+        for prod in (K * P, P * K, K / P, P / K):
+            assert prod.rational is None
+        z = 1.0 + 1.0j
+        assert abs(out_eval(1.0, K * P, z)
+                   / (out_eval(1.0, K, z) * out_eval(1.0, P, z)) - 1.0) < 1e-10
 
 
 class TestTMap:
