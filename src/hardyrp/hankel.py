@@ -21,7 +21,9 @@ from scipy.integrate import quad  # noqa: F401
 from .hardy import KernelCombination, boundary_nodes, szego
 from .measures import BoundaryMeasure, w_map
 from .numerics import QuadratureConfig, eig_hermitian, integrate_batched
-from .symbols import f_nu, f_nu_boundary, h_nu, t_map
+from .symbols import (BoundaryModulus, OuterFunction, _pole_residues,
+                      _sqrt_psi_modulus, _t_map, f_nu_boundary, h_nu,
+                      out_on_axis)
 
 __all__ = [
     "HankelGram",
@@ -349,35 +351,78 @@ def os_isometry_check(nu: BoundaryMeasure, f: KernelCombination,
                       ) -> tuple[complex, complex, float]:
     """Compare <f, theta_{h_nu} g> with its L^2(T nu) representation.
 
-    lhs is the boundary quadrature of conj(f(x)) h_nu(x) g(-x); rhs is
+    lhs is the boundary integral of conj(f(x)) h_nu(x) g(-x); rhs is
     int conj(f(il)) g(il) d(T nu)(l).  Returns (lhs, rhs, deviation).
+
+    For a measure of atoms alone h_nu is rational, and lhs is a residue
+    sum (_residue_pairing); otherwise it is the quadrature on
+    boundary_nodes(n).
     """
     if nu.is_zero:
         raise ValueError("the zero measure has no symbol")
     if not f.terms or not g.terms:
         return 0.0 + 0.0j, 0.0 + 0.0j, 0.0
-    x, w = boundary_nodes(n)
-    theta_g = h_nu(nu, x) * np.asarray(g(-x), dtype=complex)
-    lhs = complex(np.sum(w * np.conj(f(x)) * theta_g))
+    K = _sqrt_psi_modulus(nu)
+    if K.rational is not None:
+        lhs = _residue_pairing(K, f, g)
+    else:
+        x, w = boundary_nodes(n)
+        theta_g = h_nu(nu, x) * np.asarray(g(-x), dtype=complex)
+        lhs = complex(np.sum(w * np.conj(f(x)) * theta_g))
 
     def rhs_fn(lam):
         v = np.conj(f(1j * lam)) * g(1j * lam)
         return np.stack([v.real, v.imag], axis=1)
 
-    re, im = t_map(nu).integrate(rhs_fn, _FORM_QUADRATURE,
-                                 log_cut=_OS_LOG_CUT)
+    re, im = _t_map(nu, K).integrate(rhs_fn, _FORM_QUADRATURE,
+                                     log_cut=_OS_LOG_CUT)
     rhs = complex(re, im)
     scale = max(abs(lhs), abs(rhs), 1e-30)
     return lhs, rhs, abs(lhs - rhs) / scale
+
+
+def _residue_pairing(K: BoundaryModulus, f: KernelCombination,
+                     g: KernelCombination) -> complex:
+    """int conj(f(x)) h(x) g(-x) dx for h = Out(K)(x) / Out(K)(-x) with K
+    rational, by closing the contour in the lower half-plane.
+
+    There conj(f(x)) g(-x) is analytic and O(1/x^2), and h = R(-ix)/R(ix)
+    has its only poles at x = -i l_i, l_i > 0 (a pole at l = 0 makes the
+    constant factor -1), with -2 pi i Res h = -2 pi i c_i / Out(K)(i l_i)
+    (_pole_residues).  So the integral is sum_i rho_i conj(f(i l_i))
+    g(i l_i), rho_i = -2 pi i c_i / Out(K)(i l_i).
+    """
+    l, c = _pole_residues(K)
+    l, c = l[l > 0], c[l > 0]
+    rho = -2j * np.pi * c / out_on_axis(K, l)
+    return complex(np.sum(rho * np.conj(f(1j * l)) * g(1j * l)))
+
+
+def _residue_fixed_point(K: BoundaryModulus,
+                         z: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """<Q_z, H_h F> for F = Out(K), h = F / (F o (-id)), K rational, at
+    every anchor z.
+
+    The integrand conj(Q_z(x)) h(x) F(-x) is conj(Q_z(x)) F(x), and F(x) =
+    a [#zeros = #poles] + sum_i c_i / (x + i l_i) (_pole_residues).  Each
+    pole term with l_i > 0 lies in H^2 and pairs to c_i / (z + i l_i).  The
+    constant and a pole at x = 0 (an atom at 0) are not in H^2: taken as
+    symmetric principal values, as the boundary grid takes them, they give
+    a/2 and c_i / (2 z).
+    """
+    a, zeros, poles = K.rational
+    l, c = _pole_residues(K)
+    c = np.where(l > 0, c, 0.5 * c)
+    out = (c / (z[:, None] + 1j * l)).sum(axis=1)
+    return out + 0.5 * a if len(zeros) == len(poles) else out
 
 
 def fixed_point_check(mu: BoundaryMeasure, anchors: Sequence[complex],
                       n: int = 1024) -> float:
     """Max deviation of <Q_z, H_{h_nu} F_nu> from F_nu(z), nu = W(mu).
 
-    F_nu is a fixed point of the Hankel operator of its own symbol; both
-    sides are computed by independent quadratures (boundary grid for the
-    form, upper-half-plane evaluation for F_nu(z)).
+    F_nu is a fixed point of the Hankel operator of its own symbol; the
+    two sides are computed independently (fixed_point_deviation).
     """
     if mu.is_zero:
         raise ValueError("the fixed-point test needs a nonzero measure")
@@ -387,11 +432,19 @@ def fixed_point_check(mu: BoundaryMeasure, anchors: Sequence[complex],
 
 def fixed_point_deviation(nu: BoundaryMeasure, anchors: Sequence[complex],
                            n: int = 1024) -> float:
-    x, w = boundary_nodes(n)
-    tg = h_nu(nu, x) * f_nu_boundary(nu, -x)
-    rhs = f_nu(nu)(np.asarray(anchors, dtype=complex))
-    dev = 0.0
-    for z, r in zip(anchors, rhs.tolist()):
-        lhs = complex(np.sum(w * np.conj(szego(z, x)) * tg))
-        dev = max(dev, abs(lhs - r))
-    return dev
+    """max over the anchors z of |<Q_z, H_{h_nu} F_nu> - F_nu(z)|.
+
+    The form is a residue sum (_residue_fixed_point) for a measure of atoms
+    alone and the quadrature on boundary_nodes(n) otherwise; F_nu(z) is
+    the outer function's own evaluation.
+    """
+    K = _sqrt_psi_modulus(nu)
+    z = np.asarray(anchors, dtype=complex)
+    rhs = OuterFunction(K)(z)
+    if K.rational is not None:
+        lhs = _residue_fixed_point(K, z)
+    else:
+        x, w = boundary_nodes(n)
+        tg = h_nu(nu, x) * f_nu_boundary(nu, -x)
+        lhs = np.array([np.sum(w * np.conj(szego(zj, x)) * tg) for zj in z])
+    return float(np.abs(lhs - rhs).max(initial=0.0))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -39,6 +38,9 @@ __all__ = [
     "dump_measure",
     "lebesgue_cauchy_measure",
 ]
+
+# the empty table of BoundaryMeasure.cached
+_NO_KEYS = np.empty(0)
 
 _EXPR_NAMESPACE = {
     "sqrt": np.sqrt, "exp": np.exp, "log": np.log, "abs": np.abs,
@@ -161,9 +163,9 @@ class BoundaryMeasure:
     atoms: tuple[tuple[float, float], ...] = ()
     density: tuple[DensityPiece, ...] = ()
     # one table per derived quantity, keyed by its argument ("psi" by p^2,
-    # "phase" by |x|, "axis" by lam, "mass" by 0)
-    _cache: defaultdict = field(default_factory=partial(defaultdict, dict),
-                                init=False, repr=False, compare=False)
+    # "phase" by |x|, "axis" by lam, "mass" by 0): name -> (keys, values)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         if self.atom0 < 0 or self.atom_inf < 0:
@@ -186,16 +188,25 @@ class BoundaryMeasure:
         The keys not in the table name yet go to compute in one call, as
         one sorted array without repeats, and compute returns their values;
         it is not called when every key is cached.  The result has the
-        shape of keys.
+        shape of keys.  A table is a pair of arrays, the sorted keys and
+        their values: a lookup is one searchsorted, and the new keys of a
+        call go in with one np.unique and one sort.
         """
         keys = np.asarray(keys, dtype=float)
-        flat = keys.ravel().tolist()
-        table = self._cache[name]
-        todo = sorted({k for k in flat if k not in table})
-        if todo:
-            values = np.asarray(compute(np.array(todo)), dtype=float)
-            table.update(zip(todo, values.tolist()))
-        return np.array([table[k] for k in flat]).reshape(keys.shape)
+        flat = keys.ravel()
+        known, values = self._cache.get(name, (_NO_KEYS, _NO_KEYS))
+        at = np.searchsorted(known, flat)
+        missing = (flat[known[np.minimum(at, known.size - 1)] != flat]
+                   if known.size else flat)
+        if missing.size:
+            todo = np.unique(missing)
+            new = np.asarray(compute(todo), dtype=float)
+            order = np.argsort(np.concatenate([known, todo]), kind="stable")
+            known = np.concatenate([known, todo])[order]
+            values = np.concatenate([values, new])[order]
+            self._cache[name] = (known, values)
+            at = np.searchsorted(known, flat)
+        return values[at].reshape(keys.shape)
 
     # -- generic integration -------------------------------------------------
 

@@ -151,6 +151,26 @@ def _rational_outer(K: BoundaryModulus, w):
                 * np.prod(w + s[m:], axis=1) / np.prod(w + l[m:], axis=1))
 
 
+def _pole_residues(K: BoundaryModulus):
+    """The poles l_i of K's rational form and the residues of Out(K)(x) =
+    a R(-i x) at x = -i l_i,
+
+        c_i = i a prod_k (s_k - l_i) / prod_{j != i} (l_j - l_i).
+
+    For K = _sqrt_psi_modulus(nu) the zeros interlace the poles, s_k in
+    (l_k, l_{k+1}), so zero k pairs with pole k for k < i and with pole
+    k + 1 for k >= i: every ratio lies in (0, 1), and 64 clustered atoms
+    neither overflow nor cancel.  The zero above the last pole (there when
+    K has as many zeros as poles, atom_inf > 0) has no partner."""
+    a, s, l, _ = _paired(K)
+    i = np.arange(l.size)[:, None]
+    k = np.arange(max(l.size - 1, 0))
+    partner = l[k + (k >= i)]
+    li = l[:, None]
+    ratio = np.prod((s[k] - li) / (partner - li), axis=1)
+    return l, 1j * a * ratio * np.prod(s[k.size:] - li, axis=1)
+
+
 # The integrals against log K run in the log variable, p = e^s (and p =
 # -e^s for a modulus that is not even), over the window [min u - T, max u + T]
 # around the points' u = log|z|, T = _LOG_TAIL, or a wider one;
@@ -553,8 +573,11 @@ def t_map(nu: BoundaryMeasure) -> BoundaryMeasure:
     the axis formula for F_nu (real positive, no branch noise).  The result
     is invariant under scaling of nu.
     """
-    K = _sqrt_psi_modulus(nu)
+    return _t_map(nu, _sqrt_psi_modulus(nu))
 
+
+def _t_map(nu: BoundaryMeasure, K: BoundaryModulus) -> BoundaryMeasure:
+    """t_map(nu) with nu's modulus K = _sqrt_psi_modulus(nu) already built."""
     def factor(lam):
         a = nu.cached("axis", lam, partial(out_on_axis, K))
         return (1.0 + lam * lam) / (lam * a * a)

@@ -59,6 +59,16 @@ def two_atom_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def wide_atom_path(tmp_path):
+    # atoms three decades apart, where the 1024-node boundary grid misses
+    # both pairings by about 1e-3; the CI console-script step runs it too
+    path = tmp_path / "wide_atoms.json"
+    path.write_text(json.dumps(
+        {"atoms": [[0.001, 1.0], [1.0, 1.0], [1000.0, 1.0]]}))
+    return str(path)
+
+
 def count_passes(monkeypatch):
     """Count the integrate_batched passes of every hardyrp module."""
     calls = []
@@ -345,9 +355,11 @@ class TestHankelCommands:
         assert abs(payload["rhs"][0] - want) < 1e-6 * want
         assert payload["deviation"] <= 1e-6
 
-    def test_os_check_fails_tight_tolerance(self, atom_path):
+    def test_os_check_fails_tight_tolerance(self, lebesgue_path):
+        # on atoms the two sides are closed forms that can agree exactly;
+        # the density's two quadratures differ by about 1e-10
         assert run(["--tol-rel", "1e-30", "os-check",
-                    "--measure", atom_path]) == 1
+                    "--measure", lebesgue_path]) == 1
 
     def test_compactness_atom(self, atom_path, tmp_path):
         out = tmp_path / "c.json"
@@ -386,6 +398,13 @@ class TestRationalPath:
         assert not calls
         if command[0] == "fixed-point":
             assert json.loads(capsys.readouterr().out)["deviation"] <= 1e-10
+
+    @pytest.mark.parametrize("command", ["os-check", "fixed-point"])
+    def test_wide_atoms_pass(self, command, wide_atom_path, capsys):
+        # both pairings are residue sums, exact to roundoff however far
+        # apart the atoms lie
+        assert run([command, "--measure", wide_atom_path]) == 0
+        assert json.loads(capsys.readouterr().out)["deviation"] <= 1e-12
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_density_measure_still_integrates(self, command, sample_path,

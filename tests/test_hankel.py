@@ -511,16 +511,51 @@ class TestFixedPoint:
             fixed_point_check(BoundaryMeasure(), default_anchors(6))
 
     def test_phase_shared_with_os_check(self, monkeypatch):
-        # both checks read the boundary phase from the measure's one cache;
-        # counted in phase points, as the engine takes them in batches
+        # on a density both checks read the boundary phase from the
+        # measure's one cache; counted in phase points, as the engine takes
+        # them in batches
         points = []
         phase = hardyrp.symbols.boundary_phase_difference
         monkeypatch.setattr(
             hardyrp.symbols, "boundary_phase_difference",
             lambda K, x: points.append(np.size(x)) or phase(K, x))
-        nu = BoundaryMeasure(atoms=[(1.0, 1.0), (2.0, 0.5)])
+        nu = BoundaryMeasure(atoms=[(1.0, 1.0)],
+                             density=[DensityPiece(0.5, 2.0, expr="1")])
         f = KernelCombination([(1.0, 1j)])
         os_isometry_check(nu, f, f, n=64)
         assert sum(points) == 32    # one per |x| of the 64-node grid
         fixed_point_deviation(nu, default_anchors(6), n=64)
         assert sum(points) == 32
+
+    def test_atom_only_checks_use_residues(self, monkeypatch):
+        # h_nu and F_nu of atoms are rational: both pairings are residue
+        # sums, with no boundary grid, no phase and no quadrature pass, and
+        # each check solves the secular equation of its measure once
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, **kwargs: (
+                calls.append(name) or real(*args, **kwargs)))
+
+        spy(hardyrp.hankel, "boundary_nodes")
+        spy(hardyrp.symbols, "boundary_phase_difference")
+        spy(hardyrp.symbols, "_secular_roots")
+        for module in (hardyrp.hankel, hardyrp.measures, hardyrp.symbols):
+            spy(module, "integrate_batched")
+        f = KernelCombination([(1.0, 1j), (0.5, -1.0 + 2j)])
+        atoms = [(0.2, 2.0), (1.0, 1.0), (3.0, 0.5)]
+        _, _, dev = os_isometry_check(BoundaryMeasure(atoms=atoms), f, f)
+        assert calls == ["_secular_roots"] and dev <= 1e-14
+        dev = fixed_point_deviation(BoundaryMeasure(atoms=atoms),
+                                    default_anchors(6))
+        assert calls == ["_secular_roots"] * 2 and dev <= 1e-14
+
+    def test_endpoint_control_is_half_the_constant(self):
+        # F_nu = a for an atom at infinity alone: the form pairs Q_z with
+        # the constant as a symmetric principal value, a/2, exactly
+        for mass in (math.pi, 0.8, 1e4):
+            a = math.sqrt(mass / math.pi)
+            dev = fixed_point_deviation(BoundaryMeasure(atom_inf=mass),
+                                        default_anchors(6))
+            assert dev == a / 2

@@ -59,6 +59,16 @@ class TestBoundaryGrid:
         val = np.sum(w / (1.0 + x * x))
         assert abs(val - np.pi) < 1e-12
 
+    def test_nodes_are_built_once_and_read_only(self):
+        x, w = boundary_nodes(1024)
+        x2, w2 = boundary_nodes(1024)
+        assert x is x2 and w is w2
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w *= 2.0
+        assert boundary_nodes(2048)[0].size == 2048
+
     def test_grid_norm_matches_closed_form(self):
         g = BoundaryGrid.from_function(lambda x: szego(1j, x))
         assert abs(g.norm() ** 2 - 1.0 / (4 * np.pi)) < 1e-12

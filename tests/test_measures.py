@@ -96,6 +96,29 @@ class TestImmutability:
         assert nu.cached("double", 1.0, double) == 2.0
         assert calls == [[1.0, 2.0, 3.0], [5.0]]
 
+    def test_cached_matches_a_dict_of_floats(self):
+        # the sorted-array tables against the dict they replaced, on keys
+        # drawn with repeats from a pool, in several shapes, over many calls
+        rng = np.random.default_rng(3)
+        pool = np.concatenate([rng.lognormal(size=40), [0.0, 1e300, np.inf]])
+        nu = BoundaryMeasure(atoms=[(1.0, 1.0)])
+        table = {}
+        for shape in [(), (1,), (7,), (3, 4), (50,), (2, 2, 5)] * 4:
+            keys = rng.choice(pool, size=shape)
+            todo = sorted({k for k in np.ravel(keys).tolist()} - set(table))
+            seen = []
+
+            def compute(new):
+                seen.append(new.tolist())
+                return 1.0 / (1.0 + new)
+
+            got = nu.cached("inv", keys, compute)
+            table.update((k, 1.0 / (1.0 + k)) for k in todo)
+            assert seen == ([todo] if todo else [])
+            assert got.shape == np.shape(keys)
+            assert np.ravel(got).tolist() == [table[k] for k in
+                                              np.ravel(keys).tolist()]
+
 
 class TestTableSamples:
     def test_rows_changed_after_construction_change_nothing(self):
@@ -296,7 +319,7 @@ class TestDensityRoutes:
         nu = lebesgue_cauchy_measure()
         p = np.array([0.5, -0.5, 3.0])
         got = psi_big(nu, p)
-        assert set(nu._cache["psi"]) == {0.25, 9.0}
+        assert nu._cache["psi"][0].tolist() == [0.25, 9.0]
         assert got[0] == got[1] == psi_big(nu, 0.5)
 
     def test_array_spends_panel_budget_loudly(self, monkeypatch):

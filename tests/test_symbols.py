@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardyrp import measures, symbols
+from hardyrp import hankel, measures, symbols
+from hardyrp.hankel import default_anchors, os_isometry_check
+from hardyrp.hardy import KernelCombination
 from hardyrp.measures import (
     BoundaryMeasure,
     DensityPiece,
@@ -567,6 +569,59 @@ class TestRationalAtoms:
         z = 1.0 + 1.0j
         assert abs(out_eval(1.0, K * P, z)
                    / (out_eval(1.0, K, z) * out_eval(1.0, P, z)) - 1.0) < 1e-10
+
+
+def mp_kernel(f, z):
+    """The kernel combination f at the mpc z, in mpmath."""
+    return mp.fsum(mp.mpc(c) * 1j / (2 * mp.pi * (z - mp.conj(mp.mpc(w))))
+                   for c, w in f.terms)
+
+
+class TestResiduePairings:
+    # the two pairings of hankel on atoms against 30-digit mpmath values
+    # from the 200-digit roots: the os pairing as the residue sum of h_nu
+    # in the unpaired form, the fixed-point pairing from F_nu(z)
+    F = KernelCombination([(1.0, 1j), (0.4 - 0.3j, -0.7 + 0.5j)])
+    G = KernelCombination([(0.8 + 0.1j, 2j), (-0.6, 1.5 + 0.3j)])
+    ANCHORS = np.array([*default_anchors(6), *Z])
+
+    @pytest.mark.parametrize("name", list(RATIONAL))
+    def test_os_pairing_matches_mpmath(self, name):
+        a, zeros, _, poles = mp_rational(name)
+        got, _, dev = os_isometry_check(RATIONAL[name](), self.F, self.G)
+        with mp.workdps(30):
+            want = mp.mpc(0)
+            for l in poles:
+                if l == 0:
+                    continue    # a constant factor -1 of h_nu: no residue
+                # -2 pi i Res h_nu at x = -i l
+                rho = 4 * mp.pi * l * mp.fprod(
+                    (s - l) / (s + l) for s in zeros) * mp.fprod(
+                    (m + l) / (m - l) for m in poles if m != l)
+                il = mp.mpc(0, l)
+                want += rho * mp.conj(mp_kernel(self.F, il)) * mp_kernel(
+                    self.G, il)
+            want = complex(want)
+        assert abs(got - want) <= 1e-13 * abs(want)
+        assert dev <= 1e-13
+
+    @pytest.mark.parametrize("name", list(RATIONAL))
+    def test_fixed_point_pairing_matches_mpmath(self, name):
+        # <Q_z, H F> = F(z) less the principal values of F's parts outside
+        # H^2: a/2 for the constant a (as many zeros as poles), and c/(2z)
+        # for a pole c/x at x = 0, c = i a prod s_k / prod_{l_j > 0} l_j
+        a, zeros, _, poles = mp_rational(name)
+        K = f_nu(RATIONAL[name]()).K
+        got = hankel._residue_fixed_point(K, self.ANCHORS)
+        F, _, _ = mp_closed_form(mp_rational(name), self.ANCHORS)
+        with mp.workdps(30):
+            at_zero = 1j * a * mp.fprod(zeros) / mp.fprod(
+                l for l in poles if l > 0) if 0 in poles else 0
+            want = np.array([
+                complex(mp.mpc(Fz) - (a / 2 if len(zeros) == len(poles)
+                                       else 0) - at_zero / (2 * mp.mpc(z)))
+                for Fz, z in zip(F, self.ANCHORS)])
+        assert np.abs(got / want - 1.0).max() <= 1e-13
 
 
 class TestTMap:
