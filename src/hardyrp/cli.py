@@ -225,7 +225,7 @@ def _cmd_rp_certify(args) -> int:
 def _cmd_os_check(args) -> int:
     nu = load_measure(args.measure)
     f = KernelCombination([(1.0, complex(args.anchor))])
-    lhs, rhs, dev = os_isometry_check(nu, f, f, n=args.grid_size)
+    lhs, rhs, dev = os_isometry_check(nu, f, f)
     payload = {"lhs": [lhs.real, lhs.imag], "rhs": [rhs.real, rhs.imag],
                "deviation": dev}
     _write(args.out, json.dumps(payload) + "\n")
@@ -252,7 +252,7 @@ def _cmd_kernel_demo(args) -> int:
 
 def _cmd_fixed_point(args) -> int:
     mu = load_measure(args.measure)
-    dev = fixed_point_check(mu, _anchors_from(args), n=args.grid_size)
+    dev = fixed_point_check(mu, _anchors_from(args))
     _write(args.out, json.dumps({"deviation": dev}) + "\n")
     return EXIT_OK if dev <= args.tol_abs else EXIT_NEGATIVE
 

@@ -18,12 +18,12 @@ from numpy.typing import NDArray
 # the benchmark's tracer wraps every module's quad binding, this one included
 from scipy.integrate import quad  # noqa: F401
 
-from .hardy import KernelCombination, boundary_nodes, szego
+from .hardy import KernelCombination, szego
 from .measures import BoundaryMeasure, w_map
 from .numerics import QuadratureConfig, eig_hermitian, integrate_batched
-from .symbols import (BoundaryModulus, OuterFunction, _pole_residues,
-                      _sqrt_psi_modulus, _t_map, f_nu_boundary, h_nu,
-                      out_on_axis)
+from .symbols import (BoundaryModulus, OuterFunction, _log_window,
+                      _pole_residues, _sqrt_psi_modulus, _t_map,
+                      f_nu_boundary, h_nu, out_on_axis)
 
 __all__ = [
     "HankelGram",
@@ -74,6 +74,45 @@ def _mass_matrix(anchors: Sequence[complex]) -> NDArray[np.complex128]:
     z = np.asarray(anchors, dtype=complex)
     # <Q_{z_j}, Q_{z_k}> = Q_{z_k}(z_j)
     return np.array([[szego(zk, zj) for zk in z] for zj in z])
+
+
+def _kernels(z: NDArray[np.complex128], x) -> NDArray[np.complex128]:
+    """Q_{z_j}(x_i), the points x_i in rows and the anchors z_j in columns."""
+    return (0.5j / np.pi) / (x[:, None] - np.conj(z))
+
+
+def _boundary_pairing(fn: Callable, scales) -> NDArray[np.complex128]:
+    """int_R fn(x) dx for fn mapping n real points to an (n, m) complex
+    array, the m components of the integrand.
+
+    One integrate_batched pass in s = log|x| pairs x = e^s with x = -e^s:
+    the integrand is e^s (fn(e^s) + fn(-e^s)), with fn called once per
+    block of nodes on both points, and its real and imaginary parts are
+    the components.  So a term like c/x at 0 or at infinity is taken as a
+    symmetric principal value.  The window, its panel edges and the
+    tolerance, max(1e-12, 1e-10 |.|) per component, are _log_window's
+    around log|scales|, scales being the kernel anchors in fn.
+
+    The pairings here are Szego kernels against a unimodular symbol or
+    F_nu, and T = _LOG_TAIL.  Above the window two kernels against a
+    symbol give e^s |Q_z(e^s)|^2 < e^{-s} / (2 pi^2), a tail below
+    e^{-T} / (2 pi^2 max|z|).  One kernel against F_nu decays only as
+    |F_nu(x)| does: where psi_big ~ 1/p (a density ~ 1/l^2 at infinity)
+    the tail is of order e^{-T/2}, 6e-12 in fixed_point_deviation on
+    Cauchy's density, and a heavier density leaves more.  Below the window
+    |x| <= e^{-T} min|z|, so the tail is at most e^{-T} min|z| sup |fn|
+    near 0; for F_nu that is sqrt(psi_big(nu, 0)), 5.6e5 on a density
+    near 1 down to l = 1e-12.  An integrand that oscillates at large |x|,
+    such as e^{itx} times two kernels, meets the tolerance only when it
+    decays faster than the oscillation grows in s.
+    """
+    def integrand(s):
+        x = np.exp(s)
+        v = np.asarray(fn(np.concatenate([x, -x])), dtype=complex)
+        return ((v[:s.size] + v[s.size:]) * x[:, None]).view(float)
+
+    val = _log_window(integrand, np.log(np.abs(scales)), [])
+    return val[0::2] + 1j * val[1::2]
 
 
 @dataclass(frozen=True)
@@ -131,13 +170,13 @@ def gram_from_measure(mu: BoundaryMeasure,
     if mu.atom0 > 0 or mu.atom_inf > 0:
         raise ValueError("the form measure must be supported on (0, inf)")
     M = _mass_matrix(anchors)       # validates the anchors first
-    zbar = np.conj(np.asarray(anchors, dtype=complex))
-    n = zbar.size
+    z = np.asarray(anchors, dtype=complex)
+    n = z.size
     jj, kk = np.triu_indices(n)
     m = jj.size
 
     def entries(lam):
-        Q = (0.5j / np.pi) / (1j * lam[:, None] - zbar)     # Q_{z_j}(il)
+        Q = _kernels(z, 1j * lam)                           # Q_{z_j}(il)
         P = np.empty((lam.size, m), dtype=complex)
         start = 0
         # row by row of the upper triangle, straight into P: no complex
@@ -155,16 +194,22 @@ def gram_from_measure(mu: BoundaryMeasure,
     return HankelGram(tuple(anchors), G, M)
 
 
-def gram_from_symbol(h: Callable, anchors: Sequence[complex],
-                     n: int = 4096) -> HankelGram:
-    """G_jk = int conj(Q_{z_j}(x)) h(x) Q_{z_k}(-x) dx by boundary quadrature."""
-    x, w = boundary_nodes(n)
-    hv = np.asarray(h(x), dtype=complex)
+def gram_from_symbol(h: Callable, anchors: Sequence[complex]) -> HankelGram:
+    """G_jk = int conj(Q_{z_j}(x)) h(x) Q_{z_k}(-x) dx.
+
+    The n^2 entries are the components of one _boundary_pairing pass, which
+    evaluates h once per node for every entry.
+    """
+    M = _mass_matrix(anchors)       # validates the anchors first
     z = np.asarray(anchors, dtype=complex)
-    Q = np.array([szego(zj, x) for zj in z])          # Q[j] = Q_{z_j} on grid
-    Qneg = np.array([szego(zk, -x) for zk in z])
-    G = (np.conj(Q) * (w * hv)) @ Qneg.T
-    return HankelGram(tuple(anchors), G, _mass_matrix(anchors))
+    n = z.size
+
+    def entries(x):
+        hq = np.conj(_kernels(z, x)) * np.asarray(h(x), dtype=complex)[:, None]
+        return (hq[:, :, None] * _kernels(z, -x)[:, None, :]).reshape(x.size, -1)
+
+    G = _boundary_pairing(entries, z).reshape(n, n)
+    return HankelGram(tuple(anchors), G, M)
 
 
 def symbol_from_measure(mu: BoundaryMeasure, p):
@@ -347,16 +392,14 @@ def rp_certify(nu: BoundaryMeasure,
 
 
 def os_isometry_check(nu: BoundaryMeasure, f: KernelCombination,
-                      g: KernelCombination, n: int = 1024
-                      ) -> tuple[complex, complex, float]:
+                      g: KernelCombination) -> tuple[complex, complex, float]:
     """Compare <f, theta_{h_nu} g> with its L^2(T nu) representation.
 
     lhs is the boundary integral of conj(f(x)) h_nu(x) g(-x); rhs is
     int conj(f(il)) g(il) d(T nu)(l).  Returns (lhs, rhs, deviation).
 
     For a measure of atoms alone h_nu is rational, and lhs is a residue
-    sum (_residue_pairing); otherwise it is the quadrature on
-    boundary_nodes(n).
+    sum (_residue_pairing); otherwise it is one _boundary_pairing pass.
     """
     if nu.is_zero:
         raise ValueError("the zero measure has no symbol")
@@ -366,9 +409,9 @@ def os_isometry_check(nu: BoundaryMeasure, f: KernelCombination,
     if K.rational is not None:
         lhs = _residue_pairing(K, f, g)
     else:
-        x, w = boundary_nodes(n)
-        theta_g = h_nu(nu, x) * np.asarray(g(-x), dtype=complex)
-        lhs = complex(np.sum(w * np.conj(f(x)) * theta_g))
+        lhs = complex(_boundary_pairing(
+            lambda x: (np.conj(f(x)) * h_nu(nu, x) * g(-x))[:, None],
+            [z for _, z in f.terms + g.terms])[0])
 
     def rhs_fn(lam):
         v = np.conj(f(1j * lam)) * g(1j * lam)
@@ -407,7 +450,7 @@ def _residue_fixed_point(K: BoundaryModulus,
     a [#zeros = #poles] + sum_i c_i / (x + i l_i) (_pole_residues).  Each
     pole term with l_i > 0 lies in H^2 and pairs to c_i / (z + i l_i).  The
     constant and a pole at x = 0 (an atom at 0) are not in H^2: taken as
-    symmetric principal values, as the boundary grid takes them, they give
+    symmetric principal values, as _boundary_pairing takes them, they give
     a/2 and c_i / (2 z).
     """
     a, zeros, poles = K.rational
@@ -417,8 +460,8 @@ def _residue_fixed_point(K: BoundaryModulus,
     return out + 0.5 * a if len(zeros) == len(poles) else out
 
 
-def fixed_point_check(mu: BoundaryMeasure, anchors: Sequence[complex],
-                      n: int = 1024) -> float:
+def fixed_point_check(mu: BoundaryMeasure,
+                      anchors: Sequence[complex]) -> float:
     """Max deviation of <Q_z, H_{h_nu} F_nu> from F_nu(z), nu = W(mu).
 
     F_nu is a fixed point of the Hankel operator of its own symbol; the
@@ -427,16 +470,17 @@ def fixed_point_check(mu: BoundaryMeasure, anchors: Sequence[complex],
     if mu.is_zero:
         raise ValueError("the fixed-point test needs a nonzero measure")
     nu = w_map(mu)
-    return fixed_point_deviation(nu, anchors, n)
+    return fixed_point_deviation(nu, anchors)
 
 
-def fixed_point_deviation(nu: BoundaryMeasure, anchors: Sequence[complex],
-                           n: int = 1024) -> float:
+def fixed_point_deviation(nu: BoundaryMeasure,
+                          anchors: Sequence[complex]) -> float:
     """max over the anchors z of |<Q_z, H_{h_nu} F_nu> - F_nu(z)|.
 
     The form is a residue sum (_residue_fixed_point) for a measure of atoms
-    alone and the quadrature on boundary_nodes(n) otherwise; F_nu(z) is
-    the outer function's own evaluation.
+    alone and otherwise one _boundary_pairing pass of conj(Q_z(x)) h_nu(x)
+    F_nu(-x), one component per anchor; F_nu(z) is the outer function's
+    own evaluation.
     """
     K = _sqrt_psi_modulus(nu)
     z = np.asarray(anchors, dtype=complex)
@@ -444,7 +488,6 @@ def fixed_point_deviation(nu: BoundaryMeasure, anchors: Sequence[complex],
     if K.rational is not None:
         lhs = _residue_fixed_point(K, z)
     else:
-        x, w = boundary_nodes(n)
-        tg = h_nu(nu, x) * f_nu_boundary(nu, -x)
-        lhs = np.array([np.sum(w * np.conj(szego(zj, x)) * tg) for zj in z])
+        lhs = _boundary_pairing(lambda x: np.conj(_kernels(z, x)) * (
+            h_nu(nu, x) * f_nu_boundary(nu, -x))[:, None], z)
     return float(np.abs(lhs - rhs).max(initial=0.0))

@@ -1,15 +1,13 @@
 """Computational model of the Hardy space of the upper half-plane.
 
-Elements are represented two ways: symbolically as finite combinations of
-reproducing (Szegö) kernels, for closed-form inner products, and numerically
-as values on a fixed boundary grid, for anything involving a multiplier
-symbol.  The grid uses tangent-substitution Gauss-Legendre panels, symmetric
-about 0 and excluding 0, so that symbols discontinuous only at the origin
-(sign-type) integrate to high order.
+Elements are finite combinations of reproducing (Szegö) kernels, with
+closed-form inner products; multiplier symbols are vectorized callables on
+the real line, and the Cayley transform relates the half-plane to the disc.
+Boundary integrals that involve a symbol are computed by
+hankel._boundary_pairing, one adaptive pass in log|x|.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -19,12 +17,8 @@ from numpy.typing import NDArray
 __all__ = [
     "szego",
     "KernelCombination",
-    "BoundaryGrid",
     "SymbolFunction",
-    "boundary_nodes",
     "inner",
-    "apply_S",
-    "apply_theta",
     "cayley",
     "cayley_inverse",
     "cayley_gamma",
@@ -76,86 +70,6 @@ def inner(f: KernelCombination, g: KernelCombination) -> complex:
     return complex(total)
 
 
-_NODES_PER_PANEL = 8
-
-
-def boundary_nodes(n: int = 4096
-                   ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Symmetric quadrature nodes and weights for integrals over R.
-
-    Built from x = tan(theta): composite Gauss-Legendre panels of
-    _NODES_PER_PANEL nodes on each half (0, pi/2), mirrored to the negative
-    axis.  Returns (x, w) with sum w_j F(x_j) ~ int_R F(x) dx; no node sits
-    at 0.  The rule is built once per n and shared by every caller, so the
-    arrays are read-only.
-    """
-    return _boundary_rule(n)
-
-
-# a plain function in front of the cache keeps boundary_nodes a function
-# that profilers and the benchmark's tracer can wrap
-@functools.lru_cache(maxsize=8)
-def _boundary_rule(n: int
-                   ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    half = n // 2
-    if half % _NODES_PER_PANEL:
-        raise ValueError(f"n/2 must be a multiple of {_NODES_PER_PANEL}")
-    panels = half // _NODES_PER_PANEL
-    t, gw = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
-    edges = np.linspace(0.0, np.pi / 2.0, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    h = 0.5 * np.diff(edges)
-    theta = (mid[:, None] + h[:, None] * t[None, :]).ravel()
-    wts = (h[:, None] * gw[None, :]).ravel()
-    x_pos = np.tan(theta)
-    w_pos = wts * (1.0 + x_pos ** 2)
-    x = np.concatenate([-x_pos[::-1], x_pos])
-    w = np.concatenate([w_pos[::-1], w_pos])
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-@dataclass
-class BoundaryGrid:
-    """Complex values on the symmetric boundary quadrature grid."""
-
-    x: NDArray[np.float64]
-    weights: NDArray[np.float64]
-    values: NDArray[np.complex128]
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.values = np.asarray(self.values, dtype=complex)
-        if not (self.x.shape == self.weights.shape == self.values.shape):
-            raise ValueError("grid arrays must share a shape")
-        if not np.allclose(self.x, -self.x[::-1], rtol=0, atol=1e-14):
-            raise ValueError("grid must be symmetric about 0")
-        if np.any(self.x == 0.0):
-            raise ValueError("grid must exclude 0")
-
-    @classmethod
-    def from_function(cls, fn: Callable, n: int = 4096) -> "BoundaryGrid":
-        x, w = boundary_nodes(n)
-        return cls(x, w, np.asarray(fn(x), dtype=complex))
-
-    def reflected(self) -> "BoundaryGrid":
-        """Values of x -> f(-x) on the same grid."""
-        return BoundaryGrid(self.x, self.weights, self.values[::-1])
-
-    def integral(self) -> complex:
-        return complex(np.sum(self.weights * self.values))
-
-    def inner(self, other: "BoundaryGrid") -> complex:
-        if not np.array_equal(self.x, other.x):
-            raise ValueError("grids are incompatible")
-        return complex(np.sum(self.weights * np.conj(self.values) * other.values))
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.weights * np.abs(self.values) ** 2)))
-
-
 @dataclass
 class SymbolFunction:
     """Bounded measurable multiplier on the real line.
@@ -190,18 +104,6 @@ class SymbolFunction:
 
     def unimodular_defect(self, x: NDArray[np.float64]) -> float:
         return float(np.max(np.abs(np.abs(self(x)) - 1.0)))
-
-
-def apply_S(t: float, f) -> BoundaryGrid:
-    """The unitary group (S_t f)(x) = exp(itx) f(x) on boundary grids."""
-    g = f if isinstance(f, BoundaryGrid) else BoundaryGrid.from_function(f)
-    return BoundaryGrid(g.x, g.weights, np.exp(1j * t * g.x) * g.values)
-
-
-def apply_theta(h: SymbolFunction, f: BoundaryGrid) -> BoundaryGrid:
-    """The reflection (theta_h f)(x) = h(x) f(-x)."""
-    r = f.reflected()
-    return BoundaryGrid(f.x, f.weights, h(f.x) * r.values)
 
 
 def cayley(z):

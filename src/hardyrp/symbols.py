@@ -100,10 +100,6 @@ class BoundaryModulus:
         return cls(lambda p, a=exponent: abs(p) ** a, (0.0,), True,
                    name=f"|p|^{exponent}")
 
-    @classmethod
-    def from_callable(cls, fn, singularities=(), symmetric=False, name="K"):
-        return cls(fn, tuple(singularities), symmetric, name)
-
     def __mul__(self, other: "BoundaryModulus") -> "BoundaryModulus":
         rational = None
         if self.rational is not None and other.rational is not None:
@@ -195,6 +191,9 @@ def _pole_residues(K: BoundaryModulus):
 # - log integral, u = 0: |log K(e^s)| <= |log K(1)| + a |s| and sech s <=
 #   2 e^{-|s|} bound the tails by 4 (|log K(1)| + a (T+1)) e^{-T},
 #   1.7e-17 |log K(1)| + 7e-16 a at T = 40.
+#
+# hankel._boundary_pairing, the boundary pairings of the Hankel checks, runs
+# through the same window; its tail bounds are stated there.
 _LOG_TAIL = 40.0
 _LOG_QUADRATURE = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-10,
                                    max_subdivisions=2000)
@@ -367,10 +366,12 @@ def boundary_phase_difference(K: BoundaryModulus, x):
 
     whose integrand is smooth at s = u (removable singularity) and decays
     like e^{-|s-u|}.  All |x| share one vector integral over
-    [log min|x| - T, log max|x| + T] (integrate_batched, T = _LOG_TAIL;
-    the tail bound is at its definition), so K is evaluated once per node
-    for every x at once; the test is componentwise, so each phase meets
-    max(1e-12, 1e-10 |phase|) on its own.
+    [log min|x| - T, log max|x| + T] (_log_window, T = _LOG_TAIL; the tail
+    bound is at its definition), so K is evaluated once per node for every
+    x at once; the test is componentwise, so each phase meets
+    max(1e-12, 1e-10 |phase|) on its own.  The window's panel edges are
+    those of every other pass, so the phase nodes of successive calls on
+    one measure, and their cached psi_big values, are shared.
 
     A K with a rational form makes no pass: the phase is -2 arg R(ix) =
     2 [sum atan(x/l_i) - sum atan(x/s_k)], odd in x, to roundoff.
@@ -402,8 +403,7 @@ def boundary_phase_difference(K: BoundaryModulus, x):
         out = np.divide(num, np.sinh(d), out=np.zeros_like(num), where=d != 0)
         return out * (-2.0 / np.pi)
 
-    val = integrate_batched(integrand, u.min() - _LOG_TAIL,
-                            u.max() + _LOG_TAIL, _LOG_QUADRATURE)
+    val = _log_window(integrand, u, [])
     delta = np.where(x.ravel() > 0, val, -val).reshape(x.shape)
     return delta if delta.ndim else float(delta)
 

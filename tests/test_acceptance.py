@@ -242,7 +242,7 @@ def test_08_reflection_positivity():
         worst = min(worst, mn)
     from hardyrp.symbols import h_nu_symbol
     nu = random_atomic(np.random.default_rng(808))
-    g = gram_from_symbol(h_nu_symbol(nu).negated(), default_anchors(8), n=2048)
+    g = gram_from_symbol(h_nu_symbol(nu).negated(), default_anchors(8))
     res = certify_positive(g)
     report(8, "correlation matrices certify positive; negated symbol fails",
            not res.psd and res.min_eig <= -1e-4,

@@ -61,8 +61,9 @@ def two_atom_path(tmp_path):
 
 @pytest.fixture
 def wide_atom_path(tmp_path):
-    # atoms three decades apart, where the 1024-node boundary grid misses
-    # both pairings by about 1e-3; the CI console-script step runs it too
+    # atoms three decades apart, where a fixed 1024-node tan-mapped boundary
+    # rule misses both pairings by about 1e-3; the CI console-script step
+    # runs it too
     path = tmp_path / "wide_atoms.json"
     path.write_text(json.dumps(
         {"atoms": [[0.001, 1.0], [1.0, 1.0], [1000.0, 1.0]]}))
@@ -381,6 +382,23 @@ class TestHankelCommands:
         assert run(["--tol-abs", "1e-4", "fixed-point",
                     "--measure", atom_path, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["deviation"] <= 1e-4
+
+    # expo and cauchy (ROADMAP) reach down to l = 1e-12, toward which F_nu
+    # grows; the table density on [0.1, 10] is a control that stays away
+    @pytest.mark.parametrize("measure", [
+        {"atoms": [[2.0, 0.5]], "density": [{"interval": [1e-12, "inf"],
+                                             "expr": "exp(-lam)"}]},
+        {"atoms": [[1.0, 1.0]], "density": [{"interval": [1e-12, "inf"],
+                                             "expr": "2/(1+lam**2)"}]},
+        {"density": [{"interval": [0.1, 10.0], "kind": "table", "samples": [
+            [float(l), 1.3 / (1.0 + l * l)] for l in np.geomspace(0.1, 10.0, 64)]}]},
+    ], ids=["expo", "cauchy", "table"])
+    def test_fixed_point_density(self, measure, tmp_path):
+        path, out = tmp_path / "measure.json", tmp_path / "fp.json"
+        path.write_text(json.dumps(measure))
+        assert run(["fixed-point", "--measure", str(path),
+                    "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["deviation"] <= 1e-9
 
 
 class TestRationalPath:

@@ -4,12 +4,13 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning
 
 import hardyrp.hankel
 import hardyrp.measures
 import hardyrp.symbols
 from hardyrp.hankel import (
+    _FORM_QUADRATURE,
+    _boundary_pairing,
     _phi_kernel,
     HankelGram,
     certify_positive,
@@ -26,7 +27,7 @@ from hardyrp.hankel import (
     rp_matrix,
     symbol_from_measure,
 )
-from hardyrp.hardy import KernelCombination, SymbolFunction, boundary_nodes, szego
+from hardyrp.hardy import KernelCombination, SymbolFunction, szego
 from hardyrp.measures import BoundaryMeasure, DensityPiece, lebesgue_cauchy_measure
 from hardyrp.numerics import eig_hermitian
 from hardyrp.symbols import h_nu_symbol, t_map
@@ -44,12 +45,35 @@ def table_measure(n: int = 64) -> BoundaryMeasure:
                                                  samples=rows)])
 
 
+def expo_measure() -> BoundaryMeasure:
+    """ROADMAP's expo: an atom at 2 and the density e^{-l} from l = 1e-12."""
+    return BoundaryMeasure(atoms=[(2.0, 0.5)], density=[
+        DensityPiece(1e-12, np.inf, expr="exp(-lam)")])
+
+
 def random_atomic(rng: np.random.Generator, k: int = 2) -> BoundaryMeasure:
     locs = rng.uniform(0.3, 3.0, size=k)
     while len(set(np.round(locs, 6))) < k:
         locs = rng.uniform(0.3, 3.0, size=k)
     return BoundaryMeasure(atoms=[(float(l), float(w)) for l, w in
                                   zip(locs, rng.uniform(0.2, 2.0, size=k))])
+
+
+class TestBoundaryPairing:
+    def test_integrates_cauchy_kernel(self):
+        val = _boundary_pairing(lambda x: 1.0 / (1.0 + x * x)[:, None], [1.0])
+        assert abs(val[0] - np.pi) < 1e-12
+
+    def test_norm_matches_closed_form(self):
+        val = _boundary_pairing(lambda x: np.abs(szego(1j, x))[:, None] ** 2,
+                                [1.0])
+        assert abs(val[0] - 1.0 / (4 * np.pi)) < 1e-12
+
+    def test_inner_matches_kernel_algebra(self):
+        a, b = 0.5 + 1j, -1.0 + 2j
+        val = _boundary_pairing(
+            lambda x: (np.conj(szego(a, x)) * szego(b, x))[:, None], [a, b])
+        assert abs(val[0] - szego(b, a)) < 1e-12
 
 
 class TestGram:
@@ -87,20 +111,41 @@ class TestGram:
         g = gram_from_symbol(lambda x: 1.0 / (x - 1j), default_anchors(8))
         assert np.abs(g.G).max() < 1e-8
 
+    @pytest.mark.parametrize("measure", [expo_measure, table_measure])
+    def test_symbol_of_density_matches_measure(self, measure):
+        # the symbol's form, integrated on the boundary, against the
+        # measure's; the table density is a control away from l = 0
+        mu, anchors = measure(), default_anchors(10)
+        gs = gram_from_symbol(lambda x: symbol_from_measure(mu, x), anchors)
+        assert np.abs(gs.G - gram_from_measure(mu, anchors).G).max() <= 1e-12
+
     def test_hankel_shift_relation(self):
-        # <Q_w, H S_t Q_z> = <S_t Q_w, H Q_z>
-        x, w = boundary_nodes(2048)
-        hv = SymbolFunction.i_sgn()(x)
+        # <f, H S_t g> = <S_t f, H g>, (S_t f)(x) = e^{itx} f(x), for the
+        # i sgn symbol, and both equal the form of 2 Lebesgue, where S_t g
+        # is e^{-tl} g(il).  f and g are second differences of kernels:
+        # e^{itx} oscillates without decaying, and the pass in log|x| meets
+        # its tolerance only where the pairing decays faster than 1/x^2
+        h, mu = SymbolFunction.i_sgn(), two_lebesgue()
         pairs = [(1j, 2j), (0.5 + 1j, 1j), (2j, -1 + 1j),
                  (0.3 + 0.7j, 0.5 + 0.5j), (1 + 1j, 3j)]
         for t in (0.3, 1.0):
             for zw, zz in pairs:
-                qw, qz = szego(zw, x), szego(zz, x)
-                lhs = np.sum(w * np.conj(qw) * hv
-                             * (np.exp(1j * t * -x) * szego(zz, -x)))
-                rhs = np.sum(w * np.conj(np.exp(1j * t * x) * qw) * hv
-                             * szego(zz, -x))
-                assert abs(lhs - rhs) < 1e-6 * max(abs(lhs), 1e-12)
+                f, g = (KernelCombination([(1.0, z), (-2.0, z + 1j),
+                                           (1.0, z + 2j)]) for z in (zw, zz))
+
+                def sides(x):
+                    fhg = np.conj(f(x)) * h(x) * g(-x)
+                    return np.stack([fhg * np.exp(1j * t * -x),
+                                     np.conj(np.exp(1j * t * x)) * fhg], axis=1)
+
+                def form(lam):
+                    v = np.conj(f(1j * lam)) * np.exp(-t * lam) * g(1j * lam)
+                    return np.stack([v.real, v.imag], axis=1)
+
+                lhs, rhs = _boundary_pairing(sides, [zw, zz])
+                want = complex(*mu.integrate(form, _FORM_QUADRATURE))
+                assert abs(lhs - rhs) < 1e-6 * abs(lhs)
+                assert abs(lhs - want) < 1e-6 * abs(want)
 
     def test_norm_bounded_by_symbol_sup(self):
         anchors = default_anchors(9)
@@ -116,7 +161,7 @@ class TestGram:
         nu = random_atomic(np.random.default_rng(40 + seed))
         anchors = default_anchors(6)
         gm = gram_from_measure(t_map(nu), anchors)
-        gs = gram_from_symbol(h_nu_symbol(nu), anchors, n=2048)
+        gs = gram_from_symbol(h_nu_symbol(nu), anchors)
         scale = max(np.abs(gm.G).max(), 1e-12)
         assert np.abs(gm.G - gs.G).max() < 1e-6 * scale
 
@@ -249,7 +294,7 @@ class TestCertify:
 
     def test_random_h_nu_positive(self):
         nu = random_atomic(np.random.default_rng(7), k=3)
-        g = gram_from_symbol(h_nu_symbol(nu), default_anchors(8), n=2048)
+        g = gram_from_symbol(h_nu_symbol(nu), default_anchors(8))
         assert certify_positive(g).psd
 
     def test_zero_gram_positive_with_zero_norm(self):
@@ -295,7 +340,7 @@ class TestCompactness:
         mu = BoundaryMeasure(density=[DensityPiece(a, b, "table",
                                                    samples=rows)])
         with warnings.catch_warnings():
-            warnings.simplefilter("error", IntegrationWarning)
+            warnings.simplefilter("error")
             assert compactness_check(mu)
 
 
@@ -470,9 +515,16 @@ class TestOSIsometry:
     def test_lebesgue_raises_no_integration_warning(self):
         q = KernelCombination([(1.0, 1j)])
         with warnings.catch_warnings():
-            warnings.simplefilter("error", IntegrationWarning)
-            _, _, dev = os_isometry_check(lebesgue_cauchy_measure(), q, q, n=64)
+            warnings.simplefilter("error")
+            _, _, dev = os_isometry_check(lebesgue_cauchy_measure(), q, q)
         assert dev < 1e-6
+
+    @pytest.mark.parametrize("measure", [expo_measure, table_measure])
+    def test_density_deviates_at_roundoff(self, measure):
+        # expo reaches down to l = 1e-12, toward which F_nu grows; the table
+        # density is a control away from l = 0
+        q = KernelCombination([(1.0, 1j)])
+        assert os_isometry_check(measure(), q, q)[2] <= 1e-12
 
     def test_empty_combination(self):
         nu = lebesgue_cauchy_measure()
@@ -512,24 +564,32 @@ class TestFixedPoint:
 
     def test_phase_shared_with_os_check(self, monkeypatch):
         # on a density both checks read the boundary phase from the
-        # measure's one cache; counted in phase points, as the engine takes
-        # them in batches
+        # measure's one cache, and their passes share panels: after an
+        # os-check, the fixed-point pass computes fewer phase points than it
+        # does alone.  Counted in phase points, as the engine takes them in
+        # batches
         points = []
         phase = hardyrp.symbols.boundary_phase_difference
         monkeypatch.setattr(
             hardyrp.symbols, "boundary_phase_difference",
             lambda K, x: points.append(np.size(x)) or phase(K, x))
-        nu = BoundaryMeasure(atoms=[(1.0, 1.0)],
-                             density=[DensityPiece(0.5, 2.0, expr="1")])
         f = KernelCombination([(1.0, 1j)])
-        os_isometry_check(nu, f, f, n=64)
-        assert sum(points) == 32    # one per |x| of the 64-node grid
-        fixed_point_deviation(nu, default_anchors(6), n=64)
-        assert sum(points) == 32
+
+        def fixed_point_points(after_os_check):
+            nu = BoundaryMeasure(atoms=[(1.0, 1.0)],
+                                 density=[DensityPiece(0.5, 2.0, expr="1")])
+            if after_os_check:
+                os_isometry_check(nu, f, f)
+            points.clear()
+            fixed_point_deviation(nu, default_anchors(6))
+            return sum(points)
+
+        alone = fixed_point_points(False)
+        assert 0 < fixed_point_points(True) < alone
 
     def test_atom_only_checks_use_residues(self, monkeypatch):
         # h_nu and F_nu of atoms are rational: both pairings are residue
-        # sums, with no boundary grid, no phase and no quadrature pass, and
+        # sums, with no boundary pairing, no phase and no quadrature pass, and
         # each check solves the secular equation of its measure once
         calls = []
 
@@ -538,7 +598,7 @@ class TestFixedPoint:
             monkeypatch.setattr(module, name, lambda *args, **kwargs: (
                 calls.append(name) or real(*args, **kwargs)))
 
-        spy(hardyrp.hankel, "boundary_nodes")
+        spy(hardyrp.hankel, "_boundary_pairing")
         spy(hardyrp.symbols, "boundary_phase_difference")
         spy(hardyrp.symbols, "_secular_roots")
         for module in (hardyrp.hankel, hardyrp.measures, hardyrp.symbols):
