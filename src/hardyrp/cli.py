@@ -1,9 +1,9 @@
 """Command-line front-end.
 
 Thin wrappers over the library: measure transforms, outer/symbol evaluation,
-Pick-function degrees with an eigencurve plot, Hankel certifications, and the
-appendix kernel demo.  Exit codes: 0 success, 1 certification negative,
-2 input error, 3 numerical failure.
+Pick-function degrees and compositions with an eigencurve plot, Hankel
+certifications, and the appendix kernel demo.  Exit codes: 0 success,
+1 certification negative, 2 input error, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -31,7 +31,9 @@ from .measures import BoundaryMeasure, load_measure, psi_big
 from .numerics import QuadratureError, UnderSampledCurveError
 from .pick import (
     RationalPickFunction,
+    compose_scalar,
     degree_rank,
+    dump_pick,
     is_regular,
     load_pick,
     pick_eval,
@@ -142,6 +144,12 @@ def _cmd_degree(args) -> int:
         result["winding"], result["winding_pole_count"] = winding_counts(F)
     result["regular"] = is_regular(F)
     _write(args.out, json.dumps(result) + "\n")
+    return EXIT_OK
+
+
+def _cmd_compose(args) -> int:
+    F = compose_scalar(load_pick(args.f), load_pick(args.F), load_pick(args.g))
+    _write(args.out, json.dumps(dump_pick(F)) + "\n")
     return EXIT_OK
 
 
@@ -283,6 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("psi", _cmd_psi, measure={"required": True}, points={"required": True})
     add("degree", _cmd_degree, pick={"required": True},
         method={"choices": ["rank", "winding", "both"], "default": "both"})
+    add("compose", _cmd_compose, f={"required": True}, F={"required": True},
+        g={"required": True})
     add("plot-eigencurves", _cmd_plot_eigencurves, pick={"required": True},
         range={"default": "-7:7"})
     add("outer-eval", _cmd_outer_eval, measure={"required": True},

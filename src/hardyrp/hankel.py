@@ -348,11 +348,21 @@ def phi_from_psi(nu: BoundaryMeasure, t):
     if nu.atom_inf > 0:
         if not flat.all():
             raise ValueError("phi(0) diverges: the atom at infinity makes "
-                             "psi_big tend to a positive constant")
+                             "psi_big tend to a positive constant; choose "
+                             "times above 0")
         at_inf = np.full(flat.shape, -_P_MIN)
-    val = (2.0 / np.pi) * nu.integrate(
-        lambda lam: _phi_kernel(lam, flat), _PHI_QUADRATURE,
-        at_zero=1.0 / _P_MIN - (np.pi / 2) * flat, at_inf=at_inf)
+    try:
+        val = (2.0 / np.pi) * nu.integrate(
+            lambda lam: _phi_kernel(lam, flat), _PHI_QUADRATURE,
+            at_zero=1.0 / _P_MIN - (np.pi / 2) * flat, at_inf=at_inf)
+    except ValueError as exc:
+        if flat.all():
+            raise
+        # when the times above 0 converge on their own, t = 0 diverges
+        phi_from_psi(nu, flat[flat > 0] if flat.any() else 1.0)
+        raise ValueError("phi(0) diverges: the t = 0 integrand of the density "
+                         "has not decayed at the cut, so int psi_big dp is "
+                         "infinite; choose times above 0") from exc
     return float(val[0]) if ts.ndim == 0 else val.reshape(ts.shape)
 
 

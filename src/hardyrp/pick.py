@@ -14,9 +14,16 @@ LAPACK's per-matrix overhead costs far more than their arithmetic.
 Every evaluation is batched.  pick_eval, and so a RationalPickFunction
 called as a function, maps an array of m points to a stack of shape
 (m, n, n) and a scalar to one (n, n) matrix; the callables that is_pick,
-is_regular, multiplicity_winding, degree_winding, winding_counts and
-compose_scalar take must do the same.  A callable that handles only scalars can be wrapped as
+is_regular, multiplicity_winding, degree_winding and winding_counts take
+must do the same.  A callable that handles only scalars can be wrapped as
 np.vectorize(h, signature="()->(n,n)").
+
+compose_scalar(f, F, g) returns f o F o g as a RationalPickFunction, built
+from resolvents (n - G)^{-1} of state-space realizations, so its degree is
+a rank and both winding counts run on a planned contour; it accepts no
+callables.  The callable (radius-shrink) branch of the winding counts
+stays for callables passed directly, such as the plain function the
+benchmark's tracer wraps around a composition.
 """
 from __future__ import annotations
 
@@ -154,6 +161,10 @@ def _adjoint(M: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return _mT(M.conj())
 
 
+def _hermitian(M: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    return (M + _adjoint(M)) / 2
+
+
 def is_pick(F, probes: Sequence[complex] | None = None) -> bool:
     """True iff Im F(z) is positive semidefinite at every probe point.
 
@@ -164,7 +175,7 @@ def is_pick(F, probes: Sequence[complex] | None = None) -> bool:
     z = default_probes() if probes is None else np.asarray(probes, complex)
     M = F(z.ravel())
     im = (M - _adjoint(M)) / 2j
-    w = np.linalg.eigvalsh((im + _adjoint(im)) / 2)
+    w = np.linalg.eigvalsh(_hermitian(im))
     floor = -_PICK_TOL * np.maximum(1.0, np.abs(w).max(axis=-1))
     return not np.any(w.min(axis=-1) < floor)
 
@@ -230,23 +241,41 @@ def _det(M: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return np.linalg.det(M)
 
 
+def _psd_eig(A: NDArray[np.complex128]):
+    """Eigenpairs of the Hermitian part of a PSD matrix, with the mask of
+    those spanning its range: eigenvalues above 1e-12 max(1, largest)."""
+    w, V = np.linalg.eigh(_hermitian(A))
+    return w, V, w > 1e-12 * max(float(w.max()), 1.0)
+
+
+def _state_space(F: RationalPickFunction):
+    """(K, lams) with sum_j A_j / (lambda_j - z) = K (diag(lams) - z)^{-1} K^*.
+
+    Each A_j = K_j K_j^* is factored at its minimal rank, K = [K_1, K_2, ...]
+    and lams holds the pole of each column.
+    """
+    cols, lams = [], []
+    for l, A in F.poles:
+        w, V, keep = _psd_eig(A)
+        if keep.any():
+            cols.append(V[:, keep] * np.sqrt(w[keep]))
+            lams += [l] * int(keep.sum())
+    K = np.hstack(cols) if cols else np.zeros((F.dim, 0), dtype=complex)
+    return K, np.array(lams, dtype=float)
+
+
 def _mirror_roots(F: RationalPickFunction, lam: complex) -> NDArray[np.complex128]:
     """All z with det(F(z) - conj(lam)) = 0; they lie in the lower half-plane.
 
-    Uses the state-space linearization: with A_j = B_j B_j^* of minimal rank
-    and Delta(z) = diag((lambda_j - z) I), the block matrix
-    [[C - conj(lam) + z D, B], [-B^*, Delta(z)]] has the Schur complement
-    F(z) - conj(lam), so the finite eigenvalues of its linear pencil are
-    exactly the wanted roots (no artifacts at the pole locations).
+    Uses the state-space linearization (_state_space): with
+    Lam = diag(lams), the block matrix [[C - conj(lam) + z D, K],
+    [-K^*, Lam - z]] has the Schur complement F(z) - conj(lam), so the
+    finite eigenvalues of its linear pencil are exactly the wanted roots (no
+    artifacts at the pole locations).
     """
     n = F.dim
-    blocks = []
-    for l, A in F.poles:
-        w, V = np.linalg.eigh((A + A.conj().T) / 2)
-        keep = w > 1e-12 * max(float(w.max()), 1.0)
-        if keep.any():
-            blocks.append((l, V[:, keep] * np.sqrt(w[keep])))
-    r = sum(B.shape[1] for _, B in blocks)
+    K, lams = _state_space(F)
+    r = lams.size
     if r == 0 and not np.any(F.D):
         return np.empty(0, dtype=complex)
     N = n + r
@@ -254,14 +283,10 @@ def _mirror_roots(F: RationalPickFunction, lam: complex) -> NDArray[np.complex12
     M1 = np.zeros((N, N), dtype=complex)
     M0[:n, :n] = F.C - np.conj(lam) * np.eye(n)
     M1[:n, :n] = F.D
-    col = n
-    for l, B in blocks:
-        k = B.shape[1]
-        M0[:n, col:col + k] = B
-        M0[col:col + k, :n] = -B.conj().T
-        M0[col:col + k, col:col + k] = l * np.eye(k)
-        M1[col:col + k, col:col + k] = -np.eye(k)
-        col += k
+    M0[:n, n:] = K
+    M0[n:, :n] = -K.conj().T
+    M0[n:, n:] = np.diag(lams)
+    M1[n:, n:] = -np.eye(r)
     w = scipy.linalg.eig(M0, -M1, right=False)
     return w[np.isfinite(w)]
 
@@ -570,35 +595,140 @@ class MobiusTransform:
         )
 
 
-def compose_scalar(f, F, g) -> Callable[..., NDArray[np.complex128]]:
-    """The matrix function z -> f(F(g(z))) for scalar Pick f and g.
+# poles of a composition closer than this, relative to max(1, |location|),
+# are one pole: the sum of resolvents can meet at a point from several sides
+_POLE_TOL = 1e-12
 
-    f is applied through the eigendecomposition of F(g(z)), eigenvalues
-    ordered for determinism.  f and g may be RationalPickFunction instances
-    of dimension 1 or callables mapping arrays elementwise; F maps an array
-    to a stack of matrices.  The result maps an array of z to a stack
-    (m, n, n) and a scalar z to one matrix, with one stacked eigensolve and
-    one stacked inverse per call.
+
+def _sum(C: NDArray[np.complex128], terms) -> RationalPickFunction:
+    """C + sum_k c_k h_k, coinciding poles merged.
+
+    Each term (c, h) is a number c >= 0 with an n x n function h, or a PSD
+    n x n matrix c with a scalar h; numpy broadcasting covers both.
     """
+    D = np.zeros_like(C)
+    poles = []
+    for c, h in terms:
+        if np.any(c):
+            C = C + c * h.C
+            D = D + c * h.D
+            poles += [(l, c * A) for l, A in h.poles]
+    return RationalPickFunction(C, D, _merged(poles))
 
-    def as_scalar(h):
-        if isinstance(h, RationalPickFunction):
-            if h.dim != 1:
-                raise ValueError("outer compositions must be scalar")
-            return lambda z: pick_eval(h, z)[..., 0, 0]
-        return h
 
-    fs, gs = as_scalar(f), as_scalar(g)
+def _merged(poles):
+    """The (location, residue) pairs sorted, with residues of coinciding
+    locations summed."""
+    out: list[tuple[float, NDArray[np.complex128]]] = []
+    for l, A in sorted(poles, key=lambda p: p[0]):
+        if out and l - out[-1][0] <= _POLE_TOL * max(1.0, abs(l)):
+            out[-1] = (out[-1][0], out[-1][1] + A)
+        else:
+            out.append((l, A))
+    return tuple(out)
 
-    def composed(z) -> NDArray[np.complex128]:
-        w, V = np.linalg.eig(F(gs(np.asarray(z, dtype=complex))))
-        order = np.lexsort((w.imag, w.real), axis=-1)
-        w = np.take_along_axis(w, order, axis=-1)
-        V = np.take_along_axis(V, order[..., None, :], axis=-1)
-        fw = np.asarray(fs(w), dtype=complex)
-        return (V * fw[..., None, :]) @ np.linalg.inv(V)
 
-    return composed
+def _resolvent(G: RationalPickFunction, n: float) -> RationalPickFunction:
+    """(n - G)^{-1}, itself a rational Pick function, in closed form.
+
+    With K, Lam = diag(lams) from _state_space, (n - G(z))^{-1} is
+    -P^* (H0 + z H1)^{-1} P for the Hermitian pencil
+    H0 = [[C - n, K], [K^*, -Lam]], H1 = diag(D, I) >= 0 and P the embedding
+    of the first dim coordinates: the Schur complement of that block is
+    G(z) - n.  Deflation splits the pencil exactly:
+    - on the kernel U of H1, the part V1 where U^* H0 U is invertible gives
+      a constant;
+    - the rest Z of the kernel pairs with the range W of H1 through
+      Bz = W'^* H0 Z (W' is W made H0-orthogonal to V1).  Each pair is an
+      index-2 infinite eigenvalue and gives the linear term; this is how
+      n at an eigenvalue of C on ker D, or g(inf) at a pole of F, shows;
+    - the remaining Hermitian-definite pencil, on ker Bz^*, has the real
+      poles as its eigenvalues and the residues V V^* from its
+      eigenvectors, equal eigenvalues merged into one pole.
+    No root finding and no evaluation of G: the poles are the real roots
+    of det(G - n), and for a simple root zeta each residue equals
+    V (V^* G'(zeta) V)^{-1} V^* with V spanning ker(G(zeta) - n).  Raises
+    ValueError when det(G - n) vanishes identically (Bz has no full column
+    rank), which makes (n - G)^{-1} undefined.
+    """
+    dim = G.dim
+    K, lams = _state_space(G)
+    r = lams.size
+    w, V, keep = _psd_eig(G.D)
+    d = int(keep.sum())
+    H0 = np.block([[G.C - n * np.eye(dim), K], [K.conj().T, -np.diag(lams)]])
+    tol = RANK_TOL * max(1.0, float(np.abs(H0).max()))
+    # H1 W = W diag(s) and H1 U = 0, W and U orthonormal
+    W = np.zeros((dim + r, d + r), dtype=complex)
+    W[:dim, :d] = V[:, keep]
+    W[dim:, d:] = np.eye(r)
+    s = np.concatenate([w[keep], np.ones(r)])
+    U = np.concatenate([V[:, ~keep], np.zeros((r, dim - d))])
+    e, Y = np.linalg.eigh(_hermitian(U.conj().T @ H0 @ U))
+    inv = np.abs(e) > tol
+    V1, Z, e1 = U @ Y[:, inv], U @ Y[:, ~inv], e[inv]
+    Wp = W - V1 @ ((V1.conj().T @ H0 @ W) / e1[:, None])
+    A = _hermitian(Wp.conj().T @ H0 @ Wp)
+    C = -(V1[:dim] / e1) @ V1[:dim].conj().T
+    D = np.zeros((dim, dim), dtype=complex)
+    # the finite part's basis in the coordinates of Wp (complex, so that
+    # every eigh below is the complex LAPACK routine the degree path has
+    # already loaded: a real one mapped 0.5 MB more), and its image under P^*
+    Q2 = np.eye(d + r, dtype=complex)
+    X = Wp[:dim]
+    p = Z.shape[1]
+    if p:
+        Bz = Wp.conj().T @ H0 @ Z
+        Ub, sb, _ = np.linalg.svd(Bz)
+        if sb.size < p or sb.min() <= tol:
+            raise ValueError(f"det(G(z) - {n:g}) vanishes identically: "
+                             "(n - G)^{-1} is undefined")
+        # in the basis [Q2, S^{-1} Bz, Z] of the W' + Z block (S = diag(s)),
+        # where Q2 spans ker Bz^*, the pencil's inverse splits into the
+        # finite part on Q2 plus a constant and the linear term on Z
+        Q2 = Ub[:, p:]
+        SB = Bz / s[:, None]
+        Gi = np.linalg.inv(Bz.conj().T @ SB)
+        L = Z[:dim]
+        T = Gi @ SB.conj().T @ A
+        Yt = Wp[:dim] @ SB @ Gi
+        D = _hermitian(L @ Gi @ L.conj().T)
+        C = C - Yt @ L.conj().T - L @ Yt.conj().T + L @ (T @ SB @ Gi) @ L.conj().T
+        X = X - L @ T
+    poles = []
+    if Q2.shape[1]:
+        # the definite pencil (Q2^* A Q2, M), M = Q2^* S Q2, as the standard
+        # problem of M^{-1/2} Q2^* A Q2 M^{-1/2}: scipy's generalized eigh
+        # mapped ~1 MB more LAPACK into the process
+        m, Vm = np.linalg.eigh(_hermitian((Q2.conj().T * s) @ Q2))
+        Q2 = Q2 @ (Vm / np.sqrt(m))
+        theta, Yq = np.linalg.eigh(_hermitian(Q2.conj().T @ A @ Q2))
+        vecs = X @ Q2 @ Yq
+        poles = [(-float(t), np.outer(v, v.conj())) for t, v in zip(theta, vecs.T)]
+    return RationalPickFunction(_hermitian(C), D, _merged(poles))
+
+
+def compose_scalar(f: RationalPickFunction, F: RationalPickFunction,
+                   g: RationalPickFunction) -> RationalPickFunction:
+    """f o F o g for scalar f and g, as a RationalPickFunction.
+
+    With G = F o g = C + D g + sum_j A_j (lambda_j - g)^{-1} and
+    f = c + d w + sum_i b_i / (n_i - w), the composition is
+    c + d G + sum_i b_i (n_i - G)^{-1}: sums of _resolvent terms, whose
+    degree is deg f deg F deg g.  Raises TypeError for anything but a
+    RationalPickFunction, ValueError for a non-scalar f or g and when some
+    det(G - n_i) vanishes identically.
+    """
+    for h in (f, F, g):
+        if not isinstance(h, RationalPickFunction):
+            raise TypeError("compose_scalar composes RationalPickFunction "
+                            f"instances, not {type(h).__name__}")
+    if f.dim != 1 or g.dim != 1:
+        raise ValueError("outer compositions must be scalar")
+    G = _sum(F.C, [(F.D, g)] + [(A, _resolvent(g, l)) for l, A in F.poles])
+    return _sum(f.C[0, 0].real * np.eye(F.dim),
+                [(f.D[0, 0].real, G)]
+                + [(A[0, 0].real, _resolvent(G, l)) for l, A in f.poles])
 
 
 def boundary_unitary(F: RationalPickFunction, t: float, x: float

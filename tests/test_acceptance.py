@@ -190,14 +190,26 @@ def matrix_pick_of_degree(rng: np.random.Generator,
             return F
 
 
+def composition_oracle(f, F, g, z):
+    """f(F(g(z))) at an array z, f applied through the eigendecomposition
+    of F(g(z)): independent of compose_scalar's state-space construction."""
+    w, V = np.linalg.eig(pick_eval(F, pick_eval(g, z)[..., 0, 0]))
+    fw = pick_eval(f, w)[..., 0, 0]
+    return (V * fw[..., None, :]) @ np.linalg.inv(V)
+
+
+def composition_problem(seed: int):
+    rng = np.random.default_rng(seed)
+    a, b, c = (int(rng.integers(1, 3)) for _ in range(3))
+    return (a, b, c), (scalar_pick(rng, a), matrix_pick_of_degree(rng, b),
+                       scalar_pick(rng, c))
+
+
 def test_05_composition_law():
-    for seed in range(10):
-        rng = np.random.default_rng(500 + seed)
-        a, b, c = (int(rng.integers(1, 3)) for _ in range(3))
-        f = scalar_pick(rng, a)
-        F = matrix_pick_of_degree(rng, b)
-        g = scalar_pick(rng, c)
+    for seed in range(500, 510):
+        (a, b, c), (f, F, g) = composition_problem(seed)
         comp = compose_scalar(f, F, g)
+        assert isinstance(comp, RationalPickFunction)
         assert multiplicity_winding(comp) == a * b * c, (seed, a, b, c)
 
     m = MobiusTransform(1.0, 1.0, 0.0, 1.0)         # z -> z + 1
@@ -205,8 +217,24 @@ def test_05_composition_law():
     for F in (worked_example(), matrix_pick_of_degree(
             np.random.default_rng(77), 2)):
         conj = compose_scalar(minv.as_pick(), F, m.as_pick())
+        assert degree_rank(conj) == degree_rank(F)
         assert multiplicity_winding(conj) == degree_rank(F)
     report(5, "winding degree multiplies under composition", True)
+
+
+def test_05_composition_exact_on_200_seeds():
+    zs = np.array([1j, 0.5 + 0.3j, -2.0 + 1j, 3.0 + 0.05j, 0.1 + 5j, -0.7 + 0.2j])
+    worst = 0.0
+    for seed in range(500, 700):
+        (a, b, c), (f, F, g) = composition_problem(seed)
+        comp = compose_scalar(f, F, g)
+        assert degree_rank(comp) == a * b * c, (seed, a, b, c)
+        ref = composition_oracle(f, F, g, zs)
+        scale = np.maximum(1.0, np.abs(ref).max(axis=(1, 2)))
+        worst = max(worst, float((np.abs(comp(zs) - ref).max(axis=(1, 2))
+                                  / scale).max()))
+    report(5, "rank degree multiplies on 200 seeds; values match eig",
+           worst <= 1e-10, f"worst relative deviation {worst:.1e}")
 
 
 def test_06_rank_one_hankel():

@@ -17,13 +17,22 @@ from hardyrp.measures import (
     lebesgue_cauchy_measure,
 )
 from hardyrp.numerics import QuadratureConfig
-from hardyrp.pick import RationalPickFunction, dump_pick
+from hardyrp.pick import RationalPickFunction, dump_pick, load_pick
 
 
 @pytest.fixture
 def lebesgue_path(tmp_path):
     path = tmp_path / "lebesgue.json"
     path.write_text(json.dumps(dump_measure(lebesgue_cauchy_measure())))
+    return str(path)
+
+
+@pytest.fixture
+def cauchy_path(tmp_path):
+    # the README's example: an atom at 1 plus the density 2/(1+l^2)
+    path = tmp_path / "cauchy.json"
+    path.write_text(json.dumps({"atoms": [[1.0, 1.0]], "density": [
+        {"interval": [1e-12, "inf"], "expr": "2/(1+lam**2)"}]}))
     return str(path)
 
 
@@ -186,6 +195,43 @@ class TestDegree:
         assert "numerical failure" in capsys.readouterr().err
 
 
+class TestCompose:
+    @staticmethod
+    def shift(tmp_path, c: float) -> str:
+        path = tmp_path / f"shift{c:+g}.json"
+        path.write_text(json.dumps(dump_pick(RationalPickFunction.scalar(c, 1.0))))
+        return str(path)
+
+    def test_mobius_conjugation_keeps_degree(self, pick_path, tmp_path, capsys):
+        # f o F o g with f = z - 1 and g = z + 1 is again [[0, 1], [1, z]]
+        comp = tmp_path / "comp.json"
+        assert run(["compose", "--f", self.shift(tmp_path, -1.0), "--F", pick_path,
+                    "--g", self.shift(tmp_path, 1.0), "--out", str(comp)]) == 0
+        G = load_pick(str(comp))
+        assert np.abs(G.C - np.array([[0, 1], [1, 0]])).max() < 1e-14
+        assert run(["degree", "--pick", str(comp), "--method", "both"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "rank": 1, "winding": 1, "winding_pole_count": 1, "regular": True}
+
+    def test_matrix_outer_function_is_input_error(self, pick_path, tmp_path, capsys):
+        assert run(["compose", "--f", pick_path, "--F", pick_path,
+                    "--g", self.shift(tmp_path, 1.0)]) == 2
+        assert "scalar" in capsys.readouterr().err
+
+    def test_undefined_composition_is_input_error(self, tmp_path, capsys):
+        # F = diag(z, 1) and f = 1/(1 - w): det(F - 1) vanishes identically
+        paths = {}
+        for name, F in (("f", RationalPickFunction.scalar(0.0, 0.0, [(1.0, 1.0)])),
+                        ("F", RationalPickFunction(np.diag([0.0, 1.0]),
+                                                   np.diag([1.0, 0.0]))),
+                        ("g", RationalPickFunction.scalar(0.0, 1.0))):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(dump_pick(F)))
+        assert run(["compose", "--f", str(paths["f"]), "--F", str(paths["F"]),
+                    "--g", str(paths["g"])]) == 2
+        assert "vanishes identically" in capsys.readouterr().err
+
+
 class TestPlotEigencurves:
     def test_svg_output(self, pick_path, tmp_path):
         out = tmp_path / "curves.svg"
@@ -340,6 +386,19 @@ class TestHankelCommands:
         assert "diverges" in capsys.readouterr().err
         assert run(["rp-certify", "--measure", lebesgue_path,
                     "--times", "0.5,1,2"]) == 0
+
+    def test_rp_certify_cauchy_default_times_name_phi0(self, cauchy_path, capsys):
+        # the default times include 0, and the density's t = 0 integrand
+        # never decays: the message named the cut, not phi(0)
+        assert run(["rp-certify", "--measure", cauchy_path]) == 2
+        err = capsys.readouterr().err
+        assert "phi(0)" in err and "times above 0" in err
+
+    def test_rp_certify_cauchy_positive_times_pass(self, cauchy_path, tmp_path):
+        out = tmp_path / "rp.json"
+        assert run(["rp-certify", "--measure", cauchy_path,
+                    "--times", "0.5,1,2,4", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["psd"] is True
 
     @pytest.mark.parametrize("command", ["certify-psd", "rp-certify"])
     def test_sample_measure_certifies(self, command, sample_path, tmp_path):

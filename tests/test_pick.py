@@ -304,20 +304,134 @@ class TestComposition:
         F = worked_example()                                     # degree 1
         g = RationalPickFunction.scalar(0.0, 1.0, [(1.0, 1.0)])  # degree 2
         comp = compose_scalar(f, F, g)
+        assert isinstance(comp, RationalPickFunction)
+        assert degree_rank(comp) == 2
         assert multiplicity_winding(comp) == 2
 
     def test_mobius_conjugation_preserves_degree(self):
         m = MobiusTransform(1.0, 1.0, 0.0, 1.0)                  # z -> z + 1
         F = worked_example()
         comp = compose_scalar(m.as_pick(), F, m.as_pick())
+        assert degree_rank(comp) == degree_rank(F)
         assert multiplicity_winding(comp) == degree_rank(F)
 
-    def test_eigenvalue_ordering_deterministic(self):
-        F = worked_example()
-        f = MobiusTransform(1.0, 0.0, 0.0, 1.0).as_pick()
-        comp = compose_scalar(f, F, f)
-        z = 0.7 + 0.9j
-        assert np.abs(comp(z) - pick_eval(F, z)).max() < 1e-10
+    def test_identity_composition_returns_F(self):
+        F = degree3_pick()
+        e = MobiusTransform(1.0, 0.0, 0.0, 1.0).as_pick()
+        comp = compose_scalar(e, F, e)
+        assert np.abs(comp.C - F.C).max() < 1e-14
+        assert np.abs(comp.D - F.D).max() < 1e-14
+        assert [l for l, _ in comp.poles] == [l for l, _ in F.poles]
+        for (_, A), (_, B) in zip(comp.poles, F.poles):
+            assert np.abs(A - B).max() < 1e-14
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_callables_rejected(self, which):
+        args = [RationalPickFunction.scalar(0.0, 1.0), worked_example(),
+                RationalPickFunction.scalar(0.0, 1.0)]
+        h = args[which]
+        args[which] = lambda z: h(z)
+        with pytest.raises(TypeError):
+            compose_scalar(*args)
+
+    def test_matrix_outer_function_rejected(self):
+        with pytest.raises(ValueError, match="scalar"):
+            compose_scalar(worked_example(), worked_example(),
+                           RationalPickFunction.scalar(0.0, 1.0))
+
+
+def assert_pick_equal(F: RationalPickFunction, C, D, poles) -> None:
+    """F has the constant C, the linear term D and exactly these poles."""
+    assert np.abs(F.C - np.asarray(C)).max() < 1e-12
+    assert np.abs(F.D - np.asarray(D)).max() < 1e-12
+    assert len(F.poles) == len(poles)
+    for (l, A), (m, B) in zip(F.poles, poles):
+        assert abs(l - m) < 1e-12
+        assert np.abs(A - np.asarray(B)).max() < 1e-12
+
+
+IDENTITY = RationalPickFunction.scalar(0.0, 1.0)          # z
+MINUS_INV = RationalPickFunction.scalar(0.0, 0.0, [(0.0, 1.0)])   # -1/z
+
+
+class TestCompositionSpecialCases:
+    """Closed forms for the compositions a generic root-and-residue
+    construction misses: each is exact up to roundoff."""
+
+    def test_outer_pole_over_linear_term(self):
+        # -1/F for F = [[0, 1], [1, z]]: D_G != 0 and the outer pole 0 is
+        # the eigenvalue of C on ker D, so a linear term appears:
+        # -F^{-1} = [[z, -1], [-1, 0]]
+        F = RationalPickFunction(np.array([[0, 1], [1, 0]], dtype=complex),
+                                 np.diag([0.0, 1.0]).astype(complex))
+        comp = compose_scalar(MINUS_INV, F, IDENTITY)
+        assert_pick_equal(comp, [[0, -1], [-1, 0]], np.diag([1.0, 0.0]), [])
+        assert degree_rank(comp) == 1
+
+    def test_outer_pole_at_eigenvalue_of_constant(self):
+        # G = diag(0, 1) - I/z, D_G = 0, and 0 is an eigenvalue of C_G:
+        # -G^{-1} = diag(z, z/(1 - z)) = diag(0, -1) + z diag(1, 0)
+        #           + diag(0, 1)/(1 - z)
+        G = RationalPickFunction(np.diag([0.0, 1.0]).astype(complex),
+                                 np.zeros((2, 2)), ((0.0, np.eye(2)),))
+        comp = compose_scalar(MINUS_INV, G, IDENTITY)
+        assert_pick_equal(comp, np.diag([0.0, -1.0]), np.diag([1.0, 0.0]),
+                          [(1.0, np.diag([0.0, 1.0]))])
+        assert degree_rank(comp) == degree_rank(G) == 2
+
+    def test_inner_value_at_infinity_on_a_pole(self):
+        # F = diag(-1/w, w) and g = -1/z, with g(inf) = 0 a pole of F:
+        # F(g(z)) = diag(z, -1/z)
+        F = RationalPickFunction(np.zeros((2, 2)), np.diag([0.0, 1.0]),
+                                 ((0.0, np.diag([1.0, 0.0])),))
+        comp = compose_scalar(IDENTITY, F, MINUS_INV)
+        assert_pick_equal(comp, np.zeros((2, 2)), np.diag([1.0, 0.0]),
+                          [(0.0, np.diag([0.0, 1.0]))])
+        assert degree_rank(comp) == 2
+
+    def test_coinciding_poles_merge(self):
+        # f(w) = -1/w - 1/(w - 1) on F = diag(z, z + 1): both resolvents
+        # have a pole at 0, in different components
+        f = RationalPickFunction.scalar(0.0, 0.0, [(0.0, 1.0), (1.0, 1.0)])
+        F = RationalPickFunction(np.diag([0.0, 1.0]).astype(complex), np.eye(2))
+        comp = compose_scalar(f, F, IDENTITY)
+        assert_pick_equal(comp, np.zeros((2, 2)), np.zeros((2, 2)),
+                          [(-1.0, np.diag([0.0, 1.0])), (0.0, np.eye(2)),
+                           (1.0, np.diag([1.0, 0.0]))])
+        assert degree_rank(comp) == 4
+
+    def test_identically_singular_resolvent_raises(self):
+        # F = diag(z, 1) has the constant eigenvalue 1: det(F - 1) = 0
+        F = RationalPickFunction(np.diag([0.0, 1.0]).astype(complex),
+                                 np.diag([1.0, 0.0]).astype(complex))
+        f = RationalPickFunction.scalar(0.0, 0.0, [(1.0, 1.0)])
+        with pytest.raises(ValueError, match="vanishes identically"):
+            compose_scalar(f, F, IDENTITY)
+
+    def test_inner_residues_are_a_over_g_prime(self):
+        # F(w) = A/(l - w): the poles of F o g sit at the roots of g = l,
+        # with residues A/g'(zeta)
+        A = np.array([[2.0, 1.0], [1.0, 1.0]], dtype=complex)
+        F = RationalPickFunction(np.zeros((2, 2)), np.zeros((2, 2)), ((0.5, A),))
+        a, m = (0.7, 1.3), (-1.0, 2.0)
+        g = RationalPickFunction.scalar(0.2, 0.4, list(zip(m, a)))
+        comp = compose_scalar(IDENTITY, F, g)
+        assert len(comp.poles) == 3
+        for zeta, R in comp.poles:
+            assert abs(pick_eval(g, zeta)[0, 0] - 0.5) < 1e-12
+            gp = 0.4 + sum(ak / (mk - zeta) ** 2 for mk, ak in zip(m, a))
+            assert np.abs(R - A / gp).max() < 1e-12
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_resolvent_matches_inverse(self, seed):
+        rng = np.random.default_rng(seed)
+        G = random_pick(rng, int(rng.integers(1, 4)), int(rng.integers(0, 3)))
+        n = float(rng.normal())
+        R = hardyrp.pick._resolvent(G, n)
+        assert degree_rank(R) == degree_rank(G)
+        for z in (1j, 0.3 + 2j, -1.7 + 0.1j, 5 + 0.5j):
+            ref = np.linalg.inv(n * np.eye(G.dim) - pick_eval(G, z))
+            assert np.abs(R(z) - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
 
 
 def degree3_pick() -> RationalPickFunction:
