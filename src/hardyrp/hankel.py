@@ -20,7 +20,7 @@ from scipy.integrate import quad  # noqa: F401
 
 from .hardy import KernelCombination, szego
 from .measures import BoundaryMeasure, w_map
-from .numerics import QuadratureConfig, eig_hermitian, integrate_batched
+from .numerics import QuadratureConfig, integrate_batched
 from .symbols import (BoundaryModulus, OuterFunction, _log_window,
                       _pole_residues, _sqrt_psi_modulus, _t_map,
                       f_nu_boundary, h_nu, out_on_axis)
@@ -248,7 +248,7 @@ def pencil_eigenvalues(g: HankelGram) -> NDArray[np.float64]:
     Linv = np.linalg.inv(L)
     B = Linv @ g.G @ Linv.conj().T
     # roundoff in the whitening is amplified by cond(M); resymmetrize
-    w, _ = eig_hermitian((B + B.conj().T) / 2)
+    w, _ = np.linalg.eigh((B + B.conj().T) / 2)
     return w
 
 
@@ -396,7 +396,7 @@ def rp_certify(nu: BoundaryMeasure,
     _, sums = _time_sums(times)
     phi = dict(zip(sums, phi_from_psi(nu, np.array(sums)).tolist()))
     A = rp_matrix(phi.__getitem__, times)
-    w, _ = eig_hermitian(A.astype(complex))
+    w, _ = np.linalg.eigh(A.astype(complex))
     scale = max(1.0, float(np.abs(w).max()))
     return bool(w.min() >= -_RP_TOL * scale), float(w.min())
 

@@ -22,7 +22,6 @@ __all__ = [
     "DegenerateCurveError",
     "integrate_batched",
     "winding_number",
-    "eig_hermitian",
 ]
 
 _HALF_PI = np.pi / 2.0
@@ -233,23 +232,3 @@ def winding_number(curve: CurveSample) -> int:
             f"total turn {w:.6f} is not close to an integer"
         )
     return k
-
-
-_HERM_TOL = 1e-10
-
-
-def eig_hermitian(A: NDArray[np.complex128]
-                  ) -> tuple[NDArray[np.float64], NDArray[np.complex128]]:
-    """Eigendecomposition A = U diag(w) U* of a Hermitian matrix.
-
-    Returns eigenvalues ascending and the unitary U of column eigenvectors.
-    Rejects input whose anti-Hermitian part exceeds _HERM_TOL * max(1, |A|).
-    """
-    A = np.asarray(A, dtype=np.complex128)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale = max(1.0, float(np.linalg.norm(A)))
-    if np.linalg.norm(A - A.conj().T) > _HERM_TOL * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, U = np.linalg.eigh(A)
-    return w, U

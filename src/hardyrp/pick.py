@@ -14,16 +14,19 @@ LAPACK's per-matrix overhead costs far more than their arithmetic.
 Every evaluation is batched.  pick_eval, and so a RationalPickFunction
 called as a function, maps an array of m points to a stack of shape
 (m, n, n) and a scalar to one (n, n) matrix; the callables that is_pick,
-is_regular, multiplicity_winding, degree_winding and winding_counts take
-must do the same.  A callable that handles only scalars can be wrapped as
+multiplicity_winding, degree_winding and winding_counts take must do the
+same.  A callable that handles only scalars can be wrapped as
 np.vectorize(h, signature="()->(n,n)").
 
-compose_scalar(f, F, g) returns f o F o g as a RationalPickFunction, built
-from resolvents (n - G)^{-1} of state-space realizations, so its degree is
-a rank and both winding counts run on a planned contour; it accepts no
-callables.  The callable (radius-shrink) branch of the winding counts
-stays for callables passed directly, such as the plain function the
-benchmark's tracer wraps around a composition.
+_state_space is the one factorization of a rational Pick function: D on
+its range and kernel, each residue at its minimal rank.  is_regular reads
+it for an exact Popov-Belevitch-Hautus test, the contour plan for the
+mirror roots (one deflated eigvals), and compose_scalar for the resolvents
+(n - G)^{-1}, so f o F o g is a RationalPickFunction whose degree is a
+rank and whose winding counts run on a planned contour.  is_regular and
+compose_scalar accept no callables; the callable (radius-shrink) branch of
+the winding counts stays for callables passed directly, such as the plain
+function the benchmark's tracer wraps around a composition.
 """
 from __future__ import annotations
 
@@ -32,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 from numpy.typing import NDArray
 
 from .hardy import cayley, cayley_inverse
@@ -67,7 +69,6 @@ __all__ = [
 RANK_TOL = 1e-9
 HERM_TOL = 1e-10
 _PICK_TOL = 1e-10
-_REGULAR_TOL = 1e-9
 
 
 def _as_matrix(M, n: int, name: str) -> NDArray[np.complex128]:
@@ -181,15 +182,28 @@ def is_pick(F, probes: Sequence[complex] | None = None) -> bool:
 
 
 def is_regular(F) -> bool:
-    """True iff Spec F(z) stays in the open upper half-plane at the probes.
+    """True iff Spec F(z) lies in the open upper half-plane for Im z > 0.
 
-    This is a sampled certificate: the probes are the 224-point log grid of
-    default_probes, which catches constant directions and real spectrum for
-    the function classes handled here; an eigenvalue counts as real when
-    its imaginary part is at most _REGULAR_TOL.
+    If F(z) v = w v with w real, then Im <F(z) v, v> = 0 puts v in
+    ker B^*, B = [V s^{1/2}, K] from _state_space, and F(z) v = C v; so F
+    is regular iff no eigenvector of C lies in ker B^* (the
+    Popov-Belevitch-Hautus test).  Decided without probes: at every
+    eigenvalue mu of C the smallest singular value of [C - mu; B^*] must
+    exceed RANK_TOL max(1, |C|, |B|).  Raises TypeError for anything but a
+    RationalPickFunction.
     """
-    w = np.linalg.eigvals(F(default_probes()))
-    return not np.any(w.imag <= _REGULAR_TOL)
+    if not isinstance(F, RationalPickFunction):
+        raise TypeError("is_regular decides RationalPickFunction instances, "
+                        f"not {type(F).__name__}")
+    V, s, _, K, _ = _state_space(F)
+    B = np.hstack([V * np.sqrt(s), K])
+    mu, _ = np.linalg.eigh(F.C)
+    n = F.dim
+    stack = np.concatenate([F.C - mu[:, None, None] * np.eye(n),
+                            np.broadcast_to(B.conj().T, (n,) + B.T.shape)], axis=1)
+    smin = np.linalg.svd(stack, compute_uv=False)[:, -1]
+    tol = RANK_TOL * max(1.0, np.linalg.norm(F.C), np.linalg.norm(B))
+    return bool(smin.min() > tol)
 
 
 def _rank(M: NDArray[np.complex128]) -> int:
@@ -249,10 +263,12 @@ def _psd_eig(A: NDArray[np.complex128]):
 
 
 def _state_space(F: RationalPickFunction):
-    """(K, lams) with sum_j A_j / (lambda_j - z) = K (diag(lams) - z)^{-1} K^*.
+    """(V, s, U, K, lams), the realization of F as one factorization.
 
-    Each A_j = K_j K_j^* is factored at its minimal rank, K = [K_1, K_2, ...]
-    and lams holds the pole of each column.
+    D = V diag(s) V^* on its range and U is an orthonormal basis of ker D;
+    sum_j A_j / (lambda_j - z) = K (diag(lams) - z)^{-1} K^*, each
+    A_j = K_j K_j^* factored at its minimal rank, K = [K_1, K_2, ...] and
+    lams holding the pole of each column.
     """
     cols, lams = [], []
     for l, A in F.poles:
@@ -261,34 +277,36 @@ def _state_space(F: RationalPickFunction):
             cols.append(V[:, keep] * np.sqrt(w[keep]))
             lams += [l] * int(keep.sum())
     K = np.hstack(cols) if cols else np.zeros((F.dim, 0), dtype=complex)
-    return K, np.array(lams, dtype=float)
+    w, V, keep = _psd_eig(F.D)
+    return V[:, keep], w[keep], V[:, ~keep], K, np.array(lams, dtype=float)
 
 
 def _mirror_roots(F: RationalPickFunction, lam: complex) -> NDArray[np.complex128]:
     """All z with det(F(z) - conj(lam)) = 0; they lie in the lower half-plane.
 
-    Uses the state-space linearization (_state_space): with
-    Lam = diag(lams), the block matrix [[C - conj(lam) + z D, K],
-    [-K^*, Lam - z]] has the Schur complement F(z) - conj(lam), so the
-    finite eigenvalues of its linear pencil are exactly the wanted roots (no
-    artifacts at the pole locations).
+    In the coordinates [V, U, poles] of _state_space the block matrix
+    H = [[X^*(C - conj(lam))X, X^*K], [K^*X, -diag(lams)]], X = [V, U],
+    gives the pencil H + z diag(s, 0, I) with Schur complement
+    F(z) - conj(lam).  Its ker D block E = U^*(C - conj(lam))U is invertible
+    (U^* C U is Hermitian and lam is not real), and eliminating it leaves
+    H' + z diag(s, I): exactly rk D + sum rk A_j roots, the eigenvalues of
+    -S^{-1/2} H' S^{-1/2}, S = diag(s, I).
     """
-    n = F.dim
-    K, lams = _state_space(F)
-    r = lams.size
-    if r == 0 and not np.any(F.D):
+    V, s, U, K, lams = _state_space(F)
+    d, r = s.size, lams.size
+    if d + r == 0:
         return np.empty(0, dtype=complex)
-    N = n + r
-    M0 = np.zeros((N, N), dtype=complex)
-    M1 = np.zeros((N, N), dtype=complex)
-    M0[:n, :n] = F.C - np.conj(lam) * np.eye(n)
-    M1[:n, :n] = F.D
-    M0[:n, n:] = K
-    M0[n:, :n] = -K.conj().T
-    M0[n:, n:] = np.diag(lams)
-    M1[n:, n:] = -np.eye(r)
-    w = scipy.linalg.eig(M0, -M1, right=False)
-    return w[np.isfinite(w)]
+    # the kept block [V, poles] and its coupling R = H_kb to the U block
+    VC = V.conj().T @ F.C
+    H = np.block([[VC @ V - np.conj(lam) * np.eye(d), V.conj().T @ K],
+                  [K.conj().T @ V, -np.diag(lams)]])
+    R = np.vstack([VC @ U, K.conj().T @ U])
+    # E^{-1} = Y diag(1/(c - conj(lam))) Y^* with U^* C U = Y diag(c) Y^*
+    c, Y = np.linalg.eigh(_hermitian(U.conj().T @ F.C @ U))
+    RY = R @ Y
+    H = H - (RY / (c - np.conj(lam))) @ RY.conj().T
+    g = 1.0 / np.sqrt(np.concatenate([s, np.ones(r)]))
+    return np.linalg.eigvals(-(g[:, None] * H * g))
 
 
 def _contour_plan(F: RationalPickFunction,
@@ -302,15 +320,18 @@ def _contour_plan(F: RationalPickFunction,
     modulus, pinching the contour in an angular window comparable to the
     remaining margin, and the determinant also has fixed poles on the circle
     at the images of the function's poles and of infinity; all of these are
-    returned as (angle, length scale) pairs.
+    returned as (angle, length scale) pairs.  Every mirror root counts;
+    one within rounding of the unit circle raises DegenerateCurveError.
     """
     ws = cayley(_mirror_roots(F, lam))
     mods = np.abs(ws)
-    genuine = mods > 1.0 + 1e-9
-    rho = float(mods[genuine].min()) if genuine.any() else np.inf
+    rho = float(mods.min()) if mods.size else np.inf
     rs = min(_RADIUS, 1.0 + (rho - 1.0) / 2.0)
+    if rs <= 1.0:
+        raise DegenerateCurveError("a mirror root lies within rounding of the "
+                                   "real line: no contour separates it")
     feats: list[tuple[float, float]] = []
-    for wk, m in zip(ws[genuine], mods[genuine]):
+    for wk, m in zip(ws, mods):
         if m < 2.0:
             feats.append((float(np.angle(wk)), min(m - rs, rs - 1.0 / m)))
     feats.append((0.0, rs - 1.0))                     # image of infinity
@@ -652,18 +673,16 @@ def _resolvent(G: RationalPickFunction, n: float) -> RationalPickFunction:
     rank), which makes (n - G)^{-1} undefined.
     """
     dim = G.dim
-    K, lams = _state_space(G)
-    r = lams.size
-    w, V, keep = _psd_eig(G.D)
-    d = int(keep.sum())
+    V, s, U, K, lams = _state_space(G)
+    d, r = s.size, lams.size
     H0 = np.block([[G.C - n * np.eye(dim), K], [K.conj().T, -np.diag(lams)]])
     tol = RANK_TOL * max(1.0, float(np.abs(H0).max()))
     # H1 W = W diag(s) and H1 U = 0, W and U orthonormal
     W = np.zeros((dim + r, d + r), dtype=complex)
-    W[:dim, :d] = V[:, keep]
+    W[:dim, :d] = V
     W[dim:, d:] = np.eye(r)
-    s = np.concatenate([w[keep], np.ones(r)])
-    U = np.concatenate([V[:, ~keep], np.zeros((r, dim - d))])
+    s = np.concatenate([s, np.ones(r)])
+    U = np.concatenate([U, np.zeros((r, dim - d))])
     e, Y = np.linalg.eigh(_hermitian(U.conj().T @ H0 @ U))
     inv = np.abs(e) > tol
     V1, Z, e1 = U @ Y[:, inv], U @ Y[:, ~inv], e[inv]
@@ -698,7 +717,7 @@ def _resolvent(G: RationalPickFunction, n: float) -> RationalPickFunction:
     poles = []
     if Q2.shape[1]:
         # the definite pencil (Q2^* A Q2, M), M = Q2^* S Q2, as the standard
-        # problem of M^{-1/2} Q2^* A Q2 M^{-1/2}: scipy's generalized eigh
+        # problem of M^{-1/2} Q2^* A Q2 M^{-1/2}: a generalized eigh routine
         # mapped ~1 MB more LAPACK into the process
         m, Vm = np.linalg.eigh(_hermitian((Q2.conj().T * s) @ Q2))
         Q2 = Q2 @ (Vm / np.sqrt(m))

@@ -168,6 +168,16 @@ class TestDegree:
         assert payload == {"rank": 1, "winding": 1,
                            "winding_pole_count": 1, "regular": True}
 
+    @pytest.mark.parametrize("b", [0.1, 0.05])
+    def test_weakly_coupled_example_regular(self, b, tmp_path, capsys):
+        F = RationalPickFunction(np.array([[0, b], [b, 0]], dtype=complex),
+                                 np.diag([0.0, 1.0]).astype(complex))
+        path = tmp_path / "coupled.json"
+        path.write_text(json.dumps(dump_pick(F)))
+        assert run(["degree", "--pick", str(path), "--method", "both"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "rank": 1, "winding": 1, "winding_pole_count": 1, "regular": True}
+
     def test_rank_only(self, pick_path, tmp_path):
         out = tmp_path / "deg.json"
         assert run(["degree", "--pick", pick_path,

@@ -10,7 +10,6 @@ from hardyrp.numerics import (
     QuadratureConfig,
     QuadratureError,
     UnderSampledCurveError,
-    eig_hermitian,
     integrate_batched,
     winding_number,
 )
@@ -146,18 +145,6 @@ class TestWindingNumber:
         t = np.linspace(0, 2 * np.pi, 512)
         with pytest.raises(ValueError):
             CurveSample(1e-15 * np.exp(1j * t), exclusion_radius=1e-9)
-
-
-class TestEigHermitian:
-    def test_orders_ascending(self):
-        A = np.diag([3.0, -1.0, 2.0]).astype(complex)
-        w, U = eig_hermitian(A)
-        assert np.allclose(w, [-1.0, 2.0, 3.0])
-        assert np.allclose(U.conj().T @ U, np.eye(3))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 # QUADPACK call sites allowed per module of the library: none, every

@@ -48,6 +48,26 @@ def random_pick(rng: np.random.Generator, dim: int,
     return RationalPickFunction(C, D, poles)
 
 
+def irregular_pick(rng: np.random.Generator) -> RationalPickFunction:
+    """A random Pick function whose D and residues all vanish on one
+    eigenvector of C."""
+    dim = int(rng.integers(1, 5))
+    C = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    C = (C + C.conj().T) / 2
+    _, E = np.linalg.eigh(C)
+    v = E[:, int(rng.integers(dim))]
+    P = np.eye(dim) - np.outer(v, v.conj())
+
+    def psd(rank):
+        B = P @ (rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank)))
+        return B @ B.conj().T
+
+    D = psd(int(rng.integers(0, dim + 1)))
+    locs = np.sort(rng.uniform(-5, 5, size=int(rng.integers(0, 4))))
+    return RationalPickFunction(
+        C, D, tuple((float(l), psd(int(rng.integers(1, dim + 1)))) for l in locs))
+
+
 class TestConstruction:
     def test_non_hermitian_c_rejected(self):
         with pytest.raises(ValueError):
@@ -86,6 +106,29 @@ class TestPickAndRegular:
         F = RationalPickFunction(np.eye(2, dtype=complex), np.zeros((2, 2)))
         assert is_pick(F)
         assert not is_regular(F)
+        # an eigenvector of C in ker D and in the kernel of every residue
+        # is an eigenvector of every F(z), with a real eigenvalue
+        for seed in range(60):
+            F = irregular_pick(np.random.default_rng(seed))
+            assert is_pick(F)
+            assert not is_regular(F)
+
+    @pytest.mark.parametrize("b", [1.0, 0.1, 0.05, 1e-3])
+    def test_coupled_example_regular_for_every_coupling(self, b):
+        # [[0, b], [b, z]]: a real eigenvalue m of F(z) would make
+        # z - m = b^2 / (-m) real, impossible for Im z > 0 and b != 0
+        F = RationalPickFunction(np.array([[0, b], [b, 0]], dtype=complex),
+                                 np.diag([0.0, 1.0]).astype(complex))
+        assert is_regular(F)
+
+    def test_uncoupled_example_not_regular(self):
+        F = RationalPickFunction(np.zeros((2, 2)), np.diag([0.0, 1.0]))
+        assert not is_regular(F)
+
+    def test_callable_rejected(self):
+        F = worked_example()
+        with pytest.raises(TypeError):
+            is_regular(lambda z: pick_eval(F, z))
 
     def test_negated_pick_rejected(self):
         F = worked_example()
@@ -194,6 +237,44 @@ class TestWindingCounts:
     def test_callables_count_each_curve(self):
         comp = conjugated_example()
         assert winding_counts(comp) == (1, 1)
+
+    def test_mirror_root_next_to_the_real_line_counted(self):
+        # det(F - conj(lam)) = 0 at z = 0.5 + 1e-11 / (0.3 + i), 1e-11 below
+        # the real line: the contour passes between it and its reflection
+        F = RationalPickFunction.scalar(0.3, 0.0, [(0.5, 1e-11)])
+        assert degree_rank(F) == 1
+        assert winding_counts(F) == (1, 1)
+
+    @pytest.mark.parametrize("F", [
+        # the root -1e11 (0.3 + i) maps 1e-11 outside the unit circle
+        RationalPickFunction.scalar(0.3, 1e-11),
+        # the root 1000 - 1.8e-12 i maps within rounding of the unit circle
+        RationalPickFunction.scalar(0.3, 0.0, [(1e3, 2e-12)]),
+    ])
+    def test_unresolvable_mirror_root_fails_loudly(self, F):
+        # no sampled contour separates the root: the count raises, not (0, 0)
+        with pytest.raises(DegenerateCurveError):
+            winding_counts(F)
+
+
+class TestMirrorRoots:
+    @pytest.mark.parametrize("block", range(4))
+    def test_root_count_and_residual(self, block):
+        # D of rank below dim, so the ker D block is eliminated every time
+        for seed in range(50 * block, 50 * block + 50):
+            rng = np.random.default_rng(seed)
+            dim = int(rng.integers(2, 5))
+            F = random_pick(rng, dim, int(rng.integers(0, 4)))
+            W = rng.normal(size=(dim, int(rng.integers(0, dim))))
+            F = RationalPickFunction(F.C, W @ W.T, F.poles)
+            lam = complex(rng.uniform(-2, 2), rng.uniform(0.2, 3))
+            z = hardyrp.pick._mirror_roots(F, lam)
+            assert z.size == degree_rank(F)
+            assert np.all(z.imag < 0)
+            for root in z:
+                s = np.linalg.svd(pick_eval(F, root) - np.conj(lam) * np.eye(dim),
+                                  compute_uv=False)
+                assert np.prod(s / s[0]) < 1e-10
 
 
 def _mp_det(M) -> complex:
