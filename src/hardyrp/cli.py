@@ -142,6 +142,10 @@ def _cmd_degree(args) -> int:
         result["rank"] = degree_rank(F)
     if args.method in ("winding", "both"):
         result["winding"], result["winding_pole_count"] = winding_counts(F)
+    # each count is deg F: a disagreement is a numerical failure, not a verdict
+    if len(set(result.values())) > 1:
+        raise RuntimeError("the degree counts disagree: " + ", ".join(
+            f"{k} {v}" for k, v in result.items()))
     result["regular"] = is_regular(F)
     _write(args.out, json.dumps(result) + "\n")
     return EXIT_OK

@@ -8,8 +8,12 @@ independent ways: by ranks, and by two winding-number contour counts pulled
 back to a circle of radius r > 1 through the disc model.  winding_counts
 gets both contour counts from one pass: one contour plan, one evaluation of
 F per block of circle points, and det(F - conj(lam)) shared between the two
-curves.  Determinants of 1x1 and 2x2 stacks are closed forms, since
-LAPACK's per-matrix overhead costs far more than their arithmetic.
+curves.  The winding pass works on entry-major stacks, shape (n, n, m),
+each matrix entry one contiguous array over the block's samples: one
+matrix product gives F(z) - lam and F(z) - conj(lam) for a whole block,
+and determinants of 1x1 and 2x2 stacks are closed forms and of 3x3 stacks
+one pivoted elimination step, since LAPACK's per-matrix overhead costs far
+more than their arithmetic.
 
 Every evaluation is batched.  pick_eval, and so a RationalPickFunction
 called as a function, maps an array of m points to a stack of shape
@@ -18,10 +22,12 @@ multiplicity_winding, degree_winding and winding_counts take must do the
 same.  A callable that handles only scalars can be wrapped as
 np.vectorize(h, signature="()->(n,n)").
 
-_state_space is the one factorization of a rational Pick function: D on
-its range and kernel, each residue at its minimal rank.  is_regular reads
-it for an exact Popov-Belevitch-Hautus test, the contour plan for the
-mirror roots (one deflated eigvals), and compose_scalar for the resolvents
+RationalPickFunction._state_space is the one factorization of a rational
+Pick function, computed once per function: D on its range and kernel, each
+residue at its minimal rank, by one rank rule (eigenvalues above RANK_TOL
+times the largest).  degree_rank counts its columns, is_regular reads it
+for an exact Popov-Belevitch-Hautus test, the contour plan for the mirror
+roots (one deflated eigvals), and compose_scalar for the resolvents
 (n - G)^{-1}, so f o F o g is a RationalPickFunction whose degree is a
 rank and whose winding counts run on a planned contour.  is_regular and
 compose_scalar accept no callables; the callable (radius-shrink) branch of
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -118,6 +125,26 @@ class RationalPickFunction:
     def __call__(self, z) -> NDArray[np.complex128]:
         return pick_eval(self, z)
 
+    @cached_property
+    def _state_space(self):
+        """(V, s, U, K, lams), the realization of F as one factorization.
+
+        D = V diag(s) V^* on its range and U is an orthonormal basis of
+        ker D; sum_j A_j / (lambda_j - z) = K (diag(lams) - z)^{-1} K^*,
+        each A_j = K_j K_j^* factored at its minimal rank, K = [K_1, K_2,
+        ...] and lams holding the pole of each column.  Computed on first
+        use and kept: the function is frozen.
+        """
+        cols, lams = [], []
+        for l, A in self.poles:
+            w, V, keep = _psd_eig(A)
+            if keep.any():
+                cols.append(V[:, keep] * np.sqrt(w[keep]))
+                lams += [l] * int(keep.sum())
+        K = np.hstack(cols) if cols else np.zeros((self.dim, 0), dtype=complex)
+        w, V, keep = _psd_eig(self.D)
+        return V[:, keep], w[keep], V[:, ~keep], K, np.array(lams, dtype=float)
+
     @classmethod
     def scalar(cls, c: float = 0.0, d: float = 0.0,
                poles: Sequence[tuple[float, float]] = ()) -> "RationalPickFunction":
@@ -129,17 +156,42 @@ def pick_eval(F: RationalPickFunction, z) -> NDArray[np.complex128]:
     """F(z) for a number z, or the stack of F at every point of an array z.
 
     An array of shape s gives shape s + (n, n); raises ZeroDivisionError if
-    any point is a pole.
+    any point is a pole.  A view of the entry-major values of _entries.
+    """
+    return np.moveaxis(_entries(F, z)[0], (0, 1), (-2, -1))
+
+
+def _entries(F, z, shifts: Sequence[complex] = (0.0,)) -> NDArray[np.complex128]:
+    """F(z) - c for every shift c, entry-major: shape (k, n, n) + z.shape.
+
+    Each matrix entry is one contiguous array over the points.  For a
+    RationalPickFunction this is one matrix product: the coefficient rows
+    [C - c, D, A_1, ..., A_p] of every entry and shift times the basis
+    rows [1, z, 1/(lambda_j - z)]; raises ZeroDivisionError if any point is
+    a pole.  A callable is called once and its (..., n, n) stack moved.
     """
     z = np.asarray(z, dtype=complex)
-    for l, _ in F.poles:
-        if np.any(z == l):
+    shifts = np.asarray(shifts, dtype=complex)
+    if not isinstance(F, RationalPickFunction):
+        M = np.moveaxis(np.asarray(F(z), dtype=complex), (-2, -1), (0, 1))
+        I = np.eye(M.shape[0]).reshape(M.shape[:2] + (1,) * z.ndim)
+        return M - shifts.reshape((-1, 1, 1) + (1,) * z.ndim) * I
+    n, p = F.dim, len(F.poles)
+    basis = np.empty((p + 2,) + z.shape, dtype=complex)
+    basis[0] = 1.0
+    basis[1] = z
+    for j, (l, _) in enumerate(F.poles):
+        gap = l - z
+        if np.any(gap == 0):
             raise ZeroDivisionError(f"evaluation at the pole {l}")
-    zz = z[..., None, None]
-    M = F.C + zz * F.D
-    for l, A in F.poles:
-        M = M + A / (l - zz)
-    return M
+        basis[j + 2] = 1.0 / gap
+    coef = np.empty((shifts.size, n, n, p + 2), dtype=complex)
+    coef[..., 0] = F.C - shifts[:, None, None] * np.eye(n)
+    coef[..., 1] = F.D
+    for j, (_, A) in enumerate(F.poles):
+        coef[..., j + 2] = A
+    values = coef.reshape(-1, p + 2) @ basis.reshape(p + 2, -1)
+    return values.reshape((shifts.size, n, n) + z.shape)
 
 
 def default_probes() -> NDArray[np.complex128]:
@@ -185,7 +237,7 @@ def is_regular(F) -> bool:
     """True iff Spec F(z) lies in the open upper half-plane for Im z > 0.
 
     If F(z) v = w v with w real, then Im <F(z) v, v> = 0 puts v in
-    ker B^*, B = [V s^{1/2}, K] from _state_space, and F(z) v = C v; so F
+    ker B^*, B = [V s^{1/2}, K] from F._state_space, and F(z) v = C v; so F
     is regular iff no eigenvector of C lies in ker B^* (the
     Popov-Belevitch-Hautus test).  Decided without probes: at every
     eigenvalue mu of C the smallest singular value of [C - mu; B^*] must
@@ -195,7 +247,7 @@ def is_regular(F) -> bool:
     if not isinstance(F, RationalPickFunction):
         raise TypeError("is_regular decides RationalPickFunction instances, "
                         f"not {type(F).__name__}")
-    V, s, _, K, _ = _state_space(F)
+    V, s, _, K, _ = F._state_space
     B = np.hstack([V * np.sqrt(s), K])
     mu, _ = np.linalg.eigh(F.C)
     n = F.dim
@@ -206,16 +258,18 @@ def is_regular(F) -> bool:
     return bool(smin.min() > tol)
 
 
-def _rank(M: NDArray[np.complex128]) -> int:
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_TOL * s[0]))
+def _psd_eig(A: NDArray[np.complex128]):
+    """Eigenpairs of the Hermitian part of a PSD matrix, with the mask of
+    those spanning its range: the module's one rank rule, eigenvalues
+    above RANK_TOL times the largest."""
+    w, V = np.linalg.eigh(_hermitian(A))
+    return w, V, w > RANK_TOL * float(np.abs(w).max(initial=0.0))
 
 
 def degree_rank(F: RationalPickFunction) -> int:
-    """deg F = rk(D) + sum_j rk(A_j)."""
-    return _rank(F.D) + sum(_rank(A) for _, A in F.poles)
+    """deg F = rk(D) + sum_j rk(A_j), the columns of F._state_space."""
+    _, s, _, _, lams = F._state_space
+    return s.size + lams.size
 
 
 # -- winding-number degree computations --------------------------------------
@@ -239,52 +293,44 @@ def _matrix_blaschke(M: NDArray[np.complex128], lam: complex) -> NDArray[np.comp
 
 
 def _det(M: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Determinant of every matrix of a stack.
+    """Determinant of every matrix of an entry-major stack, shape (n, n, m).
 
-    For n <= 2 LAPACK's per-matrix overhead costs 50-1000x the arithmetic,
-    so these are closed forms: the entry itself for n = 1 (exact) and
-    ad - bc for n = 2, whose error is of the order of pivoted LU's.  The 3x3
-    cofactor formula is not: on zD + C with rank-1 D at |z| = 1e8 it loses
-    all but one digit where LU keeps eight, so n >= 3 stays on LU.
+    For n <= 3 LAPACK's per-matrix overhead costs far more than the
+    arithmetic, so these are closed forms: the entry itself for n = 1
+    (exact), ad - bc for n = 2, and for n = 3 one step of LU with LAPACK's
+    partial pivoting (the first row of largest |re| + |im| in column 0)
+    followed by ad - bc on the 2x2 Schur complement; both have errors of
+    the order of pivoted LU's.  The unpivoted 3x3 cofactor formula does
+    not: on zD + C with rank-1 D at |z| = 1e8 it loses all but one digit
+    where LU keeps eight.  n >= 4 stays on np.linalg.det.
     """
-    n = M.shape[-1]
+    n = M.shape[0]
     if n == 1:
-        return M[..., 0, 0]
+        return M[0, 0]
     if n == 2:
-        return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    return np.linalg.det(M)
-
-
-def _psd_eig(A: NDArray[np.complex128]):
-    """Eigenpairs of the Hermitian part of a PSD matrix, with the mask of
-    those spanning its range: eigenvalues above 1e-12 max(1, largest)."""
-    w, V = np.linalg.eigh(_hermitian(A))
-    return w, V, w > 1e-12 * max(float(w.max()), 1.0)
-
-
-def _state_space(F: RationalPickFunction):
-    """(V, s, U, K, lams), the realization of F as one factorization.
-
-    D = V diag(s) V^* on its range and U is an orthonormal basis of ker D;
-    sum_j A_j / (lambda_j - z) = K (diag(lams) - z)^{-1} K^*, each
-    A_j = K_j K_j^* factored at its minimal rank, K = [K_1, K_2, ...] and
-    lams holding the pole of each column.
-    """
-    cols, lams = [], []
-    for l, A in F.poles:
-        w, V, keep = _psd_eig(A)
-        if keep.any():
-            cols.append(V[:, keep] * np.sqrt(w[keep]))
-            lams += [l] * int(keep.sum())
-    K = np.hstack(cols) if cols else np.zeros((F.dim, 0), dtype=complex)
-    w, V, keep = _psd_eig(F.D)
-    return V[:, keep], w[keep], V[:, ~keep], K, np.array(lams, dtype=float)
+        return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    if n > 3:
+        return np.linalg.det(np.moveaxis(M, (0, 1), (-2, -1)))
+    g = np.abs(M[:, 0].real) + np.abs(M[:, 0].imag)
+    # pivot row 1 or 2; LAPACK's swap then leaves rows (0, 2) or (1, 0)
+    # below it, an odd permutation either way
+    two = g[2] > np.maximum(g[0], g[1])
+    one = (g[1] > g[0]) & ~two
+    top = np.where(two, M[2], np.where(one, M[1], M[0]))
+    r = np.where(one, M[0], M[1])
+    s = np.where(two, M[0], M[2])
+    piv = np.where(one | two, -top[0], top[0])
+    # a zero pivot means a zero column 0: multipliers 0 and determinant 0
+    div = np.where(top[0] == 0, 1.0, top[0])
+    lr, ls = r[0] / div, s[0] / div
+    return piv * ((r[1] - lr * top[1]) * (s[2] - ls * top[2])
+                  - (r[2] - lr * top[2]) * (s[1] - ls * top[1]))
 
 
 def _mirror_roots(F: RationalPickFunction, lam: complex) -> NDArray[np.complex128]:
     """All z with det(F(z) - conj(lam)) = 0; they lie in the lower half-plane.
 
-    In the coordinates [V, U, poles] of _state_space the block matrix
+    In the coordinates [V, U, poles] of F._state_space the block matrix
     H = [[X^*(C - conj(lam))X, X^*K], [K^*X, -diag(lams)]], X = [V, U],
     gives the pencil H + z diag(s, 0, I) with Schur complement
     F(z) - conj(lam).  Its ker D block E = U^*(C - conj(lam))U is invertible
@@ -292,7 +338,7 @@ def _mirror_roots(F: RationalPickFunction, lam: complex) -> NDArray[np.complex12
     H' + z diag(s, I): exactly rk D + sum rk A_j roots, the eigenvalues of
     -S^{-1/2} H' S^{-1/2}, S = diag(s, I).
     """
-    V, s, U, K, lams = _state_space(F)
+    V, s, U, K, lams = F._state_space
     d, r = s.size, lams.size
     if d + r == 0:
         return np.empty(0, dtype=complex)
@@ -444,9 +490,11 @@ def _winding_at_radius(fn, r: float) -> int:
             n *= 2
 
 
-# circle points per stacked evaluation: a block's transient stacks stay near
-# 0.3 MB each for 3x3 matrices, however many samples (up to 2^20) a winding
-# count takes; blocks of 8192 left a pick-degree round's peak RSS 3 MB higher
+# circle points per stacked evaluation: a block's entry-major stack of
+# F(z) - lam and F(z) - conj(lam) is 0.6 MB for 3x3 matrices, however many
+# samples (up to 2^20) a winding count takes, and the seed-1 pick-degree task
+# list run in one process peaks at 87.2-87.4 MB RSS; blocks of 8192 left a
+# pick-degree round's peak RSS 3 MB higher
 _SAMPLE_BLOCK = 2048
 
 
@@ -455,18 +503,20 @@ def _curve_sampler(F, lam: complex):
 
     Kind True is det phi_lam(F(z)), kind False det(F(z) - conj(lam)), with
     z = cayley_inverse(w).  F is evaluated in blocks of _SAMPLE_BLOCK
-    points, one stacked call per block for all kinds, and
-    det(M - conj(lam)) is computed once per block: it is the second curve
-    and the denominator of det phi_lam(M) = det(M - lam) / det(M - conj(lam)).
+    points, one stacked _entries call per block for all kinds, which gives
+    F(z) - conj(lam) and, when kind True is asked for, F(z) - lam, and
+    det(F(z) - conj(lam)) is computed once per block: it is the second
+    curve and the denominator of
+    det phi_lam(M) = det(M - lam) / det(M - conj(lam)).
     """
     def block(w, kinds):
-        M = F(cayley_inverse(w))
-        I = np.eye(M.shape[-1])
-        below = _det(M - np.conj(lam) * I)
+        shifts = (np.conj(lam), lam) if True in kinds else (np.conj(lam),)
+        M = _entries(F, cayley_inverse(w), shifts)
+        below = _det(M[0])
         # a NaN or infinite quotient fails the caller's finiteness check,
         # which raises DegenerateCurveError; numpy need not warn first
         with np.errstate(invalid="ignore", divide="ignore"):
-            return [_det(M - lam * I) / below if blaschke else below
+            return [_det(M[1]) / below if blaschke else below
                     for blaschke in kinds]
 
     # one preallocated (kinds, m) array raised a pick-degree round's peak
@@ -584,7 +634,7 @@ def bp_eval(phi: BlaschkePotapovProduct, z) -> NDArray[np.complex128]:
 
 def bp_degree(phi: BlaschkePotapovProduct) -> int:
     """deg phi = total rank of the factor projections."""
-    return sum(_rank(P) for _, P in phi.factors)
+    return sum(int(_psd_eig(P)[2].sum()) for _, P in phi.factors)
 
 
 # -- Moebius transforms and composition ---------------------------------------
@@ -652,7 +702,7 @@ def _merged(poles):
 def _resolvent(G: RationalPickFunction, n: float) -> RationalPickFunction:
     """(n - G)^{-1}, itself a rational Pick function, in closed form.
 
-    With K, Lam = diag(lams) from _state_space, (n - G(z))^{-1} is
+    With K, Lam = diag(lams) from G._state_space, (n - G(z))^{-1} is
     -P^* (H0 + z H1)^{-1} P for the Hermitian pencil
     H0 = [[C - n, K], [K^*, -Lam]], H1 = diag(D, I) >= 0 and P the embedding
     of the first dim coordinates: the Schur complement of that block is
@@ -673,7 +723,7 @@ def _resolvent(G: RationalPickFunction, n: float) -> RationalPickFunction:
     rank), which makes (n - G)^{-1} undefined.
     """
     dim = G.dim
-    V, s, U, K, lams = _state_space(G)
+    V, s, U, K, lams = G._state_space
     d, r = s.size, lams.size
     H0 = np.block([[G.C - n * np.eye(dim), K], [K.conj().T, -np.diag(lams)]])
     tol = RANK_TOL * max(1.0, float(np.abs(H0).max()))

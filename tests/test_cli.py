@@ -192,17 +192,63 @@ class TestDegree:
     def test_degenerate_curve_exits_three(self, pick_path, monkeypatch, capsys):
         # F returns NaN on one block of circle points: a numerical failure
         import hardyrp.pick
-        real = hardyrp.pick.pick_eval
+        real = hardyrp.pick._entries
         calls = []
 
-        def poisoned(F, z):
+        def poisoned(F, z, shifts=(0.0,)):
             calls.append(None)
-            M = real(F, z)
+            M = real(F, z, shifts)
             return M * np.nan if len(calls) == 2 else M
 
-        monkeypatch.setattr(hardyrp.pick, "pick_eval", poisoned)
+        monkeypatch.setattr(hardyrp.pick, "_entries", poisoned)
         assert run(["degree", "--pick", pick_path, "--method", "winding"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("F", [
+        # residues 2e-8, 4e-13 and 1.3e-10: all three count
+        RationalPickFunction.scalar(0.3, 0.0, [(-1.0, 2e-8), (0.5, 4e-13),
+                                               (2.0, 1.3e-10)]),
+        # rank 1, but its mirror root maps within rounding of the circle
+        RationalPickFunction.scalar(0.3, 1e-13),
+    ], ids=["weak", "tiny-linear-term"])
+    def test_counts_never_disagree_with_exit_zero(self, F, tmp_path, capsys):
+        path = tmp_path / "weak.json"
+        path.write_text(json.dumps(dump_pick(F)))
+        rc = run(["degree", "--pick", str(path), "--method", "both"])
+        out = capsys.readouterr().out
+        assert rc in (0, 3)
+        if rc == 0:
+            counts = json.loads(out)
+            assert counts["rank"] == counts["winding"] == counts["winding_pole_count"]
+
+    def test_disagreeing_counts_exit_three(self, pick_path, monkeypatch, capsys):
+        monkeypatch.setattr(hardyrp.cli, "winding_counts", lambda F: (1, 2))
+        assert run(["degree", "--pick", pick_path, "--method", "both"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rank 1, winding 1, winding_pole_count 2" in captured.err
+
+    def test_one_factorization_per_call(self, tmp_path, monkeypatch, capsys):
+        # the realization is factored once (D and each residue), though the
+        # rank, the contour plan and is_regular all read it
+        import hardyrp.pick
+        real = hardyrp.pick._psd_eig
+        calls = []
+
+        def counted(A):
+            calls.append(None)
+            return real(A)
+
+        monkeypatch.setattr(hardyrp.pick, "_psd_eig", counted)
+        F = RationalPickFunction(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]),
+                                 np.diag([1.0, 1.0, 0.0]),
+                                 ((1.0, np.diag([0.0, 0.0, 1.0])),))
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps(dump_pick(F)))
+        assert run(["degree", "--pick", str(path), "--method", "both"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "rank": 3, "winding": 3, "winding_pole_count": 3, "regular": True}
+        assert len(calls) == 2
 
 
 class TestCompose:

@@ -168,6 +168,15 @@ class TestDegree:
         assert multiplicity_winding(F) == 3
         assert degree_winding(F) == 3
 
+    def test_one_rank_rule(self):
+        # D = 1e-13 is rank 1 relative to itself: the realization that
+        # is_regular and the contour plan read keeps it, as degree_rank does
+        F = RationalPickFunction.scalar(0.3, 1e-13)
+        assert F._state_space is F._state_space
+        assert degree_rank(F) == 1
+        assert hardyrp.pick._mirror_roots(F, 1j).size == 1
+        assert is_regular(F)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_triple_agreement_random(self, seed):
         rng = np.random.default_rng(100 + seed)
@@ -205,14 +214,14 @@ class TestWindingCounts:
         assert sizes[0] == sizes[1] < sizes[2]
 
     def test_one_stacked_call_per_block(self, monkeypatch):
-        real = hardyrp.pick.pick_eval
+        real = hardyrp.pick._entries
         sizes = []
 
-        def counted(F, z):
+        def counted(F, z, shifts=(0.0,)):
             sizes.append(np.size(z))
-            return real(F, z)
+            return real(F, z, shifts)
 
-        monkeypatch.setattr(hardyrp.pick, "pick_eval", counted)
+        monkeypatch.setattr(hardyrp.pick, "_entries", counted)
         F = worked_example()
         assert winding_counts(F) == (1, 1)
         shared = len(sizes)
@@ -222,17 +231,46 @@ class TestWindingCounts:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_block_is_numerical_failure(self, monkeypatch):
-        real = hardyrp.pick.pick_eval
+        real = hardyrp.pick._entries
         calls = []
 
-        def poisoned(F, z):
+        def poisoned(F, z, shifts=(0.0,)):
             calls.append(None)
-            M = real(F, z)
+            M = real(F, z, shifts)
             return M * np.nan if len(calls) == 2 else M
 
-        monkeypatch.setattr(hardyrp.pick, "pick_eval", poisoned)
+        monkeypatch.setattr(hardyrp.pick, "_entries", poisoned)
         with pytest.raises(DegenerateCurveError):
             winding_counts(worked_example())
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_lapack_determinants_only_from_4x4(self, dim, monkeypatch):
+        real = np.linalg.det
+        calls = []
+
+        def spy(M):
+            calls.append(M.shape)
+            return real(M)
+
+        monkeypatch.setattr(np.linalg, "det", spy)
+        F = random_pick(np.random.default_rng(dim), dim, 2)
+        assert winding_counts(F) == (degree_rank(F),) * 2
+        if dim == 3:
+            assert calls == []
+        else:
+            assert calls and all(shape[-2:] == (4, 4) for shape in calls)
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_regular_3x3_counts_equal_rank(self, block):
+        # 200 regular 3x3 functions: D + sum A_j positive definite
+        for seed in range(50 * block, 50 * block + 50):
+            rng = np.random.default_rng(1000 + seed)
+            while True:
+                F = random_pick(rng, 3, int(rng.integers(0, 4)))
+                total = F.D + sum((A for _, A in F.poles), np.zeros((3, 3)))
+                if np.linalg.eigvalsh(total).min() > 0.05:
+                    break
+            assert winding_counts(F) == (degree_rank(F),) * 2
 
     def test_callables_count_each_curve(self):
         comp = conjugated_example()
@@ -284,7 +322,7 @@ def _mp_det(M) -> complex:
 
 
 class TestSmallDeterminants:
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_closed_forms_as_accurate_as_lu(self, n):
         # zD + C + A/(l - z) - i with rank-1 D: at |z| = 1e8 the leading
         # z^2 terms of ad - bc cancel; near the pole A/(l - z) dominates
@@ -303,7 +341,8 @@ class TestSmallDeterminants:
             M = (zz * (B @ B.conj().T) + (C + C.T) / 2
                  + (A @ A.conj().T) / (l - zz) - 1j * np.eye(n))
             ref = np.array([_mp_det(m) for m in M])
-            closed.append(np.abs(_det(M) - ref) / np.abs(ref))
+            entry_major = np.ascontiguousarray(np.moveaxis(M, 0, -1))
+            closed.append(np.abs(_det(entry_major) - ref) / np.abs(ref))
             lu.append(np.abs(np.linalg.det(M) - ref) / np.abs(ref))
         # worst error per |z| over the functions (the last column: at 1e-10
         # from the pole); pointwise the rounding of either method is noise
@@ -311,12 +350,23 @@ class TestSmallDeterminants:
         worst_lu = np.maximum(np.max(lu, axis=0), np.finfo(float).eps)
         assert np.all(worst_closed <= 10.0 * worst_lu)
 
-    @pytest.mark.parametrize("n", [3, 4])
+    def test_3x3_pivots_and_zero_column(self):
+        # every pivot row, and a zero first column (determinant exactly 0)
+        from hardyrp.pick import _det
+        M = np.zeros((4, 3, 3), dtype=complex)
+        for k in range(3):
+            M[k] = np.roll(np.diag([4.0, 2.0 + 1j, 3.0]), k, axis=0) + 0.5
+        M[3] = [[0, 1, 2], [0, 3, 1j], [0, 2, 5]]
+        got = _det(np.moveaxis(M, 0, -1))
+        assert np.allclose(got, np.linalg.det(M), rtol=1e-14, atol=0)
+        assert got[3] == 0
+
+    @pytest.mark.parametrize("n", [4, 5])
     def test_larger_matrices_stay_on_lu(self, n):
         from hardyrp.pick import _det
         rng = np.random.default_rng(n)
         M = rng.normal(size=(50, n, n)) + 1j * rng.normal(size=(50, n, n))
-        assert np.array_equal(_det(M), np.linalg.det(M))
+        assert np.array_equal(_det(np.moveaxis(M, 0, -1)), np.linalg.det(M))
 
 
 class TestBlaschkePotapov:
