@@ -50,7 +50,10 @@ _EXPR_NAMESPACE = {
 
 
 def _compile_expr(expr: str) -> Callable:
-    code = compile(expr, "<density>", "eval")
+    try:
+        code = compile(expr, "<density>", "eval")
+    except SyntaxError as exc:
+        raise ValueError(f"density expression {expr!r}: {exc.msg}") from exc
     for name in code.co_names:
         if name not in _EXPR_NAMESPACE and name not in ("lam", "x"):
             raise ValueError(f"disallowed name {name!r} in density expression")
@@ -168,8 +171,6 @@ class BoundaryMeasure:
                          compare=False)
 
     def __post_init__(self):
-        if self.atom0 < 0 or self.atom_inf < 0:
-            raise ValueError("atom weights must be nonnegative")
         object.__setattr__(self, "atoms",
                            tuple((float(l), float(w)) for l, w in self.atoms))
         object.__setattr__(self, "density", tuple(self.density))
@@ -178,8 +179,10 @@ class BoundaryMeasure:
             raise ValueError("atom locations must lie in (0, inf)")
         if len(set(locs)) != len(locs):
             raise ValueError("atom locations must be distinct")
-        if any(w < 0 for _, w in self.atoms):
-            raise ValueError("atom weights must be nonnegative")
+        # NaN fails every comparison, so "w < 0" alone would let it through
+        weights = [self.atom0, self.atom_inf] + [w for _, w in self.atoms]
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise ValueError("atom weights must be finite and nonnegative")
 
     def cached(self, name: str, keys,
                compute: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -459,20 +462,25 @@ def load_measure(source) -> BoundaryMeasure:
     else:
         with open(source) as fh:
             spec = json.load(fh)
-    pieces = []
-    for d in spec.get("density", []):
-        a, b = (_parse_bound(v) for v in d["interval"])
-        kind = d.get("kind", "closed-form")
-        pieces.append(DensityPiece(
-            a, b, kind,
-            expr=d.get("expr"), samples=d.get("samples"),
-        ))
-    return BoundaryMeasure(
-        atom0=float(spec.get("atom0", 0.0)),
-        atom_inf=float(spec.get("atomInf", 0.0)),
-        atoms=[tuple(pair) for pair in spec.get("atoms", [])],
-        density=pieces,
-    )
+    # a spec of the wrong shape (a list for a dict, a number for a list)
+    # is an input error like any other
+    try:
+        pieces = []
+        for d in spec.get("density", []):
+            a, b = (_parse_bound(v) for v in d["interval"])
+            kind = d.get("kind", "closed-form")
+            pieces.append(DensityPiece(
+                a, b, kind,
+                expr=d.get("expr"), samples=d.get("samples"),
+            ))
+        return BoundaryMeasure(
+            atom0=float(spec.get("atom0", 0.0)),
+            atom_inf=float(spec.get("atomInf", 0.0)),
+            atoms=[tuple(pair) for pair in spec.get("atoms", [])],
+            density=pieces,
+        )
+    except (TypeError, IndexError, AttributeError) as exc:
+        raise ValueError(f"malformed measure JSON: {exc}") from exc
 
 
 def dump_measure(nu: BoundaryMeasure) -> dict:

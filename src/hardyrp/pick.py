@@ -15,9 +15,15 @@ and determinants of 1x1 and 2x2 stacks are closed forms and of 3x3 stacks
 one pivoted elimination step, since LAPACK's per-matrix overhead costs far
 more than their arithmetic.
 
+The constructor is the Pick check: a RationalPickFunction has finite
+entries, a Hermitian C, positive semidefinite D and residues, and finite,
+distinct poles, so Im F(z) = Im z (D + sum_j A_j / |lambda_j - z|^2) is
+positive semidefinite on the upper half-plane and no sampled test is
+needed.
+
 Every evaluation is batched.  pick_eval, and so a RationalPickFunction
 called as a function, maps an array of m points to a stack of shape
-(m, n, n) and a scalar to one (n, n) matrix; the callables that is_pick,
+(m, n, n) and a scalar to one (n, n) matrix; the callables that
 multiplicity_winding, degree_winding and winding_counts take must do the
 same.  A callable that handles only scalars can be wrapped as
 np.vectorize(h, signature="()->(n,n)").
@@ -37,6 +43,7 @@ function the benchmark's tracer wraps around a composition.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -57,9 +64,7 @@ __all__ = [
     "BlaschkePotapovProduct",
     "MobiusTransform",
     "pick_eval",
-    "is_pick",
     "is_regular",
-    "default_probes",
     "degree_rank",
     "multiplicity_winding",
     "degree_winding",
@@ -75,7 +80,6 @@ __all__ = [
 
 RANK_TOL = 1e-9
 HERM_TOL = 1e-10
-_PICK_TOL = 1e-10
 
 
 def _as_matrix(M, n: int, name: str) -> NDArray[np.complex128]:
@@ -85,9 +89,17 @@ def _as_matrix(M, n: int, name: str) -> NDArray[np.complex128]:
     return M
 
 
-def _check_psd(M: NDArray[np.complex128], name: str) -> None:
-    if np.linalg.norm(M - M.conj().T) > HERM_TOL * max(1.0, np.linalg.norm(M)):
+def _check_hermitian(M: NDArray[np.complex128], name: str) -> None:
+    # one norm serves both tests: it is NaN or inf for any non-finite entry
+    size = np.linalg.norm(M)
+    if not math.isfinite(size):
+        raise ValueError(f"{name} must be finite")
+    if np.linalg.norm(M - M.conj().T) > HERM_TOL * max(1.0, size):
         raise ValueError(f"{name} must be Hermitian")
+
+
+def _check_psd(M: NDArray[np.complex128], name: str) -> None:
+    _check_hermitian(M, name)
     w = np.linalg.eigvalsh(M)
     if w.size and w.min() < -HERM_TOL * max(1.0, abs(w).max()):
         raise ValueError(f"{name} must be positive semidefinite")
@@ -106,12 +118,12 @@ class RationalPickFunction:
         n = C.shape[0]
         object.__setattr__(self, "C", _as_matrix(C, n, "C"))
         object.__setattr__(self, "D", _as_matrix(self.D, n, "D"))
-        if np.linalg.norm(self.C - self.C.conj().T) > HERM_TOL * max(
-                1.0, np.linalg.norm(self.C)):
-            raise ValueError("C must be Hermitian")
+        _check_hermitian(self.C, "C")
         _check_psd(self.D, "D")
         poles = tuple((float(l), _as_matrix(A, n, "residue")) for l, A in self.poles)
         locs = [l for l, _ in poles]
+        if not all(map(math.isfinite, locs)):
+            raise ValueError("pole locations must be finite")
         if len(set(locs)) != len(locs):
             raise ValueError("pole locations must be distinct")
         for _, A in poles:
@@ -194,43 +206,8 @@ def _entries(F, z, shifts: Sequence[complex] = (0.0,)) -> NDArray[np.complex128]
     return values.reshape((shifts.size, n, n) + z.shape)
 
 
-def default_probes() -> NDArray[np.complex128]:
-    """Probe points on a two-parameter log grid over the upper half-plane.
-
-    224 points: 14 real parts (0, seven positive and six negative ones of
-    magnitude 10^-2 .. 10^2) times 16 imaginary parts (10^-3 .. 10^3).
-    """
-    res = np.concatenate([[0.0], np.logspace(-2, 2, 7), -np.logspace(-2, 2, 6)])
-    ims = np.logspace(-3, 3, 16)
-    return (res[:, None] + 1j * ims[None, :]).ravel()
-
-
-def _mT(M: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Transpose of every matrix of a stack."""
-    return np.swapaxes(M, -1, -2)
-
-
-def _adjoint(M: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    return _mT(M.conj())
-
-
 def _hermitian(M: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    return (M + _adjoint(M)) / 2
-
-
-def is_pick(F, probes: Sequence[complex] | None = None) -> bool:
-    """True iff Im F(z) is positive semidefinite at every probe point.
-
-    The probes default to the 224-point grid of default_probes.  Each probe
-    is judged on its own scale: no eigenvalue below -_PICK_TOL max(1,
-    largest |eigenvalue|).
-    """
-    z = default_probes() if probes is None else np.asarray(probes, complex)
-    M = F(z.ravel())
-    im = (M - _adjoint(M)) / 2j
-    w = np.linalg.eigvalsh(_hermitian(im))
-    floor = -_PICK_TOL * np.maximum(1.0, np.abs(w).max(axis=-1))
-    return not np.any(w.min(axis=-1) < floor)
+    return (M + np.swapaxes(M.conj(), -1, -2)) / 2
 
 
 def is_regular(F) -> bool:
@@ -240,8 +217,10 @@ def is_regular(F) -> bool:
     ker B^*, B = [V s^{1/2}, K] from F._state_space, and F(z) v = C v; so F
     is regular iff no eigenvector of C lies in ker B^* (the
     Popov-Belevitch-Hautus test).  Decided without probes: at every
-    eigenvalue mu of C the smallest singular value of [C - mu; B^*] must
-    exceed RANK_TOL max(1, |C|, |B|).  Raises TypeError for anything but a
+    eigenvalue mu of C the smallest singular value of
+    [(C - mu) / |C|; B^* / |B|] must exceed RANK_TOL.  Each block is judged
+    on its own scale (a zero block stays zero), so residues far smaller
+    than C still count.  Raises TypeError for anything but a
     RationalPickFunction.
     """
     if not isinstance(F, RationalPickFunction):
@@ -251,11 +230,12 @@ def is_regular(F) -> bool:
     B = np.hstack([V * np.sqrt(s), K])
     mu, _ = np.linalg.eigh(F.C)
     n = F.dim
-    stack = np.concatenate([F.C - mu[:, None, None] * np.eye(n),
-                            np.broadcast_to(B.conj().T, (n,) + B.T.shape)], axis=1)
+    top = (F.C - mu[:, None, None] * np.eye(n)) / (np.linalg.norm(F.C) or 1.0)
+    below = B.conj().T / (np.linalg.norm(B) or 1.0)
+    stack = np.concatenate([top, np.broadcast_to(below, (n,) + below.shape)],
+                           axis=1)
     smin = np.linalg.svd(stack, compute_uv=False)[:, -1]
-    tol = RANK_TOL * max(1.0, np.linalg.norm(F.C), np.linalg.norm(B))
-    return bool(smin.min() > tol)
+    return bool(smin.min() > RANK_TOL)
 
 
 def _psd_eig(A: NDArray[np.complex128]):
@@ -281,15 +261,6 @@ _PLANNED_SAMPLES = 4096
 _SHRINK_SAMPLES = 512
 _MAX_SHRINKS = 16
 _AGREEMENTS = 3
-
-
-def _matrix_blaschke(M: NDArray[np.complex128], lam: complex) -> NDArray[np.complex128]:
-    """phi_lam(M) = (M - lam)(M - conj(lam))^{-1}, via a linear solve.
-
-    M is one matrix or a stack of them, transformed matrix by matrix.
-    """
-    I = np.eye(M.shape[-1])
-    return _mT(np.linalg.solve(_mT(M - np.conj(lam) * I), _mT(M - lam * I)))
 
 
 def _det(M: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -803,9 +774,7 @@ def compose_scalar(f: RationalPickFunction, F: RationalPickFunction,
 def boundary_unitary(F: RationalPickFunction, t: float, x: float
                      ) -> NDArray[np.complex128]:
     """exp(i t F(x)) for real x away from the poles; unitary since F(x) = F(x)*."""
-    M = pick_eval(F, float(x))
-    M = (M + M.conj().T) / 2
-    w, U = np.linalg.eigh(M)
+    w, U = np.linalg.eigh(_hermitian(pick_eval(F, float(x))))
     return U @ np.diag(np.exp(1j * t * w)) @ U.conj().T
 
 
@@ -828,14 +797,19 @@ def load_pick(source) -> RationalPickFunction:
     else:
         with open(source) as fh:
             spec = json.load(fh)
-    n = int(spec["dim"])
-    C = _decode_matrix(spec["C"])
-    D = _decode_matrix(spec["D"])
-    if C.shape != (n, n) or D.shape != (n, n):
-        raise ValueError("matrix dimensions disagree with dim")
-    poles = [(float(p["lambda"]), _decode_matrix(p["A"]))
-             for p in spec.get("poles", [])]
-    return RationalPickFunction(C, D, tuple(poles))
+    # a spec of the wrong shape (a list for a dict, a number for a matrix)
+    # is an input error like any other
+    try:
+        n = int(spec["dim"])
+        C = _decode_matrix(spec["C"])
+        D = _decode_matrix(spec["D"])
+        if C.shape != (n, n) or D.shape != (n, n):
+            raise ValueError("matrix dimensions disagree with dim")
+        poles = tuple((float(p["lambda"]), _decode_matrix(p["A"]))
+                      for p in spec.get("poles", []))
+    except (TypeError, IndexError, AttributeError) as exc:
+        raise ValueError(f"malformed Pick JSON: {exc}") from exc
+    return RationalPickFunction(C, D, poles)
 
 
 def dump_pick(F: RationalPickFunction) -> dict:

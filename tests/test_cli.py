@@ -565,15 +565,59 @@ class TestKernelDemo:
         assert not out.exists()
 
 
+def _pick_text(C="[[[0.3, 0]]]", D="[[[1, 0]]]", pole="1.0"):
+    return ('{"dim": 1, "C": %s, "D": %s, "poles": [{"lambda": %s, '
+            '"A": [[[1, 0]]]}]}' % (C, D, pole))
+
+
+# (command, input flag, file text, what the error message says)
+MALFORMED = [
+    ("psi", "--measure", "{not json", "error:"),
+    ("degree", "--pick", '{"dim": 1, "C": [[1]], "D": [[[0, 0]]]}',
+     "malformed Pick JSON"),
+    ("degree", "--pick", '{"dim": 1, "C": 5, "D": [[[0, 0]]]}',
+     "malformed Pick JSON"),
+    ("degree", "--pick", "[1, 2]", "malformed Pick JSON"),
+    ("psi", "--measure", '{"atoms": 5}', "malformed measure JSON"),
+    ("psi", "--measure", "[1, 2]", "malformed measure JSON"),
+    ("psi", "--measure",
+     '{"density": [{"interval": [0.5, 2.0], "expr": "lam +"}]}',
+     "density expression"),
+    ("degree", "--pick", _pick_text(pole="NaN"), "pole locations must be finite"),
+    ("degree", "--pick", _pick_text(pole="Infinity"),
+     "pole locations must be finite"),
+    ("degree", "--pick", _pick_text(C="[[[NaN, 0]]]"), "C must be finite"),
+    ("degree", "--pick", _pick_text(D="[[[NaN, 0]]]"), "D must be finite"),
+    ("degree", "--pick", _pick_text(D="[[[Infinity, 0]]]"), "D must be finite"),
+]
+
+
 class TestInputErrors:
     def test_missing_measure_file(self, tmp_path):
         assert run(["psi", "--measure", str(tmp_path / "nope.json"),
                     "--points", "1"]) == 2
 
-    def test_malformed_json(self, tmp_path):
+    def test_malformed_json(self, tmp_path, capsys):
+        # every case is an input error (exit 2) with a one-line message, not
+        # a traceback: exit 1 would read as a negative certification
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert run(["psi", "--measure", str(path), "--points", "1"]) == 2
+        for command, flag, text, says in MALFORMED:
+            path.write_text(text)
+            argv = [command, flag, str(path)]
+            if command == "psi":
+                argv += ["--points", "1"]
+            assert run(argv) == 2, text
+            assert says in capsys.readouterr().err, text
+
+    @pytest.mark.parametrize("command", ["psi", "certify-psd"])
+    def test_non_finite_atom_weight_rejected(self, tmp_path, command):
+        # NaN passes "w < 0", and certify-psd's "atom0 > 0" reads it as no atom
+        path = tmp_path / "nan.json"
+        path.write_text('{"atom0": NaN, "atoms": [[1.0, 1.0]]}')
+        argv = [command, "--measure", str(path)]
+        if command == "psi":
+            argv += ["--points", "1"]
+        assert run(argv) == 2
 
     def test_bad_points(self, atom_path):
         assert run(["psi", "--measure", atom_path, "--points", "abc"]) == 2
