@@ -297,7 +297,7 @@ def compactness_check(mu: BoundaryMeasure) -> bool:
 
         # band integrals from l = min(b, 1) down toward a
         vals = integrate_batched(bands, v[0], v[-1], _FORM_QUADRATURE,
-                                 [*v[1:-1], *np.log(piece.kinks)])[::-1]
+                                 [*v[1:-1], *piece.log_kinks])[::-1]
         # convergent tails decay geometrically toward 0
         head, tail = vals[:4].mean(), vals[-4:].mean()
         if head > 0 and tail > 0.5 * head:

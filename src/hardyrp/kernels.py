@@ -31,17 +31,14 @@ __all__ = [
     "eval_f",
     "eval_dtilde",
     "halfmass",
-    "halfmass_quadrature",
     "sandwich_factors",
     "approx_identity",
     "approx_identity_regions",
 ]
 
 
-# per-region tolerances of the approximate-identity pass, and the tighter
-# ones of the half-mass cross-check, which is compared with a closed form
+# per-region tolerances of the approximate-identity pass
 _KERNEL_QUADRATURE = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-10)
-_HALFMASS_QUADRATURE = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-11)
 
 
 @dataclass(frozen=True)
@@ -135,18 +132,6 @@ def halfmass(p: float, n: int) -> float:
     params = KernelParams(p, n)
     lo, hi = params.window
     return (_antiderivative(p, n, hi) - _antiderivative(p, n, lo)) / math.pi
-
-
-def halfmass_quadrature(p: float, n: int) -> float:
-    """The same window mass by adaptive quadrature, as a cross-check.
-
-    One integrate_batched pass on the window, split at the peak p; raises
-    QuadratureError when the panel budget is spent.
-    """
-    lo, hi = KernelParams(p, n).window
-    val = integrate_batched(lambda x: eval_dtilde(p, n, x)[:, None], lo, hi,
-                            _HALFMASS_QUADRATURE, breakpoints=(p,))
-    return float(val[0]) / math.pi
 
 
 def sandwich_factors(p: float, n: int) -> tuple[float, float]:

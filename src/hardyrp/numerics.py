@@ -124,11 +124,17 @@ _GAUSS_WEIGHTS[11:20:2] = _GK_WG[::-1]
 _BLOCK = 2 ** 17
 
 
-def _gk_panels(f, lo, hi):
-    """Kronrod sums and |Kronrod - Gauss| error vectors of f on [lo_i, hi_i]."""
+def _gk_panels(f, lo, hi, m=None):
+    """Kronrod sums and |Kronrod - Gauss| error vectors of f on [lo_i, hi_i].
+
+    m is f's component count, when known: the panels then go to f in
+    blocks of _BLOCK values, one call for every pass that fits.  Without
+    it the first call, on the first panel alone, reveals it.
+    """
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     kron, err = [], []
-    start, step = 0, 1      # the first call reveals the component count
+    start = 0
+    step = 1 if m is None else max(1, _BLOCK // (21 * m))
     while start < lo.size:
         blk = slice(start, start + step)
         s = (mid[blk, None] + half[blk, None] * _GK_NODES).ravel()
@@ -155,10 +161,14 @@ def integrate_batched(
     """Integrate a vector-valued f over the finite interval [a, b].
 
     f maps a 1-D array of n nodes to a new (n, m) array, the m components
-    of the integrand at each node, which the integrator scales in place;
-    every pass evaluates f once per block of panels on all their nodes.
-    The first panels are [a, b] cut at the breakpoints inside it (kinks of
-    f, where no panel should straddle).
+    of the integrand at each node, which the integrator scales in place.
+    The first call, on the first panel's 21 nodes, reveals m; after it
+    every pass evaluates f on all nodes of the panels it refines in one
+    call, or in blocks of _BLOCK values where m is so large that one call
+    would hold more.  The first panels are [a, b] cut at the breakpoints
+    inside it (kinks of f, where no panel should straddle, and the edges
+    of a partition graded to f's scales, which saves the passes that
+    bisecting toward them would take).
     Each panel carries the 21-point Kronrod sum and, as its error vector,
     the componentwise difference to the embedded 10-point Gauss sum.
 
@@ -169,14 +179,17 @@ def integrate_batched(
     their largest error in units of tol_i) that leave at most tol_i / 2 of
     every component on the panels kept.
 
-    cfg supplies the tolerances and the panel budget.  Raises
-    QuadratureError, carrying the partial value vector and the summed error
-    of the component furthest from its tolerance, when the budget is spent.
+    cfg supplies the tolerances and the panel budget, which counts the
+    first partition too.  Raises QuadratureError, carrying the partial
+    value vector and the summed error of the component furthest from its
+    tolerance, when the budget is spent: by a refinement, or by first
+    panels that alone are more than cfg.max_subdivisions.
     """
     edges = np.unique(np.r_[float(a), float(b),
                             [t for t in breakpoints if a < t < b]])
     lo, hi = edges[:-1], edges[1:]
     kron, err = _gk_panels(f, lo, hi)
+    m = kron.shape[1]
     while True:
         value = kron.sum(axis=0)
         mag = np.abs(value)
@@ -185,6 +198,11 @@ def integrate_batched(
         scaled = err / np.maximum(cfg.abs_tol, cfg.rel_tol * mag)
         total = scaled.sum(axis=0)
         worst = int(np.argmax(total))
+        if lo.size > cfg.max_subdivisions:     # the first partition alone
+            raise QuadratureError(
+                f"batched quadrature starts from {lo.size} panels, more "
+                f"than its budget of {cfg.max_subdivisions}", value,
+                float(err[:, worst].sum()))
         if total[worst] <= 1.0:
             return value
         order = np.argsort(-scaled.max(axis=1), kind="stable")
@@ -198,10 +216,10 @@ def integrate_batched(
                 f"{total[worst]:.3e} times the tolerance of component "
                 f"{worst} after {lo.size} panels", value, error)
         split, keep = order[:n_split], order[n_split:]
-        m = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], m])
-        new_hi = np.concatenate([m, hi[split]])
-        k_new, e_new = _gk_panels(f, new_lo, new_hi)
+        cut = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], cut])
+        new_hi = np.concatenate([cut, hi[split]])
+        k_new, e_new = _gk_panels(f, new_lo, new_hi, m)
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
         kron = np.concatenate([kron[keep], k_new])

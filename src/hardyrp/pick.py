@@ -797,8 +797,9 @@ def load_pick(source) -> RationalPickFunction:
     else:
         with open(source) as fh:
             spec = json.load(fh)
-    # a spec of the wrong shape (a list for a dict, a number for a matrix)
-    # is an input error like any other
+    # a spec of the wrong shape (a list for a dict, a number for a matrix),
+    # or a dim no int holds (1e400 parses as inf), is an input error like
+    # any other
     try:
         n = int(spec["dim"])
         C = _decode_matrix(spec["C"])
@@ -807,7 +808,7 @@ def load_pick(source) -> RationalPickFunction:
             raise ValueError("matrix dimensions disagree with dim")
         poles = tuple((float(p["lambda"]), _decode_matrix(p["A"]))
                       for p in spec.get("poles", []))
-    except (TypeError, IndexError, AttributeError) as exc:
+    except (TypeError, IndexError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed Pick JSON: {exc}") from exc
     return RationalPickFunction(C, D, poles)
 

@@ -203,6 +203,14 @@ _LOG_QUADRATURE = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-10,
 # on a Cauchy density, whose t_map makes a dozen axis passes, took 0.5 s
 # with the window's own ends and takes 0.14 s on the grid
 _LOG_GRID = 10.0
+# within _LOG_GRID of each point's u, where its kernel peaks, the first
+# panel edges are the multiples of _LOG_STEP, which bisecting the grid
+# reaches anyway, so nodes stay shared.  The kernels are analytic in the
+# strip |Im t| < min(theta, pi - theta) for a point at angle theta (pi/2 on
+# the axis, sech t), where a 21-point panel 2.5 wide resolves them:
+# outer_eval at three points on a Cauchy density takes 3 passes, where
+# bisecting the grid alone took 5
+_LOG_STEP = _LOG_GRID / 4
 # beyond |t| = 350 every kernel is below e^{-350}; clipping t there keeps
 # e^{2t} finite and the kernels' values unchanged far below any tolerance
 _T_CLIP = 350.0
@@ -211,12 +219,22 @@ _T_CLIP = 350.0
 def _log_window(integrand, u: NDArray[np.float64],
                 breakpoints) -> NDArray[np.float64]:
     """integrand over [min u - _LOG_TAIL, max u + _LOG_TAIL], widened to
-    multiples of _LOG_GRID, in one pass under _LOG_QUADRATURE."""
+    multiples of _LOG_GRID, in one pass under _LOG_QUADRATURE.
+
+    The first panel edges are the multiples of _LOG_GRID, the multiples of
+    _LOG_STEP within _LOG_GRID of some u (each u rounded onto that
+    lattice; the lattice points of all u, without repeats), and the
+    breakpoints.  So the first panels near the points are narrow enough
+    for their kernels, and all edges lie on one lattice, which the passes
+    for different points share."""
     lo = _LOG_GRID * math.floor((u.min() - _LOG_TAIL) / _LOG_GRID)
     hi = _LOG_GRID * math.ceil((u.max() + _LOG_TAIL) / _LOG_GRID)
-    grid = np.arange(lo, hi, _LOG_GRID).tolist()
+    # the 9 lattice points within _LOG_GRID = 4 _LOG_STEP of each u
+    near = np.unique(np.round(u / _LOG_STEP)[:, None] + np.arange(-4, 5))
+    grid = np.arange(lo, hi, _LOG_GRID)
     return integrate_batched(integrand, lo, hi, _LOG_QUADRATURE,
-                             [*grid, *breakpoints])
+                             [*grid.tolist(), *(near * _LOG_STEP).tolist(),
+                              *breakpoints])
 
 
 def _singular_breaks(K: BoundaryModulus) -> list[float]:

@@ -473,7 +473,7 @@ class TestHankelCommands:
 
     def test_os_check_fails_tight_tolerance(self, lebesgue_path):
         # on atoms the two sides are closed forms that can agree exactly;
-        # the density's two quadratures differ by about 1e-10
+        # the density's two quadratures differ in their last digits
         assert run(["--tol-rel", "1e-30", "os-check",
                     "--measure", lebesgue_path]) == 1
 
@@ -589,6 +589,9 @@ MALFORMED = [
     ("degree", "--pick", _pick_text(C="[[[NaN, 0]]]"), "C must be finite"),
     ("degree", "--pick", _pick_text(D="[[[NaN, 0]]]"), "D must be finite"),
     ("degree", "--pick", _pick_text(D="[[[Infinity, 0]]]"), "D must be finite"),
+    # JSON reads 1e400 as inf, which no int holds
+    ("degree", "--pick", '{"dim": 1e400, "C": [[[1, 0]]], "D": [[[0, 0]]]}',
+     "malformed Pick JSON"),
 ]
 
 
@@ -643,6 +646,20 @@ class TestInputErrors:
             {"density": [{"interval": [-1.0, 1.0], "kind": "closed-form",
                           "expr": "1"}]}))
         assert run(["psi", "--measure", str(path), "--points", "1"]) == 2
+
+    @pytest.mark.parametrize("density, says", [
+        ({"interval": [0.5, 2.0], "expr": "-1"}, "negative at l ="),
+        ({"interval": [0.5, 2.0], "kind": "table",
+          "samples": [[0.5, 1.0], [1.0, -5.0], [2.0, 1.0]]},
+         "nonnegative density values"),
+    ], ids=["closed-form", "table"])
+    def test_negative_density_rejected(self, tmp_path, capsys, density, says):
+        # psi_big of a negative density once printed a negative value
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps({"density": [density]}))
+        assert run(["psi", "--measure", str(path), "--points", "1"]) == 2
+        captured = capsys.readouterr()
+        assert says in captured.err and not captured.out
 
 
 def per_point_polylines(curves, width=640, height=480):

@@ -13,9 +13,22 @@ from hardyrp.kernels import (
     eval_f,
     eval_g,
     halfmass,
-    halfmass_quadrature,
     sandwich_factors,
 )
+from hardyrp.numerics import QuadratureConfig, integrate_batched
+
+# tighter than the kernel pass's tolerances: the cross-check is compared
+# with a closed form
+_HALFMASS_QUADRATURE = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-11)
+
+
+def halfmass_quadrature(p: float, n: int) -> float:
+    """halfmass by adaptive quadrature, as a cross-check of its closed
+    form: one integrate_batched pass on the window, split at the peak p."""
+    lo, hi = KernelParams(p, n).window
+    val = integrate_batched(lambda x: eval_dtilde(p, n, x)[:, None], lo, hi,
+                            _HALFMASS_QUADRATURE, breakpoints=(p,))
+    return float(val[0]) / math.pi
 
 
 class TestParams:

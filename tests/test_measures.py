@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardyrp import measures
+from hardyrp import measures, numerics
 from hardyrp.measures import (
     BoundaryMeasure,
     DensityPiece,
@@ -43,6 +43,20 @@ class TestConstruction:
     def test_density_interval_validated(self):
         with pytest.raises(ValueError):
             DensityPiece(2.0, 1.0, expr="1")
+
+    @pytest.mark.parametrize("samples", [
+        [[0.5, 1.0], [1.0, -5.0]], [[0.5, 1.0], [1.0, float("nan")]],
+        [[0.5, 1.0], [float("inf"), 1.0]]])
+    def test_table_samples_validated(self, samples):
+        with pytest.raises(ValueError, match="table samples"):
+            DensityPiece(0.5, 2.0, "table", samples=samples)
+
+    def test_negative_closed_form_rejected_where_evaluated(self):
+        # a formula's sign shows only at its nodes
+        nu = BoundaryMeasure(density=[
+            DensityPiece(0.5, 2.0, expr="1 - lam")])
+        with pytest.raises(ValueError, match="negative"):
+            psi_big(nu, 1.0)
 
     def test_disallowed_expression_name(self):
         with pytest.raises(ValueError):
@@ -336,6 +350,28 @@ class TestDensityRoutes:
         want = (1.0 - (2.0 / np.pi) * np.arctan(1e-12 / p)) / p
         got = psi_big(lebesgue_cauchy_measure(), p)
         assert np.abs(got / want - 1.0).max() < 1e-12
+
+    def test_first_panels_reach_the_kernels_scales(self, monkeypatch):
+        # v = 0 and the graded +-2^k are first panel edges: bisecting the
+        # two panels [log 1e-12, 0] and [0, 300] toward the kernels' scales
+        # took 9 passes
+        passes = []
+        real = numerics._gk_panels
+        monkeypatch.setattr(numerics, "_gk_panels", lambda f, lo, hi, m=None:
+                            passes.append(lo.size) or real(f, lo, hi, m))
+        nu = lebesgue_cauchy_measure()
+        measures._mass(nu)
+        passes.clear()
+        psi_big(nu, np.geomspace(1e-3, 1e3, 7))
+        assert len(passes) <= 4
+
+    def test_kinks_finer_than_the_grading_add_no_graded_edge(self):
+        kinks = np.log(np.geomspace(0.1, 10.0, 64)[1:-1]).tolist()
+        lo, hi = math.log(0.1), math.log(10.0)
+        assert measures._first_edges(lo, hi, kinks) == sorted([0.0, *kinks])
+        assert measures._first_edges(math.log(1e-12), 300.0, []) == sorted(
+            [0.0, *(s * 2.0 ** k for k in range(9) for s in (-1, 1)
+                    if s * 2.0 ** k > math.log(1e-12))])
 
     def test_array_memory_is_chunked(self, monkeypatch):
         # every pass integrates at most _PSI_CHUNK of the keys

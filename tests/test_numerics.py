@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hardyrp import numerics
 from hardyrp.numerics import (
     CurveSample,
     QuadratureConfig,
@@ -66,6 +67,41 @@ class TestIntegrateBatched:
                                 breakpoints=(0.3, 5.0))
         assert sum(calls) == 42
         assert np.abs(val - [0.5 * (1.3 ** 2 + 0.7 ** 2), 0.0]).max() < 1e-15
+
+    @pytest.mark.parametrize("m", [2, 2048])
+    def test_one_probe_call_then_one_call_per_pass(self, monkeypatch, m):
+        # the first call, on the first panel alone, reveals the component
+        # count; after it a pass is one call on all its panels, or calls of
+        # at most _BLOCK values when one call would hold more
+        passes, calls = [], []
+        real = numerics._gk_panels
+        monkeypatch.setattr(numerics, "_gk_panels", lambda f, lo, hi, m=None:
+                            passes.append(lo.size) or real(f, lo, hi, m))
+        c = np.geomspace(1e-4, 1.0, m)
+
+        def f(s):
+            calls.append(s.size)
+            return 1.0 / (c + (s * s)[:, None])
+
+        val = integrate_batched(f, -1.0, 1.0, QuadratureConfig(1e-12, 1e-10),
+                                breakpoints=(-0.5, 0.5))
+        assert np.abs(val / (2.0 * np.arctan(1.0 / np.sqrt(c)) / np.sqrt(c))
+                      - 1.0).max() < 1e-10
+        assert len(passes) > 2 and calls[0] == 21
+        if 21 * m * max(passes) <= numerics._BLOCK:
+            assert calls[1:] == [21 * (passes[0] - 1), *(21 * n for n in
+                                                         passes[1:])]
+        else:
+            assert max(calls) * m <= numerics._BLOCK
+            assert sum(calls) == 21 * sum(passes)
+
+    def test_first_partition_counts_against_the_budget(self):
+        # 16 first panels, each exact for a line, are over a budget of 8
+        with pytest.raises(QuadratureError, match="budget of 8") as info:
+            integrate_batched(lambda s: s[:, None], 0.0, 16.0,
+                              QuadratureConfig(max_subdivisions=8),
+                              breakpoints=np.arange(1.0, 16.0))
+        assert info.value.value[0] == 128.0
 
     def test_non_integrable_raises_with_partial_value(self):
         # 1/s on (0, 1) diverges: the panel budget runs out, loudly
