@@ -45,7 +45,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -254,10 +254,13 @@ def degree_rank(F: RationalPickFunction) -> int:
 
 # -- winding-number degree computations --------------------------------------
 
-# the disc-model circle every contour starts on, and the uniform samples of
-# a planned contour's coarsest level and of one radius of the shrink schedule
+# the disc-model circle every contour starts on; a planned contour's
+# coarsest level has _PLANNED_SAMPLES uniform points, doubled until there
+# are _TERM_SAMPLES per term of its plan (see _winding_with_features); one
+# radius of the shrink schedule has _SHRINK_SAMPLES
 _RADIUS = 1.25
-_PLANNED_SAMPLES = 4096
+_PLANNED_SAMPLES = 512
+_TERM_SAMPLES = 32
 _SHRINK_SAMPLES = 512
 _MAX_SHRINKS = 16
 _AGREEMENTS = 3
@@ -327,8 +330,9 @@ def _mirror_roots(F: RationalPickFunction, lam: complex) -> NDArray[np.complex12
 
 
 def _contour_plan(F: RationalPickFunction,
-                  lam: complex) -> tuple[float, list[tuple[float, float]]]:
-    """Safe circle radius plus the angular features needing dense sampling.
+                  lam: complex) -> tuple[float, list[tuple[float, float]], int]:
+    """Safe circle radius, the angular features needing dense sampling, and
+    the number of mirror roots.
 
     The winding formulas are valid on circles below the disc-model images of
     the mirror solutions det(F(z) - conj(lam)) = 0; halving the gap to the
@@ -339,6 +343,8 @@ def _contour_plan(F: RationalPickFunction,
     at the images of the function's poles and of infinity; all of these are
     returned as (angle, length scale) pairs.  Every mirror root counts;
     one within rounding of the unit circle raises DegenerateCurveError.
+    There are rk D + sum rk A_j = deg F roots by construction, so each
+    winding count on the contour must equal their number.
     """
     ws = cayley(_mirror_roots(F, lam))
     mods = np.abs(ws)
@@ -354,30 +360,61 @@ def _contour_plan(F: RationalPickFunction,
     feats.append((0.0, rs - 1.0))                     # image of infinity
     for l, _ in F.poles:
         feats.append((float(np.angle(cayley(l))), rs - 1.0))
-    return rs, feats
+    return rs, feats, ws.size
+
+
+@cache
+def _level_grids(n0: int, refine: int):
+    """The function-independent grids of one refinement level, built once
+    per process: n0 << refine uniform angles on [0, 2 pi) and the
+    (200 << refine) + 1 unit sinh offsets of a feature window.  Shared, so
+    read-only."""
+    n, span = n0 << refine, np.arcsinh(60.0)
+    uniform = np.linspace(0.0, 2.0 * np.pi, n + 1)[:-1]
+    unit = np.sinh(np.linspace(-span, span, (200 << refine) + 1))
+    uniform.flags.writeable = unit.flags.writeable = False
+    return uniform, unit
 
 
 def _winding_with_features(fn, kinds: Sequence[bool], rs: float,
-                           feats: Sequence[tuple[float, float]]) -> list[int]:
+                           feats: Sequence[tuple[float, float]],
+                           terms: int) -> list[int]:
     """Winding of each curve of fn on the circle of radius rs, one per kind.
 
     fn(w, kinds) gives one array of curve values per kind (see
-    _curve_sampler).  Each feature is oversampled, and each curve is
-    accepted at its own first refinement level that winding_number does not
-    refuse; a finer level samples only the curves still open.  A
-    non-finite, unclosed or excluded curve raises DegenerateCurveError.
+    _curve_sampler).  The coarsest level has N uniform points, N =
+    _PLANNED_SAMPLES doubled until N >= _TERM_SAMPLES * terms, terms =
+    2 deg F + #poles + 1 from the plan, and each feature (theta, d) adds
+    201 points on its sinh window theta +- 60 d; each finer level, at most
+    four, doubles both.  Each curve is accepted at its own first level that
+    winding_number does not refuse; a finer level samples only the curves
+    still open.  A non-finite, unclosed or excluded curve raises
+    DegenerateCurveError.
+
+    Why 32 points per term suffice.  Each curve is rational in w, and its
+    zeros and poles are the mirror roots, their reflections 1/conj(w_k) and
+    the images of the poles and of infinity, at most 2 deg F of them with
+    multiplicity.  A uniform step h = 2 pi/N turns the argument of a factor
+    w - a by at most rs h/delta, delta the distance of a from the circle,
+    and rs <= 1.25.  A root of modulus >= 2 and its reflection, of modulus
+    <= 1/2, are no features and have delta >= 1/2, so together such
+    factors turn one step by at most 2 deg F * 2 rs h = 10 pi deg F/N <
+    5 pi/32 < 0.5 rad.  Every other zero or pole is a feature: near it the
+    circle is its tangent line, on which a point at distance d turns the
+    argument by less than atan(1/60) < 1/60 rad beyond +-60 d, and farther
+    away the first bound holds again.  So a step turns well under the pi/2 at which
+    winding_number refuses, and no full turn can hide between two samples.
     """
-    span = np.arcsinh(60.0)
+    n0 = _PLANNED_SAMPLES
+    while n0 < _TERM_SAMPLES * terms:
+        n0 *= 2
     counts: dict[bool, int] = {}
     last: Exception | None = None
     for refine in range(5):
         todo = [k for k in kinds if k not in counts]
-        n = _PLANNED_SAMPLES << refine
-        grids = [np.linspace(0.0, 2.0 * np.pi, n + 1)[:-1]]
-        local = (200 << refine) + 1
-        for theta, d in feats:
-            off = d * np.sinh(np.linspace(-span, span, local))
-            grids.append(np.mod(theta + off, 2.0 * np.pi))
+        uniform, unit = _level_grids(n0, refine)
+        grids = [uniform] + [np.mod(theta + d * unit, 2.0 * np.pi)
+                             for theta, d in feats]
         t = np.unique(np.concatenate(grids))
         t = np.append(t, t[0] + 2.0 * np.pi)
         for kind, vals in zip(todo, fn(rs * np.exp(1j * t), todo)):
@@ -510,8 +547,17 @@ def _winding_counts(F, lam: complex, kinds: Sequence[bool]) -> list[int]:
     """
     fn = _curve_sampler(F, lam)
     if isinstance(F, RationalPickFunction):
-        rs, feats = _contour_plan(F, lam)
-        return _winding_with_features(fn, kinds, rs, feats)
+        rs, feats, roots = _contour_plan(F, lam)
+        counts = _winding_with_features(fn, kinds, rs, feats,
+                                        2 * roots + len(F.poles) + 1)
+        # inside the contour kind True has deg F zeros (the reflected ones)
+        # and no pole, kind False deg F poles (the images of the poles and
+        # of infinity) and no zero
+        if counts != [roots if k else -roots for k in kinds]:
+            raise DegenerateCurveError(
+                f"winding counts {counts} disagree with the {roots} mirror "
+                "root(s) of the contour plan")
+        return counts
     return [_winding_on_circle(lambda w, k=k: fn(w, (k,))[0]) for k in kinds]
 
 

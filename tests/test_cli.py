@@ -160,6 +160,28 @@ class TestPsi:
         assert run(["psi", "--measure", sample_path, "--points", "1,0"]) == 2
 
 
+# the function 328 of the weak family W11 (tests/test_pick.py, weak_family)
+TINY_RESIDUE = """{"dim": 3,
+ "C": [[[3.7280531654808713, 0.0], [-3.3842944105554547, 0.0],
+        [0.812854730673824, 0.0]],
+       [[-3.3842944105554547, 0.0], [8.980465292534666, 0.0],
+        [12.914218511381684, 0.0]],
+       [[0.812854730673824, 0.0], [12.914218511381684, 0.0],
+        [4.720405208328597, 0.0]]],
+ "D": [[[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]],
+       [[0, 0], [0, 0], [0, 0]]],
+ "poles": [{"lambda": -1.6755848857619835,
+            "A": [[[5.830811084183931e-15, -1.6173258789275057e-32],
+                   [-1.997700055079417e-15, -1.0913286040799295e-14],
+                   [-4.8583413163395495e-15, -3.839737677679138e-15]],
+                  [[-1.997700055079417e-15, 1.0913286040799295e-14],
+                   [2.1110376573895907e-14, 4.089898204884508e-31],
+                   [8.851198155499176e-15, -7.777618524096606e-15]],
+                  [[-4.8583413163395495e-15, 3.839737677679138e-15],
+                   [8.851198155499176e-15, 7.777618524096604e-15],
+                   [6.57662634336706e-15, 1.1523871108506798e-31]]]}]}"""
+
+
 class TestDegree:
     def test_both_methods(self, pick_path, tmp_path):
         out = tmp_path / "deg.json"
@@ -190,7 +212,8 @@ class TestDegree:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_degenerate_curve_exits_three(self, pick_path, monkeypatch, capsys):
-        # F returns NaN on one block of circle points: a numerical failure
+        # F returns NaN at one point of the first block of circle points,
+        # which every contour has: a numerical failure
         import hardyrp.pick
         real = hardyrp.pick._entries
         calls = []
@@ -198,7 +221,9 @@ class TestDegree:
         def poisoned(F, z, shifts=(0.0,)):
             calls.append(None)
             M = real(F, z, shifts)
-            return M * np.nan if len(calls) == 2 else M
+            if len(calls) == 1:
+                M[..., 0] = np.nan
+            return M
 
         monkeypatch.setattr(hardyrp.pick, "_entries", poisoned)
         assert run(["degree", "--pick", pick_path, "--method", "winding"]) == 3
@@ -220,6 +245,19 @@ class TestDegree:
         if rc == 0:
             counts = json.loads(out)
             assert counts["rank"] == counts["winding"] == counts["winding_pole_count"]
+
+    def test_count_short_of_the_root_count_exits_three(self, tmp_path, capsys):
+        # a rank-1 residue of 3.4e-14 against |C| = 21.8, whose mirror root
+        # maps one ulp outside the unit circle: both curves wind 0 times
+        path = tmp_path / "tiny-residue.json"
+        path.write_text(TINY_RESIDUE)
+        assert run(["degree", "--pick", str(path), "--method", "rank"]) == 0
+        assert json.loads(capsys.readouterr().out)["rank"] == 1
+        assert run(["degree", "--pick", str(path), "--method", "winding"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure" in captured.err
+        assert "1 mirror root" in captured.err
 
     def test_disagreeing_counts_exit_three(self, pick_path, monkeypatch, capsys):
         monkeypatch.setattr(hardyrp.cli, "winding_counts", lambda F: (1, 2))
@@ -471,11 +509,21 @@ class TestHankelCommands:
         assert abs(payload["rhs"][0] - want) < 1e-6 * want
         assert payload["deviation"] <= 1e-6
 
-    def test_os_check_fails_tight_tolerance(self, lebesgue_path):
-        # on atoms the two sides are closed forms that can agree exactly;
-        # the density's two quadratures differ in their last digits
-        assert run(["--tol-rel", "1e-30", "os-check",
-                    "--measure", lebesgue_path]) == 1
+    def test_os_check_fails_tight_tolerance(self, lebesgue_path, monkeypatch):
+        # sides 1e-9 apart (relative), a resolved gap where the density's own
+        # two quadratures may agree to the last digit: the exit code follows
+        # --tol-rel, 1 below the gap and 0 above it
+        real = hardyrp.cli.os_isometry_check
+
+        def gapped(nu, f, g):
+            lhs, _, _ = real(nu, f, g)
+            rhs = lhs * (1.0 + 1e-9)
+            return lhs, rhs, abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+
+        monkeypatch.setattr(hardyrp.cli, "os_isometry_check", gapped)
+        for tol, code in (("1e-10", 1), ("1e-8", 0)):
+            assert run(["--tol-rel", tol, "os-check",
+                        "--measure", lebesgue_path]) == code
 
     def test_compactness_atom(self, atom_path, tmp_path):
         out = tmp_path / "c.json"

@@ -46,6 +46,26 @@ def random_pick(rng: np.random.Generator, dim: int,
     return RationalPickFunction(C, D, poles)
 
 
+def weak_family(lo: float, hi: float) -> list[RationalPickFunction]:
+    """600 functions with zero D, |C| from 1 to 1e5 and rank-1 residues of
+    size 10^U(lo, hi): (-11.5, -8) is the family W8, (-14, -11) W11.  Many
+    of their mirror roots lie within a few ulps of the real line."""
+    rng = np.random.default_rng(0)
+    family = []
+    for _ in range(600):
+        n = rng.integers(1, 4)
+        X = rng.standard_normal((n, n))
+        C = (X + X.T) / 2
+        C *= 10 ** rng.uniform(0, 5) / np.linalg.norm(C)
+        poles = []
+        for l in np.sort(rng.uniform(-5, 5, rng.integers(1, 4))):
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            v /= np.linalg.norm(v)
+            poles.append((l, 10 ** rng.uniform(lo, hi) * np.outer(v, v.conj())))
+        family.append(RationalPickFunction(C, np.zeros((n, n)), tuple(poles)))
+    return family
+
+
 def matrix_blaschke(M, lam):
     """phi_lam(M) = (M - lam)(M - conj(lam))^{-1} for a stack of matrices,
     by a linear solve: a reference independent of bp_eval."""
@@ -256,13 +276,16 @@ class TestWindingCounts:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_block_is_numerical_failure(self, monkeypatch):
+        # NaN at one point of the first block, which every contour has
         real = hardyrp.pick._entries
         calls = []
 
         def poisoned(F, z, shifts=(0.0,)):
             calls.append(None)
             M = real(F, z, shifts)
-            return M * np.nan if len(calls) == 2 else M
+            if len(calls) == 1:
+                M[..., 0] = np.nan
+            return M
 
         monkeypatch.setattr(hardyrp.pick, "_entries", poisoned)
         with pytest.raises(DegenerateCurveError):
@@ -319,6 +342,112 @@ class TestWindingCounts:
         with pytest.raises(DegenerateCurveError):
             winding_counts(F)
 
+
+    @pytest.mark.parametrize("lo, hi", [(-11.5, -8.0), (-14.0, -11.0)],
+                             ids=["W8", "W11"])
+    def test_weak_families_count_the_degree_or_raise(self, lo, hi):
+        counted = 0
+        for F in weak_family(lo, hi):
+            try:
+                counts = winding_counts(F)
+            except (DegenerateCurveError, UnderSampledCurveError):
+                continue
+            assert counts == (degree_rank(F),) * 2
+            counted += 1
+        assert counted >= 100
+
+    def test_count_below_the_root_count_raises(self):
+        # W11's function 328: a residue of 3.4e-14 against |C| = 21.8, whose
+        # mirror root maps one ulp outside the unit circle; both curves
+        # wind 0 times around the contour, short of its one mirror root
+        F = weak_family(-14.0, -11.0)[328]
+        assert degree_rank(F) == 1
+        with pytest.raises(DegenerateCurveError, match="1 mirror root"):
+            winding_counts(F)
+
+
+# the first degree input of the pick-degree benchmark, seed 1
+BENCHMARK_INPUT = """{"dim": 2,
+ "C": [[[-1.2732170480659186, 0.0], [-0.12221770677815094, 0.0]],
+       [[-0.12221770677815094, 0.0], [0.37408722038710385, 0.0]]],
+ "D": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+ "poles": [{"lambda": -2.637270608125197,
+            "A": [[[0.7405446042613174, 0.0],
+                   [0.37186132346698164, -0.33234632422296556]],
+                  [[0.37186132346698164, 0.33234632422296556],
+                   [0.3358810822249407, 0.0]]]},
+           {"lambda": 2.5212667623518095,
+            "A": [[[0.7398687559616122, 0.0],
+                   [-1.181886397096731, 1.8659838789154313]],
+                  [[-1.181886397096731, -1.8659838789154313],
+                   [6.594076655762583, 0.0]]]}]}"""
+
+
+class TestContourSize:
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the uniform points and the circle points of every level a
+        winding pass samples."""
+        uniform, points = [], []
+        grids, sampler = hardyrp.pick._level_grids, hardyrp.pick._curve_sampler
+
+        def level_grids(n0, refine):
+            out = grids(n0, refine)
+            uniform.append(out[0].size)
+            return out
+
+        def curve_sampler(F, lam):
+            fn = sampler(F, lam)
+
+            def counted(w, kinds):
+                points.append(w.size)
+                return fn(w, kinds)
+            return counted
+
+        monkeypatch.setattr(hardyrp.pick, "_level_grids", level_grids)
+        monkeypatch.setattr(hardyrp.pick, "_curve_sampler", curve_sampler)
+        return uniform, points
+
+    @staticmethod
+    def terms(F) -> int:
+        return 2 * degree_rank(F) + len(F.poles) + 1
+
+    def test_benchmark_input_gets_the_base_grid(self, monkeypatch):
+        F = load_pick(BENCHMARK_INPUT)
+        assert self.terms(F) == 7
+        _, feats, _ = hardyrp.pick._contour_plan(F, 1j)
+        uniform, points = self.spy(monkeypatch)
+        assert winding_counts(F) == (2, 2)
+        assert uniform == [512]
+        # 201 points per feature window, of which a window centred on a
+        # uniform angle shares one; and the closing point
+        assert 512 + 200 * len(feats) < points[0] - 1 <= 512 + 201 * len(feats)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_many_terms_get_32_uniform_points_each(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        while True:
+            F = random_pick(rng, 3, 3)
+            if 16 < self.terms(F) and is_regular(F):
+                break
+        uniform, _ = self.spy(monkeypatch)
+        assert winding_counts(F) == (degree_rank(F),) * 2
+        assert uniform[0] >= 32 * self.terms(F)
+        assert uniform[0] < 64 * self.terms(F)
+
+    def test_dim6_with_8_poles_counts_its_degree(self, monkeypatch):
+        F = random_pick(np.random.default_rng(1), 6, 8)
+        deg = degree_rank(F)
+        assert deg == 33
+        uniform, _ = self.spy(monkeypatch)
+        assert winding_counts(F) == (deg, deg)
+        assert uniform[0] == 4096 >= 32 * self.terms(F)
+
+    def test_level_grids_built_once(self):
+        assert hardyrp.pick._level_grids(512, 1) is hardyrp.pick._level_grids(512, 1)
+        uniform, unit = hardyrp.pick._level_grids(512, 1)
+        assert uniform.size == 1024 and unit.size == 401
+        assert not uniform.flags.writeable and not unit.flags.writeable
 
 class TestMirrorRoots:
     @pytest.mark.parametrize("block", range(4))
