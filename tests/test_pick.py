@@ -1,7 +1,10 @@
+import json
+
 import mpmath
 import numpy as np
 import pytest
 
+import hardyrp.cli
 import hardyrp.pick
 from hardyrp.numerics import DegenerateCurveError, UnderSampledCurveError
 from hardyrp.pick import (
@@ -123,6 +126,25 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             RationalPickFunction(C, D, ((loc, A),))
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: RationalPickFunction.scalar(0.0, 0.0, [(0.0, -1e-11)]),
+         "residue must be positive semidefinite"),
+        (lambda: RationalPickFunction.scalar(0.0, -1e-11),
+         "D must be positive semidefinite"),
+        (lambda: RationalPickFunction(np.array([[0.0, 1e-11], [0.0, 0.0]]),
+                                      np.zeros((2, 2))),
+         "C must be Hermitian"),
+    ], ids=["residue", "D", "C"])
+    def test_tiny_matrix_judged_on_its_own_scale(self, make, message):
+        # no absolute floor: a 1e-11 violation is as wrong as a 1e5 one
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_zero_matrices_accepted(self):
+        F = RationalPickFunction(np.zeros((2, 2)), np.zeros((2, 2)),
+                                 ((1.0, np.zeros((2, 2))),))
+        assert degree_rank(F) == 0
+
     def test_duplicate_poles_rejected(self):
         A = np.eye(2, dtype=complex)
         with pytest.raises(ValueError):
@@ -240,23 +262,28 @@ class TestWindingCounts:
         assert winding_counts(F, lam=lam) == (multiplicity_winding(F, lam=lam),
                                               degree_winding(F, lam=lam))
 
-    def test_each_curve_refined_on_its_own(self, monkeypatch):
-        # refuse level 0 of the second curve (det(F - conj(lam))) only: the
-        # first keeps its level-0 count, the second is counted at level 1
+    def test_refusal_on_the_planned_contour_raises(self, monkeypatch, tmp_path):
+        # refuse the second curve (det(F - conj(lam))) only: the contour is
+        # sampled once, so the refusal is the answer, exit 3 from the CLI
         real = hardyrp.pick.winding_number
         sizes = []
 
         def refusing(curve):
             sizes.append(curve.values.size)
-            if len(sizes) == 2:
+            if len(sizes) % 2 == 0:
                 raise UnderSampledCurveError("refused for the test")
             return real(curve)
 
         monkeypatch.setattr(hardyrp.pick, "winding_number", refusing)
         F = degree3_pick()
-        assert winding_counts(F) == (3, 3)
-        assert len(sizes) == 3
-        assert sizes[0] == sizes[1] < sizes[2]
+        with pytest.raises(UnderSampledCurveError, match="refused for the test"):
+            winding_counts(F)
+        assert len(sizes) == 2 and sizes[0] == sizes[1]
+        path = tmp_path / "F.json"
+        path.write_text(json.dumps(dump_pick(F)))
+        assert hardyrp.cli.run(["degree", "--pick", str(path),
+                                "--method", "winding"]) == 3
+        assert len(sizes) == 4
 
     def test_one_stacked_call_per_block(self, monkeypatch):
         real = hardyrp.pick._entries
@@ -331,16 +358,47 @@ class TestWindingCounts:
         assert degree_rank(F) == 1
         assert winding_counts(F) == (1, 1)
 
-    @pytest.mark.parametrize("F", [
-        # the root -1e11 (0.3 + i) maps 1e-11 outside the unit circle
-        RationalPickFunction.scalar(0.3, 1e-11),
-        # the root 1000 - 1.8e-12 i maps within rounding of the unit circle
-        RationalPickFunction.scalar(0.3, 0.0, [(1e3, 2e-12)]),
-    ])
-    def test_unresolvable_mirror_root_fails_loudly(self, F):
-        # no sampled contour separates the root: the count raises, not (0, 0)
+    def test_mirror_root_just_outside_the_circle_counted(self):
+        # the root -1e11 (0.3 + i) maps 1.8e-11 outside the unit circle; a
+        # contour 9e-12 outside it, closed by its first sample, counts it
+        F = RationalPickFunction.scalar(0.3, 1e-11)
+        assert winding_counts(F) == (1, 1) == (degree_rank(F),) * 2
+
+    def test_unresolvable_mirror_root_fails_loudly(self):
+        # the root 1000 - 1.8e-12 i maps within rounding of the unit circle:
+        # no sampled contour separates it, so the count raises, not (0, 0)
+        F = RationalPickFunction.scalar(0.3, 0.0, [(1e3, 2e-12)])
         with pytest.raises(DegenerateCurveError):
             winding_counts(F)
+
+    def test_far_linear_term_counted(self):
+        # F(z) = -100 + 0.001 z: the mirror root 1e5 - 1e3 i maps 2e-7
+        # outside the circle, 2e-5 rad from the image of infinity on it
+        assert winding_counts(RationalPickFunction.scalar(-100.0, 0.001)) == (1, 1)
+
+    def test_wide_scale_family_counts_the_degree_or_raises(self):
+        # C, D and residues over eight decades, poles over six
+        rng = np.random.default_rng(77)
+        counted = 0
+        for _ in range(600):
+            n = int(rng.integers(1, 4))
+            X = rng.standard_normal((n, n))
+            C = (X + X.T) / 2 * 10 ** rng.uniform(-4, 4)
+            W = rng.standard_normal((n, int(rng.integers(0, n + 1))))
+            D = W @ W.T * 10 ** rng.uniform(-4, 4)
+            poles = []
+            for l in np.sort(10 ** rng.uniform(-3, 3, rng.integers(0, 4))
+                             * rng.choice([-1, 1])):
+                B = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+                poles.append((float(l), B @ B.T * 10 ** rng.uniform(-4, 4)))
+            F = RationalPickFunction(C, D, tuple(poles))
+            try:
+                counts = winding_counts(F)
+            except (DegenerateCurveError, UnderSampledCurveError):
+                continue
+            assert counts == (degree_rank(F),) * 2
+            counted += 1
+        assert counted >= 570
 
 
     @pytest.mark.parametrize("lo, hi", [(-11.5, -8.0), (-14.0, -11.0)],
@@ -391,8 +449,8 @@ class TestContourSize:
         uniform, points = [], []
         grids, sampler = hardyrp.pick._level_grids, hardyrp.pick._curve_sampler
 
-        def level_grids(n0, refine):
-            out = grids(n0, refine)
+        def level_grids(n0):
+            out = grids(n0)
             uniform.append(out[0].size)
             return out
 
@@ -420,8 +478,8 @@ class TestContourSize:
         assert winding_counts(F) == (2, 2)
         assert uniform == [512]
         # 201 points per feature window, of which a window centred on a
-        # uniform angle shares one; and the closing point
-        assert 512 + 200 * len(feats) < points[0] - 1 <= 512 + 201 * len(feats)
+        # uniform angle shares one
+        assert 512 + 200 * len(feats) < points[0] <= 512 + 201 * len(feats)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_many_terms_get_32_uniform_points_each(self, seed, monkeypatch):
@@ -443,10 +501,20 @@ class TestContourSize:
         assert winding_counts(F) == (deg, deg)
         assert uniform[0] == 4096 >= 32 * self.terms(F)
 
+    def test_pole_of_order_6_next_to_the_contour_counts(self):
+        # degree 30; the image of infinity, a pole of order 6 of the second
+        # curve, lies 2e-7 from the contour, where a second evaluation at
+        # 2 pi differed from the first sample by more than the closure
+        # tolerance
+        F = random_pick(np.random.default_rng(0), 6, 8)
+        deg = degree_rank(F)
+        assert deg == 30
+        assert winding_counts(F) == (deg, deg)
+
     def test_level_grids_built_once(self):
-        assert hardyrp.pick._level_grids(512, 1) is hardyrp.pick._level_grids(512, 1)
-        uniform, unit = hardyrp.pick._level_grids(512, 1)
-        assert uniform.size == 1024 and unit.size == 401
+        assert hardyrp.pick._level_grids(512) is hardyrp.pick._level_grids(512)
+        uniform, unit = hardyrp.pick._level_grids(512)
+        assert uniform.size == 512 and unit.size == 201
         assert not uniform.flags.writeable and not unit.flags.writeable
 
 class TestMirrorRoots:
