@@ -31,14 +31,13 @@ np.vectorize(h, signature="()->(n,n)").
 RationalPickFunction._state_space is the one factorization of a rational
 Pick function, computed once per function: D on its range and kernel, each
 residue at its minimal rank, by one rank rule (eigenvalues above RANK_TOL
-times the largest).  degree_rank counts its columns, is_regular reads it
-for an exact Popov-Belevitch-Hautus test, the contour plan for the mirror
-roots (one deflated eigvals), and compose_scalar for the resolvents
-(n - G)^{-1}, so f o F o g is a RationalPickFunction whose degree is a
-rank and whose winding counts run on a planned contour.  is_regular and
-compose_scalar accept no callables; the callable (radius-shrink) branch of
-the winding counts stays for callables passed directly, such as the plain
-function the benchmark's tracer wraps around a composition.
+times the largest).  degree_rank counts its columns.  _deflated builds
+from it the one pencil of F - mu: at mu = conj(lam) its eigenvalues are
+the mirror roots of the contour plan, and at a real mu = n its deflation
+gives the resolvents (n - G)^{-1} of compose_scalar, so f o F o g is a
+RationalPickFunction whose degree is a rank and whose winding counts run
+on a planned contour.  _pbh_smin, the Popov-Belevitch-Hautus test,
+decides both regularity and whether det(G - n) vanishes identically.
 """
 from __future__ import annotations
 
@@ -216,26 +215,28 @@ def is_regular(F) -> bool:
     If F(z) v = w v with w real, then Im <F(z) v, v> = 0 puts v in
     ker B^*, B = [V s^{1/2}, K] from F._state_space, and F(z) v = C v; so F
     is regular iff no eigenvector of C lies in ker B^* (the
-    Popov-Belevitch-Hautus test).  Decided without probes: at every
-    eigenvalue mu of C the smallest singular value of
-    [(C - mu) / |C|; B^* / |B|] must exceed RANK_TOL.  Each block is judged
-    on its own scale (a zero block stays zero), so residues far smaller
-    than C still count.  Raises TypeError for anything but a
-    RationalPickFunction.
+    Popov-Belevitch-Hautus test, _pbh_smin at every eigenvalue of C).
+    Raises TypeError for anything but a RationalPickFunction.
     """
     if not isinstance(F, RationalPickFunction):
         raise TypeError("is_regular decides RationalPickFunction instances, "
                         f"not {type(F).__name__}")
+    return bool(_pbh_smin(F, np.linalg.eigh(F.C)[0]).min() > RANK_TOL)
+
+
+def _pbh_smin(F: RationalPickFunction, mu: NDArray) -> NDArray[np.float64]:
+    """Smallest singular value of [(C - mu) / max(|C|, |mu|); B^* / |B|] at
+    each real mu, one stacked SVD: at most RANK_TOL iff F(z) v = mu v for
+    all z for some v != 0.  Each block is judged on its own scale (a zero
+    block stays zero), so residues far smaller than C still count."""
     V, s, _, K, _ = F._state_space
     B = np.hstack([V * np.sqrt(s), K])
-    mu, _ = np.linalg.eigh(F.C)
-    n = F.dim
-    top = (F.C - mu[:, None, None] * np.eye(n)) / (np.linalg.norm(F.C) or 1.0)
+    scale = np.maximum(np.linalg.norm(F.C), np.abs(mu))
+    top = ((F.C - mu[:, None, None] * np.eye(F.dim))
+           / np.where(scale > 0, scale, 1.0)[:, None, None])
     below = B.conj().T / (np.linalg.norm(B) or 1.0)
-    stack = np.concatenate([top, np.broadcast_to(below, (n,) + below.shape)],
-                           axis=1)
-    smin = np.linalg.svd(stack, compute_uv=False)[:, -1]
-    return bool(smin.min() > RANK_TOL)
+    stack = np.concatenate([top, below + np.zeros((mu.size, 1, 1))], axis=1)
+    return np.linalg.svd(stack, compute_uv=False)[:, -1]
 
 
 def _psd_eig(A: NDArray[np.complex128]):
@@ -301,32 +302,44 @@ def _det(M: NDArray[np.complex128]) -> NDArray[np.complex128]:
                   - (r[2] - lr * top[2]) * (s[1] - ls * top[1]))
 
 
-def _mirror_roots(F: RationalPickFunction, lam: complex) -> NDArray[np.complex128]:
-    """All z with det(F(z) - conj(lam)) = 0; they lie in the lower half-plane.
+def _deflated(F: RationalPickFunction, mu: complex):
+    """F(z) - mu as the Schur complement of a pencil, its ker D block
+    eliminated where invertible: (H0, Wp, S, A, V1, e1, Z), V1 and Z in C^n.
 
-    In the coordinates [V, U, poles] of F._state_space the block matrix
-    H = [[X^*(C - conj(lam))X, X^*K], [K^*X, -diag(lams)]], X = [V, U],
-    gives the pencil H + z diag(s, 0, I) with Schur complement
-    F(z) - conj(lam).  Its ker D block E = U^*(C - conj(lam))U is invertible
-    (U^* C U is Hermitian and lam is not real), and eliminating it leaves
-    H' + z diag(s, I): exactly rk D + sum rk A_j roots, the eigenvalues of
-    -S^{-1/2} H' S^{-1/2}, S = diag(s, I).
+    In the coordinates [C^n, poles] of F._state_space the pencil is
+    H0 + z H1, H0 = [[C - mu, K], [K^*, -diag(lams)]], H1 = diag(D, I) =
+    W diag(S) W^* with W = [V, poles].  On ker H1 = U, H0 = U^* C U - mu
+    has eigenvalues c - mu, c known to RANK_TOL on the scale max(|C|, |mu|),
+    not the poles', and only along the real line: V1 takes those with
+    |Re(c - mu)| above it or Im mu != 0 (e1 their c - mu), Z the rest, and
+    eliminating V1 leaves A + z diag(S) on Wp = W - V1 diag(e1)^{-1} V1^* H0 W.
     """
     V, s, U, K, lams = F._state_space
-    d, r = s.size, lams.size
-    if d + r == 0:
-        return np.empty(0, dtype=complex)
-    # the kept block [V, poles] and its coupling R = H_kb to the U block
-    VC = V.conj().T @ F.C
-    H = np.block([[VC @ V - np.conj(lam) * np.eye(d), V.conj().T @ K],
-                  [K.conj().T @ V, -np.diag(lams)]])
-    R = np.vstack([VC @ U, K.conj().T @ U])
-    # E^{-1} = Y diag(1/(c - conj(lam))) Y^* with U^* C U = Y diag(c) Y^*
+    n, d, r = F.dim, s.size, lams.size
+    # slices, not np.block, which takes some 15 us a call on blocks this small
+    H0 = np.zeros((n + r, n + r), dtype=complex)
+    H0[:n, :n], H0[:n, n:], H0[n:, :n] = F.C - mu * np.eye(n), K, K.conj().T
+    H0[n:, n:] = -np.diag(lams)
+    W = np.zeros((n + r, d + r), dtype=complex)
+    W[:n, :d], W[n:, d:] = V, np.eye(r)
     c, Y = np.linalg.eigh(_hermitian(U.conj().T @ F.C @ U))
-    RY = R @ Y
-    H = H - (RY / (c - np.conj(lam))) @ RY.conj().T
-    g = 1.0 / np.sqrt(np.concatenate([s, np.ones(r)]))
-    return np.linalg.eigvals(-(g[:, None] * H * g))
+    inv = ((np.abs(c - mu.real) > RANK_TOL * max(np.linalg.norm(F.C), abs(mu)))
+           | (mu.imag != 0))
+    V1, Z, e1 = U @ Y[:, inv], U @ Y[:, ~inv], (c - mu)[inv]
+    R = V1.conj().T @ H0[:n] @ W
+    Wp = W.copy()
+    Wp[:n] -= V1 @ (R / e1[:, None])
+    A = W.conj().T @ H0 @ W - (R.conj().T / e1) @ R
+    return H0, Wp, np.append(s, np.ones(r)), A, V1, e1, Z
+
+
+def _mirror_roots(F: RationalPickFunction, lam: complex) -> NDArray[np.complex128]:
+    """All z with det(F(z) - conj(lam)) = 0, in the lower half-plane: at
+    mu = conj(lam) _deflated leaves no Z, so these are the rk D + sum rk A_j
+    eigenvalues of -S^{-1/2} A S^{-1/2}."""
+    _, _, S, A, _, _, _ = _deflated(F, np.conj(lam))
+    g = 1.0 / np.sqrt(S)
+    return np.linalg.eigvals(-(g[:, None] * A * g))
 
 
 def _contour_plan(F: RationalPickFunction,
@@ -654,7 +667,7 @@ def bp_degree(phi: BlaschkePotapovProduct) -> int:
 
 @dataclass(frozen=True)
 class MobiusTransform:
-    """z -> (a z + b)/(c z + d) with real coefficients, a d - b c = 1."""
+    """z -> (a z + b)/(c z + d), real, ad - bc = 1 on the scale |ad| + |bc|."""
 
     a: float
     b: float
@@ -662,7 +675,8 @@ class MobiusTransform:
     d: float
 
     def __post_init__(self):
-        if abs(self.a * self.d - self.b * self.c - 1.0) > 1e-12:
+        ad, bc = self.a * self.d, self.b * self.c
+        if abs(ad - bc - 1.0) > 1e-12 * (abs(ad) + abs(bc)):
             raise ValueError("coefficients must satisfy ad - bc = 1")
 
     def __call__(self, z):
@@ -679,8 +693,9 @@ class MobiusTransform:
         )
 
 
-# poles of a composition closer than this, relative to max(1, |location|),
-# are one pole: the sum of resolvents can meet at a point from several sides
+# a function's poles, its pencil's eigenvalues, are known to _POLE_TOL
+# times the largest; poles of a composition that close are one pole: the
+# sum of resolvents can meet at a point from several sides
 _POLE_TOL = 1e-12
 
 
@@ -691,39 +706,37 @@ def _sum(C: NDArray[np.complex128], terms) -> RationalPickFunction:
     n x n matrix c with a scalar h; numpy broadcasting covers both.
     """
     D = np.zeros_like(C)
-    poles = []
+    groups = []
     for c, h in terms:
         if np.any(c):
             C = C + c * h.C
             D = D + c * h.D
-            poles += [(l, c * A) for l, A in h.poles]
-    return RationalPickFunction(C, D, _merged(poles))
+            groups.append([(l, c * A) for l, A in h.poles])
+    return RationalPickFunction(C, D, _merged(groups))
 
 
-def _merged(poles):
-    """The (location, residue) pairs sorted, with residues of coinciding
-    locations summed."""
-    out: list[tuple[float, NDArray[np.complex128]]] = []
-    for l, A in sorted(poles, key=lambda p: p[0]):
-        if out and l - out[-1][0] <= _POLE_TOL * max(1.0, abs(l)):
-            out[-1] = (out[-1][0], out[-1][1] + A)
+def _merged(groups):
+    """The (location, residue) pairs of several functions' poles, sorted,
+    residues summed where locations lie within the larger rounding,
+    _POLE_TOL max |l|, of the functions they came from."""
+    out: list[list] = []
+    for l, A, tol in sorted(((l, A, _POLE_TOL * max(abs(m) for m, _ in g))
+                             for g in groups for l, A in g), key=lambda p: p[0]):
+        if out and l - out[-1][0] <= max(tol, out[-1][2]):
+            out[-1][1:] = out[-1][1] + A, max(tol, out[-1][2])
         else:
-            out.append((l, A))
-    return tuple(out)
+            out.append([l, A, tol])
+    return tuple((l, A) for l, A, _ in out)
 
 
 def _resolvent(G: RationalPickFunction, n: float) -> RationalPickFunction:
     """(n - G)^{-1}, itself a rational Pick function, in closed form.
 
-    With K, Lam = diag(lams) from G._state_space, (n - G(z))^{-1} is
-    -P^* (H0 + z H1)^{-1} P for the Hermitian pencil
-    H0 = [[C - n, K], [K^*, -Lam]], H1 = diag(D, I) >= 0 and P the embedding
-    of the first dim coordinates: the Schur complement of that block is
-    G(z) - n.  Deflation splits the pencil exactly:
-    - on the kernel U of H1, the part V1 where U^* H0 U is invertible gives
-      a constant;
-    - the rest Z of the kernel pairs with the range W of H1 through
-      Bz = W'^* H0 Z (W' is W made H0-orthogonal to V1).  Each pair is an
+    (n - G(z))^{-1} is -P^* (H0 + z H1)^{-1} P for the pencil of
+    _deflated(G, n), P the embedding of the first dim coordinates, and the
+    deflation splits it exactly:
+    - the eliminated V1 gives the constant -V1 diag(e1)^{-1} V1^*;
+    - Z pairs with the range through Bz = Wp^* H0 Z.  Each pair is an
       index-2 infinite eigenvalue and gives the linear term; this is how
       n at an eigenvalue of C on ker D, or g(inf) at a pole of F, shows;
     - the remaining Hermitian-definite pencil, on ker Bz^*, has the real
@@ -732,51 +745,37 @@ def _resolvent(G: RationalPickFunction, n: float) -> RationalPickFunction:
     No root finding and no evaluation of G: the poles are the real roots
     of det(G - n), and for a simple root zeta each residue equals
     V (V^* G'(zeta) V)^{-1} V^* with V spanning ker(G(zeta) - n).  Raises
-    ValueError when det(G - n) vanishes identically (Bz has no full column
-    rank), which makes (n - G)^{-1} undefined.
+    ValueError when det(G - n) vanishes identically, which needs a nonempty
+    Z and is _pbh_smin at n; otherwise Bz has full column rank, as Bz x = 0
+    puts Z x in ker B^* and ker(C - n).
     """
     dim = G.dim
-    V, s, U, K, lams = G._state_space
-    d, r = s.size, lams.size
-    H0 = np.block([[G.C - n * np.eye(dim), K], [K.conj().T, -np.diag(lams)]])
-    tol = RANK_TOL * max(1.0, float(np.abs(H0).max()))
-    # H1 W = W diag(s) and H1 U = 0, W and U orthonormal
-    W = np.zeros((dim + r, d + r), dtype=complex)
-    W[:dim, :d] = V
-    W[dim:, d:] = np.eye(r)
-    s = np.concatenate([s, np.ones(r)])
-    U = np.concatenate([U, np.zeros((r, dim - d))])
-    e, Y = np.linalg.eigh(_hermitian(U.conj().T @ H0 @ U))
-    inv = np.abs(e) > tol
-    V1, Z, e1 = U @ Y[:, inv], U @ Y[:, ~inv], e[inv]
-    Wp = W - V1 @ ((V1.conj().T @ H0 @ W) / e1[:, None])
-    A = _hermitian(Wp.conj().T @ H0 @ Wp)
-    C = -(V1[:dim] / e1) @ V1[:dim].conj().T
+    H0, Wp, s, A, V1, e1, Z = _deflated(G, n)
+    A = _hermitian(A)
+    C = -(V1 / e1) @ V1.conj().T
     D = np.zeros((dim, dim), dtype=complex)
     # the finite part's basis in the coordinates of Wp (complex, so that
     # every eigh below is the complex LAPACK routine the degree path has
     # already loaded: a real one mapped 0.5 MB more), and its image under P^*
-    Q2 = np.eye(d + r, dtype=complex)
+    Q2 = np.eye(s.size, dtype=complex)
     X = Wp[:dim]
     p = Z.shape[1]
     if p:
-        Bz = Wp.conj().T @ H0 @ Z
-        Ub, sb, _ = np.linalg.svd(Bz)
-        if sb.size < p or sb.min() <= tol:
+        if _pbh_smin(G, np.array([n]))[0] <= RANK_TOL:
             raise ValueError(f"det(G(z) - {n:g}) vanishes identically: "
                              "(n - G)^{-1} is undefined")
+        Bz = Wp.conj().T @ H0[:, :dim] @ Z
         # in the basis [Q2, S^{-1} Bz, Z] of the W' + Z block (S = diag(s)),
         # where Q2 spans ker Bz^*, the pencil's inverse splits into the
         # finite part on Q2 plus a constant and the linear term on Z
-        Q2 = Ub[:, p:]
+        Q2 = np.linalg.svd(Bz)[0][:, p:]
         SB = Bz / s[:, None]
         Gi = np.linalg.inv(Bz.conj().T @ SB)
-        L = Z[:dim]
         T = Gi @ SB.conj().T @ A
         Yt = Wp[:dim] @ SB @ Gi
-        D = _hermitian(L @ Gi @ L.conj().T)
-        C = C - Yt @ L.conj().T - L @ Yt.conj().T + L @ (T @ SB @ Gi) @ L.conj().T
-        X = X - L @ T
+        D = _hermitian(Z @ Gi @ Z.conj().T)
+        C = C - Yt @ Z.conj().T - Z @ Yt.conj().T + Z @ (T @ SB @ Gi) @ Z.conj().T
+        X = X - Z @ T
     poles = []
     if Q2.shape[1]:
         # the definite pencil (Q2^* A Q2, M), M = Q2^* S Q2, as the standard
@@ -787,7 +786,7 @@ def _resolvent(G: RationalPickFunction, n: float) -> RationalPickFunction:
         theta, Yq = np.linalg.eigh(_hermitian(Q2.conj().T @ A @ Q2))
         vecs = X @ Q2 @ Yq
         poles = [(-float(t), np.outer(v, v.conj())) for t, v in zip(theta, vecs.T)]
-    return RationalPickFunction(_hermitian(C), D, _merged(poles))
+    return RationalPickFunction(_hermitian(C), D, _merged([poles]))
 
 
 def compose_scalar(f: RationalPickFunction, F: RationalPickFunction,

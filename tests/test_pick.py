@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import mpmath
@@ -643,6 +644,17 @@ class TestComposition:
     def test_mobius_normalization(self):
         with pytest.raises(ValueError):
             MobiusTransform(2.0, 0.0, 0.0, 1.0)
+        # at |ad| + |bc| = 2e12 a relative error of 1e-10 in d is 100
+        with pytest.raises(ValueError):
+            MobiusTransform(1e6, 1e6, 1e6, (1.0 + 1e12) / 1e6 * (1.0 + 1e-10))
+
+    def test_mobius_normalization_judged_on_its_scale(self):
+        # ad - bc = 1 rounds on the scale |ad| + |bc|, up to 1e12 here
+        rng = np.random.default_rng(0)
+        for _ in range(1000):
+            a, b, c = rng.choice([-1.0, 1.0], 3) * 10 ** rng.uniform(-6, 6, 3)
+            m = MobiusTransform(a, b, c, (1.0 + b * c) / a)
+            assert degree_rank(m.as_pick()) == 1
 
     def test_mobius_as_pick_agrees(self):
         m = MobiusTransform(0.0, 1.0, -1.0, 0.0)   # z -> -1/z
@@ -774,16 +786,67 @@ class TestCompositionSpecialCases:
             gp = 0.4 + sum(ak / (mk - zeta) ** 2 for mk, ak in zip(m, a))
             assert np.abs(R - A / gp).max() < 1e-12
 
+    def test_far_pole_keeps_the_constant(self):
+        # -1/F for F = 1 + 1/(0 - z) + 1/(1e9 - z): F(inf) = 1, so the
+        # constant is -1; the far pole must not make C - n = 1 look singular
+        F = RationalPickFunction.scalar(1.0, 0.0, [(0.0, 1.0), (1e9, 1.0)])
+        comp = compose_scalar(MINUS_INV, F, IDENTITY)
+        assert abs(comp.C[0, 0] + 1.0) < 1e-9
+        z = np.array([1j, 0.3 + 2j, -1.7 + 0.1j, 5 + 0.5j])
+        ref = -1.0 / F(z)[:, 0, 0]
+        assert np.abs(comp(z)[:, 0, 0] - ref).max() <= 1e-12 * np.abs(ref).min()
+        assert degree_rank(comp) == 2
+
+    def test_spread_poles_compose(self):
+        # F with C = 0 and poles over twenty decades: det(F - 0) does not
+        # vanish identically, and -1/F = z/4 + ... has degree 3
+        F = RationalPickFunction.scalar(0.0, 0.0,
+                                        [(1e-10, 1.0), (1.0, 2.0), (1e10, 1.0)])
+        comp = compose_scalar(MINUS_INV, F, IDENTITY)
+        assert abs(comp.D[0, 0] - 0.25) < 1e-12
+        assert degree_rank(comp) == 3 and is_regular(comp)
+
+    def test_tiny_distinct_poles_stay_apart(self):
+        # poles 4e-13 apart are far outside the rounding of the pencils
+        # they come from, so the identity composition keeps both
+        F = RationalPickFunction.scalar(0.0, 0.0, [(1e-13, 1.0), (5e-13, 1.0)])
+        comp = compose_scalar(IDENTITY, F, IDENTITY)
+        assert_pick_equal(comp, [[0.0]], [[0.0]],
+                          [(1e-13, [[1.0]]), (5e-13, [[1.0]])])
+        assert abs(comp.poles[0][0] - 1e-13) < 1e-28
+        assert degree_rank(comp) == 2
+
     @pytest.mark.parametrize("seed", range(40))
     def test_resolvent_matches_inverse(self, seed):
+        # G itself and H(z) = c G(a z + b) over eighteen decades of a and c:
+        # the resolvent at c n is (n - G)^{-1} / c there, and -1/H is Pick
+        # of H's degree, whatever the scale of H's poles against its constant
         rng = np.random.default_rng(seed)
         G = random_pick(rng, int(rng.integers(1, 4)), int(rng.integers(0, 3)))
-        n = float(rng.normal())
-        R = hardyrp.pick._resolvent(G, n)
-        assert degree_rank(R) == degree_rank(G)
-        for z in (1j, 0.3 + 2j, -1.7 + 0.1j, 5 + 0.5j):
-            ref = np.linalg.inv(n * np.eye(G.dim) - pick_eval(G, z))
-            assert np.abs(R(z) - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+        n, shift = float(rng.normal()), float(rng.normal())
+        deg, regular = degree_rank(G), is_regular(G)
+        z = np.array([1j, 0.3 + 2j, -1.7 + 0.1j, 5 + 0.5j])
+        inv = np.linalg.inv(n * np.eye(G.dim) - pick_eval(G, z))
+        big = lambda M: np.abs(M).max(axis=(1, 2))
+        scales = itertools.product((1e-9, 1e-3, 1e3, 1e9), repeat=2)
+        for a, b, c in [(1.0, 0.0, 1.0)] + [(a, shift, c) for a, c in scales]:
+            H = RationalPickFunction(
+                c * (G.C + b * G.D), c * a * G.D,
+                tuple(((l - b) / a, c / a * A) for l, A in G.poles))
+            assert degree_rank(H) == deg and is_regular(H) == regular
+            w = (z - b) / a
+            R = hardyrp.pick._resolvent(H, c * n)
+            assert degree_rank(R) == deg
+            assert np.all(big(R(w) - inv / c)
+                          <= 1e-10 * np.maximum(1.0, big(inv)) / c)
+            ref = -np.linalg.inv(pick_eval(H, w))
+            comp = compose_scalar(MINUS_INV, H, IDENTITY)
+            assert np.all(big(comp(w) - ref) <= 1e-10 * big(ref))
+            try:
+                counts = winding_counts(H)
+            except (DegenerateCurveError, UnderSampledCurveError):
+                continue
+            assert counts == (deg, deg)
 
 
 def degree3_pick() -> RationalPickFunction:
