@@ -225,16 +225,15 @@ def is_regular(F) -> bool:
 
 
 def _pbh_smin(F: RationalPickFunction, mu: NDArray) -> NDArray[np.float64]:
-    """Smallest singular value of [(C - mu) / max(|C|, |mu|); B^* / |B|] at
-    each real mu, one stacked SVD: at most RANK_TOL iff F(z) v = mu v for
-    all z for some v != 0.  Each block is judged on its own scale (a zero
-    block stays zero), so residues far smaller than C still count."""
-    V, s, _, K, _ = F._state_space
-    B = np.hstack([V * np.sqrt(s), K])
+    """Smallest singular value of [(C - mu) / max(|C|, |mu|); B^*] at each
+    real mu, one stacked SVD: at most RANK_TOL iff F(z) v = mu v for all z
+    for some v != 0.  Each block on its own scale: every direction of D and
+    of each residue that the rank rule counts is a unit row of B^*."""
+    V, _, _, K, _ = F._state_space
+    below = np.hstack([V, K / np.linalg.norm(K, axis=0)]).conj().T
     scale = np.maximum(np.linalg.norm(F.C), np.abs(mu))
     top = ((F.C - mu[:, None, None] * np.eye(F.dim))
            / np.where(scale > 0, scale, 1.0)[:, None, None])
-    below = B.conj().T / (np.linalg.norm(B) or 1.0)
     stack = np.concatenate([top, below + np.zeros((mu.size, 1, 1))], axis=1)
     return np.linalg.svd(stack, compute_uv=False)[:, -1]
 
@@ -304,15 +303,16 @@ def _det(M: NDArray[np.complex128]) -> NDArray[np.complex128]:
 
 def _deflated(F: RationalPickFunction, mu: complex):
     """F(z) - mu as the Schur complement of a pencil, its ker D block
-    eliminated where invertible: (H0, Wp, S, A, V1, e1, Z), V1 and Z in C^n.
+    eliminated where invertible: (A, S, Wp, V1, e1, Z), V1 and Z in C^n.
 
     In the coordinates [C^n, poles] of F._state_space the pencil is
     H0 + z H1, H0 = [[C - mu, K], [K^*, -diag(lams)]], H1 = diag(D, I) =
     W diag(S) W^* with W = [V, poles].  On ker H1 = U, H0 = U^* C U - mu
-    has eigenvalues c - mu, c known to RANK_TOL on the scale max(|C|, |mu|),
-    not the poles', and only along the real line: V1 takes those with
-    |Re(c - mu)| above it or Im mu != 0 (e1 their c - mu), Z the rest, and
-    eliminating V1 leaves A + z diag(S) on Wp = W - V1 diag(e1)^{-1} V1^* H0 W.
+    has eigenvalues c - mu, c real and known to RANK_TOL on the scale
+    max(|C|, |mu|), not the poles'; off the real line c - mu is exact.  Z
+    takes the c - mu zero within that rounding, V1 the rest (e1 their
+    c - mu), and eliminating V1 leaves A + z diag(S) = Wp^* (H0 + z H1) Wp,
+    Wp = W - V1 diag(e1)^{-1} V1^* H0 W.
     """
     V, s, U, K, lams = F._state_space
     n, d, r = F.dim, s.size, lams.size
@@ -323,21 +323,21 @@ def _deflated(F: RationalPickFunction, mu: complex):
     W = np.zeros((n + r, d + r), dtype=complex)
     W[:n, :d], W[n:, d:] = V, np.eye(r)
     c, Y = np.linalg.eigh(_hermitian(U.conj().T @ F.C @ U))
-    inv = ((np.abs(c - mu.real) > RANK_TOL * max(np.linalg.norm(F.C), abs(mu)))
-           | (mu.imag != 0))
-    V1, Z, e1 = U @ Y[:, inv], U @ Y[:, ~inv], (c - mu)[inv]
+    zero = ((np.abs(c - mu) <= RANK_TOL * max(np.linalg.norm(F.C), abs(mu)))
+            & (mu.imag == 0))
+    V1, Z, e1 = U @ Y[:, ~zero], U @ Y[:, zero], (c - mu)[~zero]
     R = V1.conj().T @ H0[:n] @ W
     Wp = W.copy()
     Wp[:n] -= V1 @ (R / e1[:, None])
     A = W.conj().T @ H0 @ W - (R.conj().T / e1) @ R
-    return H0, Wp, np.append(s, np.ones(r)), A, V1, e1, Z
+    return A, np.append(s, np.ones(r)), Wp, V1, e1, Z
 
 
 def _mirror_roots(F: RationalPickFunction, lam: complex) -> NDArray[np.complex128]:
     """All z with det(F(z) - conj(lam)) = 0, in the lower half-plane: at
     mu = conj(lam) _deflated leaves no Z, so these are the rk D + sum rk A_j
     eigenvalues of -S^{-1/2} A S^{-1/2}."""
-    _, _, S, A, _, _, _ = _deflated(F, np.conj(lam))
+    A, S = _deflated(F, np.conj(lam))[:2]
     g = 1.0 / np.sqrt(S)
     return np.linalg.eigvals(-(g[:, None] * A * g))
 
@@ -693,12 +693,6 @@ class MobiusTransform:
         )
 
 
-# a function's poles, its pencil's eigenvalues, are known to _POLE_TOL
-# times the largest; poles of a composition that close are one pole: the
-# sum of resolvents can meet at a point from several sides
-_POLE_TOL = 1e-12
-
-
 def _sum(C: NDArray[np.complex128], terms) -> RationalPickFunction:
     """C + sum_k c_k h_k, coinciding poles merged.
 
@@ -706,27 +700,30 @@ def _sum(C: NDArray[np.complex128], terms) -> RationalPickFunction:
     n x n matrix c with a scalar h; numpy broadcasting covers both.
     """
     D = np.zeros_like(C)
-    groups = []
+    poles = []
     for c, h in terms:
         if np.any(c):
             C = C + c * h.C
             D = D + c * h.D
-            groups.append([(l, c * A) for l, A in h.poles])
-    return RationalPickFunction(C, D, _merged(groups))
+            poles += [(l, c * A) for l, A in h.poles]
+    return RationalPickFunction(C, D, _merged(poles))
 
 
-def _merged(groups):
-    """The (location, residue) pairs of several functions' poles, sorted,
-    residues summed where locations lie within the larger rounding,
-    _POLE_TOL max |l|, of the functions they came from."""
-    out: list[list] = []
-    for l, A, tol in sorted(((l, A, _POLE_TOL * max(abs(m) for m, _ in g))
-                             for g in groups for l, A in g), key=lambda p: p[0]):
-        if out and l - out[-1][0] <= max(tol, out[-1][2]):
-            out[-1][1:] = out[-1][1] + A, max(tol, out[-1][2])
+def _merged(poles):
+    """The (location, residue) pairs sorted, residues summed where
+    neighbouring locations lie within one ulp of the largest |location| per
+    pole, the eigh rounding of the Hermitian matrices they are eigenvalues
+    of.  Poles that meet do so with orthogonal residues: one left apart
+    keeps the degree, joining distinct ones lowers it."""
+    poles = sorted(poles, key=lambda p: p[0])
+    tol = len(poles) * np.spacing(max((abs(l) for l, _ in poles), default=0.0))
+    out: list[tuple[float, NDArray[np.complex128]]] = []
+    for l, A in poles:
+        if out and l - out[-1][0] <= tol:
+            out[-1] = (out[-1][0], out[-1][1] + A)
         else:
-            out.append([l, A, tol])
-    return tuple((l, A) for l, A, _ in out)
+            out.append((l, A))
+    return tuple(out)
 
 
 def _resolvent(G: RationalPickFunction, n: float) -> RationalPickFunction:
@@ -746,11 +743,12 @@ def _resolvent(G: RationalPickFunction, n: float) -> RationalPickFunction:
     of det(G - n), and for a simple root zeta each residue equals
     V (V^* G'(zeta) V)^{-1} V^* with V spanning ker(G(zeta) - n).  Raises
     ValueError when det(G - n) vanishes identically, which needs a nonempty
-    Z and is _pbh_smin at n; otherwise Bz has full column rank, as Bz x = 0
-    puts Z x in ker B^* and ker(C - n).
+    Z and is _pbh_smin at n, each block on its own scale (Bz mixes C with
+    the residues).  Otherwise Bz x = 0 would put Z x in ker B^* and
+    ker(C - n), so the last columns of Bz's complete QR span ker Bz^*.
     """
     dim = G.dim
-    H0, Wp, s, A, V1, e1, Z = _deflated(G, n)
+    A, s, Wp, V1, e1, Z = _deflated(G, n)
     A = _hermitian(A)
     C = -(V1 / e1) @ V1.conj().T
     D = np.zeros((dim, dim), dtype=complex)
@@ -764,11 +762,13 @@ def _resolvent(G: RationalPickFunction, n: float) -> RationalPickFunction:
         if _pbh_smin(G, np.array([n]))[0] <= RANK_TOL:
             raise ValueError(f"det(G(z) - {n:g}) vanishes identically: "
                              "(n - G)^{-1} is undefined")
-        Bz = Wp.conj().T @ H0[:, :dim] @ Z
+        # H0 Z = [C - n; K^*] Z, Z lying in the first dim coordinates
+        Bz = Wp.conj().T @ np.vstack([G.C - n * np.eye(dim),
+                                      G._state_space[3].conj().T]) @ Z
         # in the basis [Q2, S^{-1} Bz, Z] of the W' + Z block (S = diag(s)),
         # where Q2 spans ker Bz^*, the pencil's inverse splits into the
         # finite part on Q2 plus a constant and the linear term on Z
-        Q2 = np.linalg.svd(Bz)[0][:, p:]
+        Q2 = np.linalg.qr(Bz, mode="complete")[0][:, p:]
         SB = Bz / s[:, None]
         Gi = np.linalg.inv(Bz.conj().T @ SB)
         T = Gi @ SB.conj().T @ A
@@ -786,7 +786,7 @@ def _resolvent(G: RationalPickFunction, n: float) -> RationalPickFunction:
         theta, Yq = np.linalg.eigh(_hermitian(Q2.conj().T @ A @ Q2))
         vecs = X @ Q2 @ Yq
         poles = [(-float(t), np.outer(v, v.conj())) for t, v in zip(theta, vecs.T)]
-    return RationalPickFunction(_hermitian(C), D, _merged([poles]))
+    return RationalPickFunction(_hermitian(C), D, _merged(poles))
 
 
 def compose_scalar(f: RationalPickFunction, F: RationalPickFunction,

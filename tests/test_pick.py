@@ -196,6 +196,14 @@ class TestPickAndRegular:
         # its residue against C
         assert is_regular(RationalPickFunction.scalar(c, 0.0, [(0.0, a)]))
 
+    @pytest.mark.parametrize("d", [1.0, 1e16, 1e20])
+    def test_linear_term_hides_no_residue(self, d):
+        # diag(d z, 1 + 1/(3 - z)) has two nonconstant entries, however far
+        # the linear term outweighs the residue
+        F = RationalPickFunction(np.diag([0.0, 1.0]), np.diag([d, 0.0]),
+                                 ((3.0, np.diag([0.0, 1.0])),))
+        assert is_regular(F)
+
     @pytest.mark.parametrize("b", [1.0, 0.1, 0.05, 1e-3])
     def test_coupled_example_regular_for_every_coupling(self, b):
         # [[0, b], [b, z]]: a real eigenvalue m of F(z) would make
@@ -538,6 +546,18 @@ class TestMirrorRoots:
                 assert np.prod(s / s[0]) < 1e-10
 
 
+    def test_constant_far_above_lam(self):
+        # c = 0.3 on ker D lies within RANK_TOL |C| = 10 of conj(lam) = -1j,
+        # but off the real line c - conj(lam) is exact and still eliminated
+        F = RationalPickFunction(np.diag([1e10, 0.3]), np.diag([1.0, 0.0]),
+                                 ((1.0, np.ones((2, 2))),))
+        z = hardyrp.pick._mirror_roots(F, 1j)
+        assert z.size == 2 and np.all(z.imag < 0)
+        for root in z:
+            s = np.linalg.svd(pick_eval(F, root) + 1j * np.eye(2), compute_uv=False)
+            assert s[-1] < 1e-10 * s[0]
+
+
 def _mp_det(M) -> complex:
     with mpmath.workdps(50):
         rows = [[mpmath.mpc(complex(e)) for e in row] for row in M]
@@ -805,6 +825,39 @@ class TestCompositionSpecialCases:
         comp = compose_scalar(MINUS_INV, F, IDENTITY)
         assert abs(comp.D[0, 0] - 0.25) < 1e-12
         assert degree_rank(comp) == 3 and is_regular(comp)
+
+    def test_far_pole_keeps_near_poles_apart(self):
+        # f = 1/(0 - w) + 1/(1e-4 - w) on F = 1 + 1/(0 - z) + 1/(1e9 - z):
+        # f o F has poles near 1, 1.0001, 1e9 + 1 and 1e9 + 1.0001, pairs
+        # 1e-4 apart that a merge scaled by the far pole would join
+        f = RationalPickFunction.scalar(0.0, 0.0, [(0.0, 1.0), (1e-4, 1.0)])
+        F = RationalPickFunction.scalar(1.0, 0.0, [(0.0, 1.0), (1e9, 1.0)])
+        comp = compose_scalar(f, F, IDENTITY)
+        assert degree_rank(comp) == 4
+        z = np.array([1j, 0.3 + 2j, -1.7 + 0.1j, 5 + 0.5j, 1 + 1e-3j])
+        w = F(z)[:, 0, 0]
+        ref = 1.0 / (0.0 - w) + 1.0 / (1e-4 - w)
+        assert np.all(np.abs(comp(z)[:, 0, 0] - ref) <= 1e-12 * np.abs(ref))
+        # on z + 1/(1e10 - z) the roots near 0, -1e-10 and 1e-3 - 1e-10, stay
+        # apart; the two near 1e10 + 1e-10 differ by 1e-23, one double
+        F = RationalPickFunction.scalar(0.0, 1.0, [(1e10, 1.0)])
+        comp = compose_scalar(RationalPickFunction.scalar(
+            0.0, 0.0, [(0.0, 1.0), (1e-3, 1.0)]), F, IDENTITY)
+        near = [l for l, _ in comp.poles if abs(l) < 1.0]
+        assert np.allclose(near, [-1e-10, 1e-3 - 1e-10], rtol=1e-9, atol=0.0)
+
+    def test_linear_term_hides_no_residue(self):
+        # det(F - 1) = 1e20 z / (z - 3) for F = diag(1e20 z, 1 + 1/(3 - z)):
+        # (1 - F)^{-1} exists although the residue is 1e-20 of D
+        F = RationalPickFunction(np.diag([0.0, 1.0]), np.diag([1e20, 0.0]),
+                                 ((3.0, np.diag([0.0, 1.0])),))
+        comp = compose_scalar(RationalPickFunction.scalar(0.0, 0.0, [(1.0, 1.0)]),
+                              F, IDENTITY)
+        assert degree_rank(comp) == 2
+        z = np.array([1j, 0.3 + 2j, -1.7 + 0.1j, 5 + 0.5j])
+        ref = np.linalg.inv(np.eye(2) - F(z))
+        big = lambda M: np.abs(M).max(axis=(1, 2))
+        assert np.all(big(comp(z) - ref) <= 1e-12 * big(ref))
 
     def test_tiny_distinct_poles_stay_apart(self):
         # poles 4e-13 apart are far outside the rounding of the pencils
