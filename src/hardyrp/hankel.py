@@ -368,6 +368,8 @@ def phi_from_psi(nu: BoundaryMeasure, t):
 
 def _time_sums(times: Sequence[float]) -> tuple[list[float], list[float]]:
     times = [float(t) for t in times]
+    if not times:
+        raise ValueError("times must not be empty")
     if any(t < 0 for t in times):
         raise ValueError("times must be nonnegative")
     return times, sorted({tj + tk for tj in times for tk in times})
@@ -389,7 +391,8 @@ def rp_certify(nu: BoundaryMeasure,
     sum t_j + t_k in one phi_from_psi call and checks the matrix
     [phi(t_j + t_k)] for positive semidefiniteness relative to its scale
     (smallest eigenvalue >= -_RP_TOL max(1, largest |eigenvalue|)).
-    Raises ValueError when phi(0) diverges and 0 is among the times.
+    Raises ValueError when times is empty, or phi(0) diverges and 0 is
+    among the times.
     """
     if nu.is_zero:
         raise ValueError("reflection positivity is undefined for the zero measure")

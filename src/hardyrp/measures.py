@@ -508,8 +508,8 @@ def load_measure(source) -> BoundaryMeasure:
     else:
         with open(source) as fh:
             spec = json.load(fh)
-    # a spec of the wrong shape (a list for a dict, a number for a list)
-    # is an input error like any other
+    # a spec of the wrong shape (a list for a dict, a number for a list,
+    # a missing key) is an input error like any other
     try:
         pieces = []
         for d in spec.get("density", []):
@@ -525,7 +525,7 @@ def load_measure(source) -> BoundaryMeasure:
             atoms=[tuple(pair) for pair in spec.get("atoms", [])],
             density=pieces,
         )
-    except (TypeError, IndexError, AttributeError) as exc:
+    except (LookupError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed measure JSON: {exc}") from exc
 
 

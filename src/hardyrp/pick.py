@@ -44,7 +44,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -710,20 +711,13 @@ def _sum(C: NDArray[np.complex128], terms) -> RationalPickFunction:
 
 
 def _merged(poles):
-    """The (location, residue) pairs sorted, residues summed where
-    neighbouring locations lie within one ulp of the largest |location| per
-    pole, the eigh rounding of the Hermitian matrices they are eigenvalues
-    of.  Poles that meet do so with orthogonal residues: one left apart
-    keeps the degree, joining distinct ones lowers it."""
+    """The (location, residue) pairs in ascending order, the residues at
+    equal locations summed in turn: the constructor's rule for one pole.
+    Distinct poles that rounded to one double lower the degree, which
+    compose_scalar checks."""
     poles = sorted(poles, key=lambda p: p[0])
-    tol = len(poles) * np.spacing(max((abs(l) for l, _ in poles), default=0.0))
-    out: list[tuple[float, NDArray[np.complex128]]] = []
-    for l, A in poles:
-        if out and l - out[-1][0] <= tol:
-            out[-1] = (out[-1][0], out[-1][1] + A)
-        else:
-            out.append((l, A))
-    return tuple(out)
+    return tuple((l, reduce(np.add, [A for _, A in run]))
+                 for l, run in groupby(poles, key=lambda p: p[0]))
 
 
 def _resolvent(G: RationalPickFunction, n: float) -> RationalPickFunction:
@@ -795,10 +789,10 @@ def compose_scalar(f: RationalPickFunction, F: RationalPickFunction,
 
     With G = F o g = C + D g + sum_j A_j (lambda_j - g)^{-1} and
     f = c + d w + sum_i b_i / (n_i - w), the composition is
-    c + d G + sum_i b_i (n_i - G)^{-1}: sums of _resolvent terms, whose
-    degree is deg f deg F deg g.  Raises TypeError for anything but a
-    RationalPickFunction, ValueError for a non-scalar f or g and when some
-    det(G - n_i) vanishes identically.
+    c + d G + sum_i b_i (n_i - G)^{-1}: sums of _resolvent terms.  Raises
+    TypeError for anything but a RationalPickFunction, ValueError for a
+    non-scalar f or g and when some det(G - n_i) vanishes identically, and
+    RuntimeError when its degree breaks the law deg f deg F deg g.
     """
     for h in (f, F, g):
         if not isinstance(h, RationalPickFunction):
@@ -807,9 +801,15 @@ def compose_scalar(f: RationalPickFunction, F: RationalPickFunction,
     if f.dim != 1 or g.dim != 1:
         raise ValueError("outer compositions must be scalar")
     G = _sum(F.C, [(F.D, g)] + [(A, _resolvent(g, l)) for l, A in F.poles])
-    return _sum(f.C[0, 0].real * np.eye(F.dim),
+    comp = _sum(f.C[0, 0].real * np.eye(F.dim),
                 [(f.D[0, 0].real, G)]
                 + [(A[0, 0].real, _resolvent(G, l)) for l, A in f.poles])
+    deg, law = degree_rank(comp), degree_rank(f) * degree_rank(F) * degree_rank(g)
+    if deg != law:
+        raise RuntimeError(f"the composition has degree {deg}, not deg f deg F "
+                           f"deg g = {law}: distinct poles may have rounded "
+                           "to one double")
+    return comp
 
 
 def boundary_unitary(F: RationalPickFunction, t: float, x: float
@@ -838,9 +838,9 @@ def load_pick(source) -> RationalPickFunction:
     else:
         with open(source) as fh:
             spec = json.load(fh)
-    # a spec of the wrong shape (a list for a dict, a number for a matrix),
-    # or a dim no int holds (1e400 parses as inf), is an input error like
-    # any other
+    # a spec of the wrong shape (a list for a dict, a number for a matrix,
+    # a missing key), or a dim no int holds (1e400 parses as inf), is an
+    # input error like any other
     try:
         n = int(spec["dim"])
         C = _decode_matrix(spec["C"])
@@ -849,7 +849,7 @@ def load_pick(source) -> RationalPickFunction:
             raise ValueError("matrix dimensions disagree with dim")
         poles = tuple((float(p["lambda"]), _decode_matrix(p["A"]))
                       for p in spec.get("poles", []))
-    except (TypeError, IndexError, AttributeError, OverflowError) as exc:
+    except (LookupError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed Pick JSON: {exc}") from exc
     return RationalPickFunction(C, D, poles)
 

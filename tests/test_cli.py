@@ -312,18 +312,38 @@ class TestCompose:
                     "--g", self.shift(tmp_path, 1.0)]) == 2
         assert "scalar" in capsys.readouterr().err
 
+    @staticmethod
+    def compose_argv(tmp_path, **functions) -> list[str]:
+        """The compose command on f, F and g, each written to a JSON file."""
+        argv = ["compose"]
+        for name, F in functions.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(dump_pick(F)))
+            argv += [f"--{name}", str(path)]
+        return argv
+
     def test_undefined_composition_is_input_error(self, tmp_path, capsys):
         # F = diag(z, 1) and f = 1/(1 - w): det(F - 1) vanishes identically
-        paths = {}
-        for name, F in (("f", RationalPickFunction.scalar(0.0, 0.0, [(1.0, 1.0)])),
-                        ("F", RationalPickFunction(np.diag([0.0, 1.0]),
-                                                   np.diag([1.0, 0.0]))),
-                        ("g", RationalPickFunction.scalar(0.0, 1.0))):
-            paths[name] = tmp_path / f"{name}.json"
-            paths[name].write_text(json.dumps(dump_pick(F)))
-        assert run(["compose", "--f", str(paths["f"]), "--F", str(paths["F"]),
-                    "--g", str(paths["g"])]) == 2
+        argv = self.compose_argv(
+            tmp_path, f=RationalPickFunction.scalar(0.0, 0.0, [(1.0, 1.0)]),
+            F=RationalPickFunction(np.diag([0.0, 1.0]), np.diag([1.0, 0.0])),
+            g=RationalPickFunction.scalar(0.0, 1.0))
+        assert run(argv) == 2
         assert "vanishes identically" in capsys.readouterr().err
+
+    def test_composition_law_break_exits_three(self, tmp_path, capsys):
+        # two roots of z + 1/(1e10 - z) = n round to one double: degree 3,
+        # where deg f deg F = 4, is a numerical failure, not an answer
+        argv = self.compose_argv(
+            tmp_path,
+            f=RationalPickFunction.scalar(0.0, 0.0, [(0.0, 1.0), (1e-3, 1.0)]),
+            F=RationalPickFunction.scalar(0.0, 1.0, [(1e10, 1.0)]),
+            g=RationalPickFunction.scalar(0.0, 1.0))
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert "numerical failure" in captured.err
+        assert "degree 3" in captured.err and "= 4" in captured.err
 
 
 class TestPlotEigencurves:
@@ -640,6 +660,14 @@ MALFORMED = [
     # JSON reads 1e400 as inf, which no int holds
     ("degree", "--pick", '{"dim": 1e400, "C": [[[1, 0]]], "D": [[[0, 0]]]}',
      "malformed Pick JSON"),
+    # a missing key, not a bare KeyError's "error: 'dim'"
+    ("degree", "--pick", '{"C": [[[1, 0]]], "D": [[[0, 0]]]}',
+     "malformed Pick JSON: 'dim'"),
+    ("degree", "--pick",
+     '{"dim": 1, "C": [[[1, 0]]], "D": [[[0, 0]]], "poles": [{"A": [[[1, 0]]]}]}',
+     "malformed Pick JSON: 'lambda'"),
+    ("psi", "--measure", '{"density": [{"expr": "1"}]}',
+     "malformed measure JSON: 'interval'"),
 ]
 
 

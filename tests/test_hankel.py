@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -618,3 +619,35 @@ class TestFixedPoint:
             dev = fixed_point_deviation(BoundaryMeasure(atom_inf=mass),
                                         default_anchors(6))
             assert dev == a / 2
+
+
+ENDPOINT_ATOM = BoundaryMeasure(atom0=1.0, atoms=[(1.0, 1.0)])
+INPUT_CHECKS = {
+    "anchor count": (lambda: HankelGram((1j, 2j), np.eye(3), np.eye(3)),
+                     "Gram matrices must match the anchor count"),
+    "gram endpoint atom": (lambda: gram_from_measure(ENDPOINT_ATOM, [1j, 2j]),
+                           "the form measure must be supported on (0, inf)"),
+    "symbol endpoint atom": (lambda: symbol_from_measure(ENDPOINT_ATOM, 1.0),
+                             "the form measure must be supported on (0, inf)"),
+    "compactness endpoint atom": (
+        lambda: compactness_check(BoundaryMeasure(atom_inf=1.0)),
+        "the form measure must be supported on (0, inf)"),
+    "phi time too large": (
+        lambda: phi_from_psi(BoundaryMeasure(atoms=[(1.0, 1.0)]), 1e9),
+        "phi_from_psi needs t p_min <= 1e-8"),
+    "os check on zero measure": (
+        lambda: os_isometry_check(BoundaryMeasure(),
+                                  KernelCombination([(1.0, 1j)]),
+                                  KernelCombination([(1.0, 1j)])),
+        "the zero measure has no symbol"),
+    "rp_certify without times": (
+        lambda: rp_certify(BoundaryMeasure(atoms=[(1.0, 1.0)]), []),
+        "times must not be empty"),
+}
+
+
+@pytest.mark.parametrize("call, says", INPUT_CHECKS.values(),
+                         ids=INPUT_CHECKS.keys())
+def test_input_checks(call, says):
+    with pytest.raises(ValueError, match=re.escape(says)):
+        call()

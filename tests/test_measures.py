@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -579,3 +580,32 @@ class TestSerialization:
                                         "kind": "table",
                                         "samples": [[1.0, 1.0], [2.0, 1.0]]}]})
         assert abs(total_mass(nu) - 1.0) < 1e-10
+
+
+INPUT_CHECKS = {
+    "unknown kind": (lambda: DensityPiece(0.5, 2.0, "spline", expr="1"),
+                     "unknown density kind 'spline'"),
+    "closed form without expr": (lambda: DensityPiece(0.5, 2.0),
+                                 "closed-form density needs an expr"),
+    "table without samples": (lambda: DensityPiece(0.5, 2.0, "table"),
+                              "table density needs samples"),
+    "negative scale": (lambda: BoundaryMeasure(atoms=[(1.0, 1.0)]).scaled(-1.0),
+                       "scale factor must be nonnegative"),
+    "psi_small at 0": (
+        lambda: psi_small(BoundaryMeasure(atoms=[(1.0, 1.0)]), 0.0),
+        "psi_small is undefined at p = 0"),
+    "phi_mu with atom at infinity": (
+        lambda: phi_mu(BoundaryMeasure(atom_inf=1.0), 1.0),
+        "phi_mu requires no atom at infinity"),
+    "dump of a reweighted piece": (
+        lambda: dump_measure(BoundaryMeasure(
+            density=[DensityPiece(0.5, 2.0, expr="1")]).scaled(2.0)),
+        "density piece is not serializable"),
+}
+
+
+@pytest.mark.parametrize("call, says", INPUT_CHECKS.values(),
+                         ids=INPUT_CHECKS.keys())
+def test_input_checks(call, says):
+    with pytest.raises(ValueError, match=re.escape(says)):
+        call()

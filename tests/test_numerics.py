@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -209,3 +210,24 @@ class TestQuadpackBudget:
         over = {m: c for m, c in counts.items()
                 if c > QUAD_CALL_BUDGET.get(m, 0)}
         assert not over, f"raw quad( calls over budget: {over}"
+
+
+INPUT_CHECKS = {
+    "zero absolute tolerance": (lambda: QuadratureConfig(abs_tol=0.0),
+                                "tolerances must be positive"),
+    "negative relative tolerance": (lambda: QuadratureConfig(rel_tol=-1e-8),
+                                    "tolerances must be positive"),
+    "budget below 8": (lambda: QuadratureConfig(max_subdivisions=7),
+                       "max_subdivisions must be >= 8"),
+    "three samples": (lambda: CurveSample([1.0, 1j, 1.0]),
+                      "curve needs at least 4 samples"),
+    "open curve": (lambda: CurveSample([1.0, 1j, -1.0, -1j]),
+                   "curve is not closed within tolerance"),
+}
+
+
+@pytest.mark.parametrize("call, says", INPUT_CHECKS.values(),
+                         ids=INPUT_CHECKS.keys())
+def test_input_checks(call, says):
+    with pytest.raises(ValueError, match=re.escape(says)):
+        call()

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import mpmath
 import numpy as np
@@ -838,13 +839,58 @@ class TestCompositionSpecialCases:
         w = F(z)[:, 0, 0]
         ref = 1.0 / (0.0 - w) + 1.0 / (1e-4 - w)
         assert np.all(np.abs(comp(z)[:, 0, 0] - ref) <= 1e-12 * np.abs(ref))
-        # on z + 1/(1e10 - z) the roots near 0, -1e-10 and 1e-3 - 1e-10, stay
-        # apart; the two near 1e10 + 1e-10 differ by 1e-23, one double
+
+    def test_far_pole_keeps_tiny_poles_apart(self):
+        # the identity composition of poles at 1e-6, 2e-6 and 1e10: a merge
+        # scaled by the far pole joined the two near ones
+        F = RationalPickFunction.scalar(0.0, 0.0,
+                                        [(1e-6, 1.0), (2e-6, 1.0), (1e10, 1.0)])
+        comp = compose_scalar(IDENTITY, F, IDENTITY)
+        assert len(comp.poles) == 3 and degree_rank(comp) == 3
+        z = np.array([1e-6 + 1e-7j, 1j, 3 + 0.5j])
+        ref = F(z)[:, 0, 0]
+        assert np.all(np.abs(comp(z)[:, 0, 0] - ref) <= 1e-14 * np.abs(ref))
+
+    def test_poles_on_one_double_break_the_law_loudly(self):
+        # on z + 1/(1e10 - z) the two roots near 1e10 + 1e-10 of
+        # f = 1/(0 - w) + 1/(1e-3 - w) differ by 1e-23, one double: the
+        # result has degree 3, where deg f deg F = 4
+        f = RationalPickFunction.scalar(0.0, 0.0, [(0.0, 1.0), (1e-3, 1.0)])
         F = RationalPickFunction.scalar(0.0, 1.0, [(1e10, 1.0)])
-        comp = compose_scalar(RationalPickFunction.scalar(
-            0.0, 0.0, [(0.0, 1.0), (1e-3, 1.0)]), F, IDENTITY)
-        near = [l for l, _ in comp.poles if abs(l) < 1.0]
-        assert np.allclose(near, [-1e-10, 1e-3 - 1e-10], rtol=1e-9, atol=0.0)
+        with pytest.raises(RuntimeError, match=r"degree 3.* = 4"):
+            compose_scalar(f, F, IDENTITY)
+
+    def test_wide_scale_family_keeps_the_composition_law(self):
+        # 400 compositions f o F with poles from 1e-8 to 1e10 in modulus:
+        # each has degree deg f deg F, or raises where poles met on a double
+        R = RationalPickFunction
+        rng = np.random.default_rng(0)
+
+        def scal(k):
+            locs = np.sort(rng.choice([-1, 1], k) * 10 ** rng.uniform(-8, 10, k))
+            return R.scalar(float(rng.normal()), float(rng.uniform(0, 1) < 0.3),
+                            [(float(l), float(10 ** rng.uniform(-3, 3)))
+                             for l in locs])
+
+        raised = 0
+        for _ in range(400):
+            n = int(rng.integers(1, 3))
+            poles = []
+            for l in np.sort(10 ** rng.uniform(-8, 10, int(rng.integers(1, 4)))
+                             * rng.choice([-1, 1])):
+                v = rng.normal(size=n) + 1j * rng.normal(size=n)
+                poles.append((float(l), np.outer(v, v.conj())))
+            X = rng.normal(size=(n, n))
+            F = R((X + X.T) / 2, np.zeros((n, n)), tuple(poles))
+            f = scal(int(rng.integers(1, 3)))
+            try:
+                comp = compose_scalar(f, F, IDENTITY)
+            except RuntimeError:
+                raised += 1
+                continue
+            assert degree_rank(comp) == degree_rank(f) * degree_rank(F)
+        # the guard refuses only the few whose poles met on a double
+        assert raised < 20
 
     def test_linear_term_hides_no_residue(self):
         # det(F - 1) = 1e20 z / (z - 3) for F = diag(1e20 z, 1 + 1/(3 - z)):
@@ -1000,3 +1046,24 @@ class TestBoundaryUnitary:
         x = 1.5
         U = boundary_unitary(F, 0.3, x) @ boundary_unitary(F, 0.4, x)
         assert np.abs(U - boundary_unitary(F, 0.7, x)).max() < 1e-12
+
+
+INPUT_CHECKS = {
+    "D of the wrong shape": (
+        lambda: RationalPickFunction(np.eye(2), np.eye(3)), "D must be 2x2"),
+    "dim against the matrices": (
+        lambda: load_pick({"dim": 2, "C": [[[1, 0]]], "D": [[[0, 0]]]}),
+        "matrix dimensions disagree with dim"),
+    "u not unitary": (lambda: BlaschkePotapovProduct(2.0 * np.eye(1)),
+                      "u must be unitary"),
+    "omega below the axis": (
+        lambda: BlaschkePotapovProduct(np.eye(1), ((-1j, np.eye(1)),)),
+        "factor zeros must lie in the upper half-plane"),
+}
+
+
+@pytest.mark.parametrize("call, says", INPUT_CHECKS.values(),
+                         ids=INPUT_CHECKS.keys())
+def test_input_checks(call, says):
+    with pytest.raises(ValueError, match=re.escape(says)):
+        call()

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import functools
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -657,3 +658,26 @@ class TestLambda:
         K = BoundaryModulus(lambda p: abs(p) / (1 + p * p), (0.0,), True)
         z = 0.5 + 2j
         assert abs(out_eval(1.0, K, z) - lambda_eval(z)) < 1e-7
+
+
+INPUT_CHECKS = {
+    "rational modulus not even": (
+        lambda: BoundaryModulus(lambda p: 1.0, rational=(1.0, (), ())),
+        "a rational modulus is even: set symmetric"),
+    "axis point at 0": (
+        lambda: out_on_axis(BoundaryModulus.power_law(1.0), 0.0),
+        "axis point must satisfy lam > 0"),
+    "axis point below 0": (
+        lambda: out_on_axis(BoundaryModulus.power_law(1.0), np.array([1.0, -1.0])),
+        "axis point must satisfy lam > 0"),
+    "phase of a modulus not even": (
+        lambda: boundary_phase_difference(BoundaryModulus(lambda p: 1.0), 1.0),
+        "boundary phase formula requires a symmetric modulus"),
+}
+
+
+@pytest.mark.parametrize("call, says", INPUT_CHECKS.values(),
+                         ids=INPUT_CHECKS.keys())
+def test_input_checks(call, says):
+    with pytest.raises(ValueError, match=re.escape(says)):
+        call()
