@@ -10,7 +10,10 @@ also closed forms.
 
 The window integrals run on the batched Gauss-Kronrod engine: f_{p,n} is
 even, so (1/pi) int f phi is one pass over x > 0, mapped to a finite
-interval by x = tan(theta), with one component per region.
+interval by x = tan(theta), with one component per region.  The pass
+starts from panels graded to the kernel's scales (2^k/n about p and 0,
+2^k up to 4n), and refuses a p so large that the doubles theta cannot
+resolve the resonance there.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ import numpy as np
 # the benchmark's tracer wraps every module's quad binding, this one included
 from scipy.integrate import quad  # noqa: F401
 
-from .numerics import QuadratureConfig, integrate_batched
+from .numerics import QuadratureConfig, QuadratureError, integrate_batched
 
 __all__ = [
     "KernelParams",
@@ -51,6 +54,8 @@ class KernelParams:
     def __post_init__(self):
         if self.n < 2 or self.n != int(self.n):
             raise ValueError("sharpness n must be an integer >= 2")
+        if not math.isfinite(self.p * self.p):
+            raise ValueError("evaluation point p and p^2 must be finite")
         if not self.p > 1.0 / math.sqrt(self.n):
             raise ValueError("evaluation point must satisfy p > 1/sqrt(n)")
 
@@ -162,6 +167,50 @@ def sandwich_factors(p: float, n: int) -> tuple[float, float]:
     return a * v / w / U, A * V / w / u
 
 
+def _first_edges(params: KernelParams) -> np.ndarray:
+    """The first panel edges, in theta = arctan x, of the window pass.
+
+    x = p -+ 1/sqrt(n) and p cut the regions, and x = 1 the jump of f.
+    The graded points meet the kernel's three scales:
+    - p -+ 2^k/n and 2^k/n, k >= 0, below p/2: the resonance of d_{p,n},
+      1/n wide about p (poles 1/n off +-p), and the zero of g_n at 0
+      (poles +-i/n);
+    - 2^k from 2 to 4n: for x well above 1 and p, f(x)(1 + x^2) is near
+      (3 - p^2)/(n (1 + x^2/n^2)), flat up to the poles +-in of g_n, and
+      decays only beyond them.
+    With them the pass starts at those scales instead of bisecting toward
+    them: kernel-demo's calls at p from 0.5 to 3 take one or two passes,
+    where the four edges arctan(p -+ 1/sqrt(n)), arctan p, arctan 1 took
+    6 to 12.
+
+    The pass reaches only the x = tan t of doubles t, which lie (1 + x^2)
+    ulp(t) apart in x: (1 + p^2) 2^-52 near p > tan 1.  When
+    arctan(p - 1/n), arctan p and arctan(p + 1/n) round to fewer than three
+    doubles, that spacing is about the resonance's width 1/n or wider, and
+    no panel edge can fall inside the resonance.  The nodes then miss its
+    peak while the Kronrod and Gauss sums, taken at the same doubles,
+    agree, so the pass met its tolerance with a wrong value (off by 0.031
+    at p = 1e8, n = 10^4).  Raises QuadratureError then.
+    """
+    p, n = params.p, params.n
+    edges = {*params.window, p, 1.0}
+    h = 1.0 / n
+    while h < p / 2:
+        edges.update((p - h, p + h, h))
+        h *= 2.0
+    x = 2.0
+    while x < 4 * n:
+        edges.add(x)
+        x *= 2.0
+    t = np.arctan([p - 1.0 / n, p, p + 1.0 / n])
+    if not t[0] < t[1] < t[2]:
+        raise QuadratureError(
+            f"the resonance of f_{{p,n}} at p = {p:g}, 1/n = {1.0 / n:g} "
+            f"wide, is finer than the doubles theta of x = tan(theta) reach "
+            f"there", math.nan, math.inf)
+    return np.arctan(sorted(edges))
+
+
 def approx_identity_regions(phi: Callable, p: float, n: int
                             ) -> tuple[float, float, float]:
     """(inner, window, outer) pieces of (1/pi) int f_{p,n} phi.
@@ -176,9 +225,13 @@ def approx_identity_regions(phi: Callable, p: float, n: int
     result such as that of lambda x: 1.0 is broadcast.  As f_{p,n} is even,
     the three pieces are one integrate_batched pass of
     f(x) (phi(x) + phi(-x)) (1 + x^2) in theta = arctan x over [0, pi/2),
-    one component per region, with panel edges at arctan of the region
-    edges, of p and of 1 (where the indicator of f flips).  Raises
-    QuadratureError when the panel budget is spent.
+    one component per region.  Its first panel edges (_first_edges) are
+    arctan of the region edges, of p, of 1 (where the indicator of f flips)
+    and of points graded to the kernel's scales: 2^k/n about p and 0, and
+    2^k up to 4n.  Raises QuadratureError when the panel budget is spent,
+    and before any integration when the doubles theta cannot place a panel
+    edge inside the resonance, 1/n wide about p: where (1 + p^2) 2^-52
+    reaches about 1/n, as at p = 1e6, n = 10^4.
     """
     params = KernelParams(p, n)
     lo, hi = params.window
@@ -193,9 +246,8 @@ def approx_identity_regions(phi: Callable, p: float, n: int
         return v[:, None] * np.column_stack([x < lo, (lo < x) & (x < hi),
                                              hi < x])
 
-    edges = np.arctan([lo, p, 1.0, hi])
     val = integrate_batched(integrand, 0.0, math.pi / 2, _KERNEL_QUADRATURE,
-                            breakpoints=edges)
+                            breakpoints=_first_edges(params))
     inner, window, outer = (float(v) / math.pi for v in val)
     return inner, window, outer
 

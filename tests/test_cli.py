@@ -632,6 +632,17 @@ class TestKernelDemo:
         assert run(["kernel-demo", "--out", str(out)]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("p", ["inf", "1e200"])
+    def test_non_finite_p_exits_two(self, p, tmp_path):
+        out = tmp_path / "demo.csv"
+        assert run(["kernel-demo", f"--p={p}", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_unresolved_resonance_exits_three(self, tmp_path):
+        out = tmp_path / "demo.csv"
+        assert run(["kernel-demo", "--p=1e8", "--out", str(out)]) == 3
+        assert not out.exists()
+
 
 def _pick_text(C="[[[0.3, 0]]]", D="[[[1, 0]]]", pole="1.0"):
     return ('{"dim": 1, "C": %s, "D": %s, "poles": [{"lambda": %s, '

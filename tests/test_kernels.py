@@ -15,7 +15,8 @@ from hardyrp.kernels import (
     halfmass,
     sandwich_factors,
 )
-from hardyrp.numerics import QuadratureConfig, integrate_batched
+from hardyrp import numerics
+from hardyrp.numerics import QuadratureConfig, QuadratureError, integrate_batched
 
 # tighter than the kernel pass's tolerances: the cross-check is compared
 # with a closed form
@@ -39,6 +40,12 @@ class TestParams:
     def test_non_integer_n_rejected(self):
         with pytest.raises(ValueError):
             KernelParams(1.0, 2.5)
+
+    @pytest.mark.parametrize("p", [math.inf, 1e200])
+    def test_point_or_its_square_not_finite_rejected(self, p):
+        # 1e200 ** 2 overflows to inf
+        with pytest.raises(ValueError):
+            KernelParams(p, 100)
 
     def test_point_below_resolution_rejected(self):
         with pytest.raises(ValueError):
@@ -157,7 +164,8 @@ def mp_approx_identity_of_one(p, n):
 
     f is even, so this is (2/pi) int_0^inf f.  Panel edges sit at the
     window ends, at 1 (where f jumps) and geometrically refined toward the
-    resonance at p and the bump's scale 1/n at 0.
+    resonance at p and the bump's scale 1/n at 0, and at 2 4^k up to 4n,
+    where f(x)(1 + x^2) turns from flat to decaying.
     """
     with mp.workdps(30):
         P, N = mp.mpf(p), mp.mpf(n)
@@ -176,15 +184,40 @@ def mp_approx_identity_of_one(p, n):
         while h < r:
             edges.update((P - h, P + h, h))
             h *= 4
+        x = mp.mpf(2)
+        while x < 4 * N:
+            edges.add(x)
+            x *= 4
         edges = sorted(edges) + [mp.inf]
         return float(2 * mp.quad(f, edges) / mp.pi)
 
 
 class TestBatchedRegions:
-    @pytest.mark.parametrize("p, n", [(0.7, 10 ** 4), (1.0, 100), (2.3, 3000)])
+    @pytest.mark.parametrize("p, n", [(0.7, 10 ** 4), (1.0, 100), (2.3, 3000),
+                                      (0.11, 100), (3.0, 10 ** 4),
+                                      (10.0, 1000)])
     def test_matches_mpmath(self, p, n):
         want = mp_approx_identity_of_one(p, n)
         assert abs(approx_identity(lambda x: 1.0, p, n) - want) <= 1e-10
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.7, 3.0])
+    def test_first_panels_reach_the_kernels_scales(self, p, monkeypatch):
+        # graded first edges about p, 0 and n: the four edges at
+        # p -+ 1/sqrt(n), p and 1 took 5 to 12 passes of bisection
+        passes = []
+        real = numerics._gk_panels
+        monkeypatch.setattr(numerics, "_gk_panels", lambda f, lo, hi, m=None:
+                            passes.append(lo.size) or real(f, lo, hi, m))
+        for n in (100, 300, 1000, 3000, 10000):
+            passes.clear()
+            approx_identity(lambda x: 1.0, p, n)
+            assert len(passes) <= 2, n
+
+    def test_unresolved_resonance_raises(self):
+        # at p = 1e8 neighbouring doubles theta lie 2.2 apart in x, 2.2e4
+        # resonance widths 1/n; the pass used to return a value off by 0.031
+        with pytest.raises(QuadratureError):
+            approx_identity(lambda x: 1.0, 1e8, 10 ** 4)
 
     @pytest.mark.parametrize("p, n", [(1.0, 100), (0.7, 10 ** 4), (3.0, 1000)])
     def test_odd_probe_vanishes_in_every_region(self, p, n):
