@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 # the benchmark's tracer wraps every module's quad binding, this one included
 from scipy.integrate import quad  # noqa: F401
 
-from .hardy import KernelCombination, szego
+from .hardy import KernelCombination, _anchor_array
 from .measures import BoundaryMeasure, w_map
 from .numerics import QuadratureConfig, integrate_batched
 from .symbols import (BoundaryModulus, OuterFunction, _log_window,
@@ -70,10 +70,9 @@ _P_MIN = 1e-16
 _RP_TOL = 1e-8
 
 
-def _mass_matrix(anchors: Sequence[complex]) -> NDArray[np.complex128]:
-    z = np.asarray(anchors, dtype=complex)
-    # <Q_{z_j}, Q_{z_k}> = Q_{z_k}(z_j)
-    return np.array([[szego(zk, zj) for zk in z] for zj in z])
+def _mass_matrix(z: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """<Q_{z_j}, Q_{z_k}> = Q_{z_k}(z_j) for the checked anchors z."""
+    return _kernels(z, z)
 
 
 def _kernels(z: NDArray[np.complex128], x) -> NDArray[np.complex128]:
@@ -125,8 +124,7 @@ class HankelGram:
 
     def __post_init__(self):
         anchors = tuple(complex(z) for z in self.anchors)
-        if any(z.imag <= 0 for z in anchors):
-            raise ValueError("anchors must lie in the open upper half-plane")
+        _anchor_array(anchors)
         n = len(anchors)
         G = np.asarray(self.G, dtype=complex)
         M = np.asarray(self.M, dtype=complex)
@@ -169,8 +167,7 @@ def gram_from_measure(mu: BoundaryMeasure,
     """
     if mu.atom0 > 0 or mu.atom_inf > 0:
         raise ValueError("the form measure must be supported on (0, inf)")
-    M = _mass_matrix(anchors)       # validates the anchors first
-    z = np.asarray(anchors, dtype=complex)
+    z = _anchor_array(anchors)
     n = z.size
     jj, kk = np.triu_indices(n)
     m = jj.size
@@ -191,7 +188,7 @@ def gram_from_measure(mu: BoundaryMeasure,
     G = np.empty((n, n), dtype=complex)
     G[jj, kk] = v[0::2] + 1j * v[1::2]
     G[kk, jj] = np.conj(G[jj, kk])
-    return HankelGram(tuple(anchors), G, M)
+    return HankelGram(tuple(anchors), G, _mass_matrix(z))
 
 
 def gram_from_symbol(h: Callable, anchors: Sequence[complex]) -> HankelGram:
@@ -200,8 +197,7 @@ def gram_from_symbol(h: Callable, anchors: Sequence[complex]) -> HankelGram:
     The n^2 entries are the components of one _boundary_pairing pass, which
     evaluates h once per node for every entry.
     """
-    M = _mass_matrix(anchors)       # validates the anchors first
-    z = np.asarray(anchors, dtype=complex)
+    z = _anchor_array(anchors)
     n = z.size
 
     def entries(x):
@@ -209,7 +205,7 @@ def gram_from_symbol(h: Callable, anchors: Sequence[complex]) -> HankelGram:
         return (hq[:, :, None] * _kernels(z, -x)[:, None, :]).reshape(x.size, -1)
 
     G = _boundary_pairing(entries, z).reshape(n, n)
-    return HankelGram(tuple(anchors), G, M)
+    return HankelGram(tuple(anchors), G, _mass_matrix(z))
 
 
 def symbol_from_measure(mu: BoundaryMeasure, p):
@@ -495,8 +491,8 @@ def fixed_point_deviation(nu: BoundaryMeasure,
     F_nu(-x), one component per anchor; F_nu(z) is the outer function's
     own evaluation.
     """
+    z = _anchor_array(anchors)
     K = _sqrt_psi_modulus(nu)
-    z = np.asarray(anchors, dtype=complex)
     rhs = OuterFunction(K)(z)
     if K.rational is not None:
         lhs = _residue_fixed_point(K, z)

@@ -25,10 +25,19 @@ __all__ = [
 ]
 
 
+def _anchor_array(anchors) -> NDArray[np.complex128]:
+    """The kernel anchors as a complex array; ValueError unless each one is
+    finite and lies in the open upper half-plane."""
+    z = np.asarray(anchors, dtype=complex)
+    if not (np.isfinite(z) & (z.imag > 0)).all():
+        raise ValueError("kernel anchors must be finite and lie in the open "
+                         "upper half-plane")
+    return z
+
+
 def szego(w: complex, z) -> complex:
     """Reproducing kernel Q_w(z) = (1/2pi) i/(z - conj(w)), Im w > 0."""
-    if np.imag(w) <= 0:
-        raise ValueError("kernel anchor must lie in the open upper half-plane")
+    _anchor_array(w)
     return (0.5j / np.pi) / (np.asarray(z) - np.conj(w))
 
 
@@ -40,8 +49,7 @@ class KernelCombination:
 
     def __init__(self, terms: Sequence[tuple[complex, complex]]):
         terms = tuple((complex(c), complex(z)) for c, z in terms)
-        if any(z.imag <= 0 for _, z in terms):
-            raise ValueError("anchors must lie in the open upper half-plane")
+        _anchor_array([z for _, z in terms])
         object.__setattr__(self, "terms", terms)
 
     def __call__(self, z):

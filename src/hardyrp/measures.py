@@ -164,7 +164,7 @@ class BoundaryMeasure:
     """Finite positive Borel measure on [0, inf].
 
     Immutable, so that _cache, the one store of quantities derived from the
-    measure (psi_big values, mass, boundary phase, axis values of F_nu), can
+    measure (psi_big values, boundary phase, axis values of F_nu), can
     never go stale; cached is its one reader and writer.
     """
 
@@ -173,7 +173,7 @@ class BoundaryMeasure:
     atoms: tuple[tuple[float, float], ...] = ()
     density: tuple[DensityPiece, ...] = ()
     # one table per derived quantity, keyed by its argument ("psi" by p^2,
-    # "phase" by |x|, "axis" by lam, "mass" by 0): name -> (keys, values)
+    # "phase" by |x|, "axis" by lam): name -> (keys, values)
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -282,8 +282,8 @@ class BoundaryMeasure:
 
 def _scalar_integral(nu: BoundaryMeasure, fn: Callable, **ends) -> float:
     """int fn dnu for a numpy fn of l, as a one-component integrate under
-    _PSI_QUADRATURE (the psi tolerance, so the mass of the envelope clamp
-    is as accurate as the values it clamps)."""
+    _PSI_QUADRATURE, so total_mass, psi_small and phi_mu meet psi_big's
+    tolerance."""
     return float(nu.integrate(lambda lam: fn(lam)[:, None], _PSI_QUADRATURE,
                               **ends)[0])
 
@@ -296,10 +296,6 @@ def _atom_sum(nu: BoundaryMeasure, p2):
     """pi psi_big(nu, p) without the density pieces, for float or array p2."""
     total = nu.atom0 / p2 + nu.atom_inf
     return total + sum(w * (1.0 + l * l) / (p2 + l * l) for l, w in nu.atoms)
-
-
-def _mass(nu: BoundaryMeasure) -> float:
-    return float(nu.cached("mass", 0.0, lambda _: [total_mass(nu)]))
 
 
 # psi_big's density passes, and the scalar integrals against a measure.
@@ -315,17 +311,6 @@ _PSI_CHUNK = 256
 # densities are cut at lam = e^300, where lam^2 nears overflow; a finite
 # measure has next to no mass there
 _LOG_LAM_MAX = 300.0
-
-
-def _clamped_psi(nu: BoundaryMeasure, p2: np.ndarray,
-                 total: np.ndarray) -> np.ndarray:
-    """psi_big = total / pi, with total (pi psi_big) pulled into its
-    envelope: the kernel lies between min(1, 1/p^2) and max(1, 1/p^2), so
-    the true value does too, and residual quadrature noise at extreme p is
-    pulled back in."""
-    mass = _mass(nu)
-    return np.clip(total, mass * np.minimum(1.0, 1.0 / p2),
-                   mass * np.maximum(1.0, 1.0 / p2)) / np.pi
 
 
 def _first_edges(lo: float, hi: float, kinks) -> list[float]:
@@ -422,7 +407,7 @@ def _psi_values(nu: BoundaryMeasure, p2: np.ndarray) -> np.ndarray:
         for piece in nu.density:
             total = total + _piece_integral(piece, _psi_kernel(keys),
                                             _PSI_QUADRATURE)
-        out.append(_clamped_psi(nu, keys, total))
+        out.append(total / np.pi)
     return np.concatenate(out)
 
 
@@ -430,16 +415,17 @@ def psi_big(nu: BoundaryMeasure, p):
     """(1/pi) int (1+l^2)/(p^2+l^2) dnu(l), the l = inf integrand being 1.
 
     p is a float (a float is returned) or an ndarray (an array of the same
-    shape); a float is a one-element array.  The result is clamped into the
-    envelope mass min(1, 1/p^2) <= pi psi_big <= mass max(1, 1/p^2).  On a
-    measure without density pieces it is one closed-form numpy sum (not
-    cached).  With density pieces the values are cached on nu, keyed by
-    p^2, and all uncached p of a call are integrated at once: per piece one
-    adaptive Gauss-Kronrod pass in v = log l (integrate_batched) whose
-    components are the p of a chunk of at most _PSI_CHUNK sorted keys, from
-    the graded first panels of _first_edges.  Raises QuadratureError when a
-    pass spends its panel budget and ValueError when p = 0 or the mass
-    diverges.
+    shape); a float is a one-element array.  The value is the atoms'
+    closed-form sum plus the pieces' integrals, over pi, as computed: no
+    clamp pulls it into mass min(1, 1/p^2) <= pi psi_big <= mass
+    max(1, 1/p^2).  On a measure without density pieces it is one
+    closed-form numpy sum (not cached).  With density pieces the values are
+    cached on nu, keyed by p^2, and all uncached p of a call are integrated
+    at once: per piece one adaptive Gauss-Kronrod pass in v = log l
+    (integrate_batched) whose components are the p of a chunk of at most
+    _PSI_CHUNK sorted keys, from the graded first panels of _first_edges.
+    Raises QuadratureError when a pass spends its panel budget and
+    ValueError when p = 0 or the mass diverges.
     """
     if not isinstance(p, np.ndarray):
         return float(psi_big(nu, np.array([float(p)]))[0])
@@ -448,8 +434,7 @@ def psi_big(nu: BoundaryMeasure, p):
         raise ValueError("psi_big is undefined at p = 0")
     if nu.density:
         return nu.cached("psi", p * p, partial(_psi_values, nu))
-    p2 = p * p
-    return _clamped_psi(nu, p2, _atom_sum(nu, p2))
+    return _atom_sum(nu, p * p) / np.pi
 
 
 def psi_small(mu: BoundaryMeasure, p: float) -> float:

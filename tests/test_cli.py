@@ -734,6 +734,28 @@ class TestInputErrors:
                           "expr": "1"}]}))
         assert run(["psi", "--measure", str(path), "--points", "1"]) == 2
 
+    @pytest.mark.parametrize("command, flag, anchors", [
+        ("certify-psd", "--anchors", "inf+1j,2j"),
+        ("hankel-gram", "--anchors", "inf+1j,2j"),
+        ("fixed-point", "--anchors", "inf+1j"),
+        ("os-check", "--anchor", "inf+1j"),
+        ("os-check", "--anchor", "nan+1j"),
+        ("certify-psd", "--anchors", "1+nanj,2j"),
+        ("fixed-point", "--anchors", "1+infj"),
+    ])
+    @pytest.mark.parametrize("measure", ["two_atom_path", "sample_path"])
+    def test_non_finite_anchor_rejected(self, command, flag, anchors, measure,
+                                        request, capsys):
+        # certify-psd once printed min_eig NaN with exit 1, a false
+        # refutation; hankel-gram a row of zeros and os-check a deviation
+        # of 0 with exit 0
+        path = request.getfixturevalue(measure)
+        assert run([command, "--measure", path, flag, anchors]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == ("error: kernel anchors must be finite and lie "
+                                "in the open upper half-plane\n")
+
     @pytest.mark.parametrize("density, says", [
         ({"interval": [0.5, 2.0], "expr": "-1"}, "negative at l ="),
         ({"interval": [0.5, 2.0], "kind": "table",

@@ -81,6 +81,13 @@ class TestGram:
         with pytest.raises(ValueError):
             HankelGram((1j, -1j), np.zeros((2, 2)), np.eye(2))
 
+    def test_mass_matrix_is_the_szego_table(self):
+        # <Q_{z_j}, Q_{z_k}> = Q_{z_k}(z_j), one array expression with the
+        # same arithmetic as szego's, entry by entry
+        z = np.array(default_anchors(10))
+        want = np.array([[szego(zk, zj) for zk in z] for zj in z])
+        assert np.array_equal(hardyrp.hankel._mass_matrix(z), want)
+
     def test_non_hermitian_rejected(self):
         G = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError):
@@ -643,6 +650,28 @@ INPUT_CHECKS = {
     "rp_certify without times": (
         lambda: rp_certify(BoundaryMeasure(atoms=[(1.0, 1.0)]), []),
         "times must not be empty"),
+    "gram infinite anchor": (
+        lambda: gram_from_measure(BoundaryMeasure(atoms=[(1.0, 1.0)]),
+                                  [complex(np.inf, 1.0), 2j]),
+        "kernel anchors must be finite"),
+    "gram NaN anchor": (
+        lambda: gram_from_measure(BoundaryMeasure(atoms=[(1.0, 1.0)]),
+                                  [complex(1.0, np.nan)]),
+        "kernel anchors must be finite"),
+    "symbol gram infinite anchor": (
+        lambda: gram_from_symbol(np.sign, [complex(np.inf, 1.0)]),
+        "kernel anchors must be finite"),
+    "HankelGram infinite anchor": (
+        lambda: HankelGram((complex(1.0, np.inf),), np.eye(1), np.eye(1)),
+        "kernel anchors must be finite"),
+    "fixed point infinite anchor": (
+        lambda: fixed_point_deviation(BoundaryMeasure(atoms=[(1.0, 1.0)]),
+                                      [complex(np.inf, 1.0)]),
+        "kernel anchors must be finite"),
+    "fixed point NaN anchor on a density": (
+        lambda: fixed_point_check(BoundaryMeasure(density=[DensityPiece(
+            0.5, 2.0, expr="1")]), [complex(np.nan, 1.0)]),
+        "kernel anchors must be finite"),
 }
 
 

@@ -34,6 +34,13 @@ class TestSzego:
         with pytest.raises(ValueError):
             szego(-1j, 2j)
 
+    @pytest.mark.parametrize("z", [complex(np.inf, 1.0), complex(np.nan, 1.0),
+                                   complex(1.0, np.inf), complex(1.0, np.nan)])
+    def test_combination_rejects_non_finite_anchor(self, z):
+        # "Im z <= 0" is false for each, so only finiteness refuses them
+        with pytest.raises(ValueError, match="anchors must be finite"):
+            KernelCombination([(1.0, 2j), (1.0, z)])
+
     @given(a=upper, b=upper)
     @settings(max_examples=50, deadline=None)
     def test_inner_product_symmetry(self, a, b):

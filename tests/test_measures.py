@@ -320,6 +320,37 @@ class TestDensityRoutes:
         want = np.array([mp_cauchy_psi(eps, beta, c, q) for q in EXTREME_P])
         assert np.abs(got / want - 1.0).max() < 1e-10
 
+    @pytest.mark.parametrize("nu", [
+        BoundaryMeasure(atoms=[(1.0, 1.0)], density=[DensityPiece(
+            1e-12, np.inf, expr="2/(1+lam**2)")]),
+        BoundaryMeasure(atoms=[(2.0, 0.5)], density=[DensityPiece(
+            1e-12, np.inf, expr="exp(-lam)")]),
+        BoundaryMeasure(atoms=[(1.7, 0.6)],
+                        density=[DensityPiece(0.4, 2.9, expr="1.1")]),
+        BoundaryMeasure(density=[DensityPiece(0.1, 10.0, "table",
+                                              samples=table_rows())]),
+        BoundaryMeasure(atom0=1.0, density=[DensityPiece(
+            1e-300, 1e-200, expr="1e200")]),
+    ], ids=["cauchy", "expo", "uniform plus atom", "table", "mass near 0"])
+    def test_envelope_holds_unclamped(self, nu):
+        # the kernel lies between min(1, 1/p^2) and max(1, 1/p^2), so
+        # pi psi_big lies between mass times those: the quadrature keeps
+        # it there to its tolerance, with no clamp.  A measure with all its
+        # mass near 0 meets the lower bound for p > 1 to a few ulps
+        p = np.geomspace(1e-14, 1e100, 300)
+        mass = total_mass(nu)
+        v = np.pi * psi_big(nu, p)
+        assert (v >= mass * np.minimum(1.0, p ** -2.0) * (1 - 1e-12)).all()
+        assert (v <= mass * np.maximum(1.0, p ** -2.0) * (1 + 1e-12)).all()
+
+    def test_lebesgue_cauchy_against_its_closed_form(self):
+        # (2/pi) int_eps^inf dl/(p^2+l^2) = (2/(pi p)) arctan(p/eps); the
+        # form pi/2 - arctan(eps/p) cancels to 1.5e-14 at small p
+        p = np.geomspace(1e-14, 1e100, 300)
+        want = 2.0 / (np.pi * p) * np.arctan(p / 1e-12)
+        got = psi_big(lebesgue_cauchy_measure(), p)
+        assert np.abs(got / want - 1.0).max() < 1e-12
+
     def test_pieces_evaluate_arrays(self):
         lam = np.array([[0.5, 1.5], [2.5, 7.0]])
         ternary = DensityPiece(1.0, 3.0, expr="1.0 if lam < 2 else 0.5")
@@ -360,10 +391,7 @@ class TestDensityRoutes:
         real = numerics._gk_panels
         monkeypatch.setattr(numerics, "_gk_panels", lambda f, lo, hi, m=None:
                             passes.append(lo.size) or real(f, lo, hi, m))
-        nu = lebesgue_cauchy_measure()
-        measures._mass(nu)
-        passes.clear()
-        psi_big(nu, np.geomspace(1e-3, 1e3, 7))
+        psi_big(lebesgue_cauchy_measure(), np.geomspace(1e-3, 1e3, 7))
         assert len(passes) <= 4
 
     def test_kinks_finer_than_the_grading_add_no_graded_edge(self):
@@ -384,7 +412,6 @@ class TestDensityRoutes:
             return real(f, a, b, cfg, breakpoints)
 
         nu = BoundaryMeasure(density=[DensityPiece(0.5, 2.0, expr="1")])
-        measures._mass(nu)      # the envelope's one-component mass pass
         monkeypatch.setattr(measures, "integrate_batched", spy)
         psi_big(nu, np.geomspace(1e-3, 1e3, 600))
         assert widths == [256, 256, 88]

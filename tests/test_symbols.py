@@ -382,9 +382,8 @@ class TestDensityModulus:
     def test_modulus_is_sqrt_of_array_psi_big(self, density, monkeypatch):
         # K on a density is sqrt(psi_big) of the array route: f_nu builds
         # nothing, and an array of nodes is one batched psi_big call with no
-        # scalar quad (the mass of the envelope clamp is a batched pass too);
-        # its values equal a fresh measure's array values and agree with
-        # its one-point calls
+        # scalar quad; its values equal a fresh measure's array values and
+        # agree with its one-point calls
         quads = []
         real = measures.quad
 
