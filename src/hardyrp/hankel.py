@@ -6,7 +6,9 @@ dmu(l); a bounded symbol h gives H_h = p_+ theta_h p_+^*.  Both are probed
 through finite Gram sections on a family of kernel anchors, which yield
 positivity verdicts, operator-norm lower bounds, compactness tests, the
 reflection-positivity certificate, the Osterwalder-Schrader isometry check,
-and the fixed-point test for symbols built from measures.
+and the fixed-point test for symbols built from measures.  Kernel values
+are entries of hardy._kernels, and F_nu off the boundary, on the imaginary
+axis too, is symbols.out_eval.
 """
 from __future__ import annotations
 
@@ -18,12 +20,12 @@ from numpy.typing import NDArray
 # the benchmark's tracer wraps every module's quad binding, this one included
 from scipy.integrate import quad  # noqa: F401
 
-from .hardy import KernelCombination, _anchor_array
+from .hardy import KernelCombination, _anchor_array, _kernels
 from .measures import BoundaryMeasure, w_map
 from .numerics import QuadratureConfig, integrate_batched
 from .symbols import (BoundaryModulus, OuterFunction, _log_window,
                       _pole_residues, _sqrt_psi_modulus, _t_map,
-                      f_nu_boundary, h_nu, out_on_axis)
+                      f_nu_boundary, h_nu, out_eval)
 
 __all__ = [
     "HankelGram",
@@ -70,14 +72,13 @@ _P_MIN = 1e-16
 _RP_TOL = 1e-8
 
 
-def _mass_matrix(z: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """<Q_{z_j}, Q_{z_k}> = Q_{z_k}(z_j) for the checked anchors z."""
-    return _kernels(z, z)
-
-
-def _kernels(z: NDArray[np.complex128], x) -> NDArray[np.complex128]:
-    """Q_{z_j}(x_i), the points x_i in rows and the anchors z_j in columns."""
-    return (0.5j / np.pi) / (x[:, None] - np.conj(z))
+def _checked_anchors(anchors) -> NDArray[np.complex128]:
+    """_anchor_array of the anchors of a Gram section or fixed-point test,
+    which must not be empty."""
+    z = _anchor_array(anchors)
+    if not z.size:
+        raise ValueError("at least one kernel anchor is required")
+    return z
 
 
 def _boundary_pairing(fn: Callable, scales) -> NDArray[np.complex128]:
@@ -124,7 +125,7 @@ class HankelGram:
 
     def __post_init__(self):
         anchors = tuple(complex(z) for z in self.anchors)
-        _anchor_array(anchors)
+        _checked_anchors(anchors)
         n = len(anchors)
         G = np.asarray(self.G, dtype=complex)
         M = np.asarray(self.M, dtype=complex)
@@ -167,7 +168,7 @@ def gram_from_measure(mu: BoundaryMeasure,
     """
     if mu.atom0 > 0 or mu.atom_inf > 0:
         raise ValueError("the form measure must be supported on (0, inf)")
-    z = _anchor_array(anchors)
+    z = _checked_anchors(anchors)
     n = z.size
     jj, kk = np.triu_indices(n)
     m = jj.size
@@ -188,7 +189,7 @@ def gram_from_measure(mu: BoundaryMeasure,
     G = np.empty((n, n), dtype=complex)
     G[jj, kk] = v[0::2] + 1j * v[1::2]
     G[kk, jj] = np.conj(G[jj, kk])
-    return HankelGram(tuple(anchors), G, _mass_matrix(z))
+    return HankelGram(tuple(anchors), G, _kernels(z, z))
 
 
 def gram_from_symbol(h: Callable, anchors: Sequence[complex]) -> HankelGram:
@@ -197,7 +198,7 @@ def gram_from_symbol(h: Callable, anchors: Sequence[complex]) -> HankelGram:
     The n^2 entries are the components of one _boundary_pairing pass, which
     evaluates h once per node for every entry.
     """
-    z = _anchor_array(anchors)
+    z = _checked_anchors(anchors)
     n = z.size
 
     def entries(x):
@@ -205,7 +206,7 @@ def gram_from_symbol(h: Callable, anchors: Sequence[complex]) -> HankelGram:
         return (hq[:, :, None] * _kernels(z, -x)[:, None, :]).reshape(x.size, -1)
 
     G = _boundary_pairing(entries, z).reshape(n, n)
-    return HankelGram(tuple(anchors), G, _mass_matrix(z))
+    return HankelGram(tuple(anchors), G, _kernels(z, z))
 
 
 def symbol_from_measure(mu: BoundaryMeasure, p):
@@ -446,7 +447,7 @@ def _residue_pairing(K: BoundaryModulus, f: KernelCombination,
     """
     l, c = _pole_residues(K)
     l, c = l[l > 0], c[l > 0]
-    rho = -2j * np.pi * c / out_on_axis(K, l)
+    rho = -2j * np.pi * c / out_eval(1.0, K, 1j * l).real
     return complex(np.sum(rho * np.conj(f(1j * l)) * g(1j * l)))
 
 
@@ -491,7 +492,7 @@ def fixed_point_deviation(nu: BoundaryMeasure,
     F_nu(-x), one component per anchor; F_nu(z) is the outer function's
     own evaluation.
     """
-    z = _anchor_array(anchors)
+    z = _checked_anchors(anchors)
     K = _sqrt_psi_modulus(nu)
     rhs = OuterFunction(K)(z)
     if K.rational is not None:

@@ -1,10 +1,12 @@
 """Computational model of the Hardy space of the upper half-plane.
 
 Elements are finite combinations of reproducing (Szegö) kernels, with
-closed-form inner products; multiplier symbols are vectorized callables on
-the real line, and the Cayley transform relates the half-plane to the disc.
-Boundary integrals that involve a symbol are computed by
-hankel._boundary_pairing, one adaptive pass in log|x|.
+closed-form inner products; every kernel value, here and in the Gram
+sections of hankel, is an entry of the one kernel matrix _kernels.
+Multiplier symbols are vectorized callables on the real line, and the
+Cayley transform relates the half-plane to the disc.  Boundary integrals
+that involve a symbol are computed by hankel._boundary_pairing, one
+adaptive pass in log|x|.
 """
 from __future__ import annotations
 
@@ -35,10 +37,17 @@ def _anchor_array(anchors) -> NDArray[np.complex128]:
     return z
 
 
+def _kernels(z: NDArray[np.complex128], x) -> NDArray[np.complex128]:
+    """Q_{z_j}(x_i) = (1/2pi) i/(x_i - conj(z_j)): the points x_i in rows
+    (any shape) and the anchors z_j in the last axis.  The one evaluation of
+    the Szegö kernel; the anchors are checked by the caller."""
+    return (0.5j / np.pi) / (np.asarray(x)[..., None] - np.conj(z))
+
+
 def szego(w: complex, z) -> complex:
     """Reproducing kernel Q_w(z) = (1/2pi) i/(z - conj(w)), Im w > 0."""
-    _anchor_array(w)
-    return (0.5j / np.pi) / (np.asarray(z) - np.conj(w))
+    out = _kernels(_anchor_array([w]), z)[..., 0]
+    return out if out.shape else complex(out)
 
 
 @dataclass(frozen=True)
@@ -49,14 +58,15 @@ class KernelCombination:
 
     def __init__(self, terms: Sequence[tuple[complex, complex]]):
         terms = tuple((complex(c), complex(z)) for c, z in terms)
-        _anchor_array([z for _, z in terms])
         object.__setattr__(self, "terms", terms)
+        # the coefficients and anchors as arrays, for _kernels
+        object.__setattr__(self, "_coeffs",
+                           np.array([c for c, _ in terms], dtype=complex))
+        object.__setattr__(self, "_anchors",
+                           _anchor_array([z for _, z in terms]))
 
     def __call__(self, z):
-        z = np.asarray(z)
-        out = np.zeros(z.shape, dtype=complex)
-        for c, zk in self.terms:
-            out = out + c * szego(zk, z)
+        out = _kernels(self._anchors, z) @ self._coeffs
         return out if out.shape else complex(out)
 
     def __add__(self, other: "KernelCombination") -> "KernelCombination":
@@ -69,13 +79,9 @@ class KernelCombination:
 def inner(f: KernelCombination, g: KernelCombination) -> complex:
     """Closed-form inner product <f, g> from the reproducing property.
 
-    <Q_a, Q_b> = Q_b(a), antilinear in the first argument.
+    <Q_a, g> = g(a), antilinear in the first argument.
     """
-    total = 0.0 + 0.0j
-    for cj, aj in f.terms:
-        for dk, bk in g.terms:
-            total += np.conj(cj) * dk * szego(bk, aj)
-    return complex(total)
+    return complex(np.conj(f._coeffs) @ g(f._anchors))
 
 
 @dataclass

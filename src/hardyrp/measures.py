@@ -241,8 +241,10 @@ class BoundaryMeasure:
         whose integrand has not decayed at the cut l = e^log_cut (by
         default _LOG_LAM_MAX, the largest that keeps l^2 finite).
         """
-        locs, weights = np.array(self.atoms, dtype=float).reshape(-1, 2).T
-        total = weights @ fn(locs)
+        total = 0.0
+        if self.atoms:
+            locs, weights = np.array(self.atoms, dtype=float).T
+            total = weights @ fn(locs)
         for mass, value, name in ((self.atom0, at_zero, "at_zero"),
                                   (self.atom_inf, at_inf, "at_inf")):
             if mass > 0:
@@ -252,6 +254,9 @@ class BoundaryMeasure:
                 total = total + mass * np.asarray(value, dtype=float)
         for piece in self.density:
             total = total + _piece_integral(piece, fn, cfg, log_cut)
+        if not np.ndim(total):
+            # no term had the integrand's shape: its zero, from no nodes
+            total = total + fn(_NO_KEYS).sum(axis=0)
         if not np.isfinite(total).all():
             raise ValueError("integral against the measure is not finite")
         return total
@@ -290,12 +295,6 @@ def _scalar_integral(nu: BoundaryMeasure, fn: Callable, **ends) -> float:
 
 def total_mass(nu: BoundaryMeasure) -> float:
     return _scalar_integral(nu, np.ones_like, at_zero=1.0, at_inf=1.0)
-
-
-def _atom_sum(nu: BoundaryMeasure, p2):
-    """pi psi_big(nu, p) without the density pieces, for float or array p2."""
-    total = nu.atom0 / p2 + nu.atom_inf
-    return total + sum(w * (1.0 + l * l) / (p2 + l * l) for l, w in nu.atoms)
 
 
 # psi_big's density passes, and the scalar integrals against a measure.
@@ -397,44 +396,42 @@ def _psi_kernel(p2: np.ndarray) -> Callable:
 
 
 def _psi_values(nu: BoundaryMeasure, p2: np.ndarray) -> np.ndarray:
-    """psi_big of a density measure at the sorted keys p2 = p^2."""
-    out = []
+    """psi_big at the flat keys p2 = p^2, one integrate call per chunk of
+    at most _PSI_CHUNK keys (an empty p2 is one empty chunk)."""
     # sorted keys make each chunk a narrow band of p, whose kernels change
     # on the same stretch of v
-    for start in range(0, p2.size, _PSI_CHUNK):
-        keys = p2[start:start + _PSI_CHUNK]
-        total = _atom_sum(nu, keys)
-        for piece in nu.density:
-            total = total + _piece_integral(piece, _psi_kernel(keys),
-                                            _PSI_QUADRATURE)
-        out.append(total / np.pi)
-    return np.concatenate(out)
+    chunks = [p2[start:start + _PSI_CHUNK]
+              for start in range(0, max(p2.size, 1), _PSI_CHUNK)]
+    return np.concatenate([
+        nu.integrate(_psi_kernel(keys), _PSI_QUADRATURE, at_zero=1.0 / keys,
+                     at_inf=1.0)
+        for keys in chunks]) / np.pi
 
 
 def psi_big(nu: BoundaryMeasure, p):
     """(1/pi) int (1+l^2)/(p^2+l^2) dnu(l), the l = inf integrand being 1.
 
-    p is a float (a float is returned) or an ndarray (an array of the same
-    shape); a float is a one-element array.  The value is the atoms'
-    closed-form sum plus the pieces' integrals, over pi, as computed: no
-    clamp pulls it into mass min(1, 1/p^2) <= pi psi_big <= mass
-    max(1, 1/p^2).  On a measure without density pieces it is one
-    closed-form numpy sum (not cached).  With density pieces the values are
-    cached on nu, keyed by p^2, and all uncached p of a call are integrated
-    at once: per piece one adaptive Gauss-Kronrod pass in v = log l
-    (integrate_batched) whose components are the p of a chunk of at most
-    _PSI_CHUNK sorted keys, from the graded first panels of _first_edges.
-    Raises QuadratureError when a pass spends its panel budget and
-    ValueError when p = 0 or the mass diverges.
+    p is a float (a float is returned) or an array-like (an array of the
+    same shape).  The values come from BoundaryMeasure.integrate as
+    computed, the atoms one numpy sum and each density piece one adaptive
+    Gauss-Kronrod pass in v = log l (integrate_batched) whose components
+    are the p of a chunk of at most _PSI_CHUNK keys, from the graded first
+    panels of _first_edges; no clamp pulls them into mass min(1, 1/p^2)
+    <= pi psi_big <= mass max(1, 1/p^2).  With density pieces the values
+    are cached on nu, keyed by p^2, and all uncached p of a call are
+    integrated at once, in sorted chunks; a measure without density pieces
+    is not cached.  Raises QuadratureError when a pass spends its panel
+    budget and ValueError when p = 0, 1/p^2 overflows on an atom at 0, or
+    the mass diverges.
     """
-    if not isinstance(p, np.ndarray):
-        return float(psi_big(nu, np.array([float(p)]))[0])
     p = np.asarray(p, dtype=float)
     if not p.all():
         raise ValueError("psi_big is undefined at p = 0")
     if nu.density:
-        return nu.cached("psi", p * p, partial(_psi_values, nu))
-    return _atom_sum(nu, p * p) / np.pi
+        v = nu.cached("psi", p * p, partial(_psi_values, nu))
+    else:
+        v = _psi_values(nu, (p * p).ravel()).reshape(p.shape)
+    return v if p.ndim else float(v)
 
 
 def psi_small(mu: BoundaryMeasure, p: float) -> float:

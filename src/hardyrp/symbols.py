@@ -7,7 +7,8 @@ An outer function is determined by its boundary modulus K through
 whenever I(K) = int |log K(p)|/(1+p^2) dp is finite.  For a finite measure
 nu on [0, inf] the module builds F_nu = Out(sqrt(psi_big(nu, .))), the
 unimodular symbol h_nu = F_nu / (F_nu o (-id)) on the boundary, and the
-transformed measure d(T nu)(l) = |F_nu(il)|^{-2} (1+l^2)/l dnu(l).
+transformed measure d(T nu)(l) = |F_nu(il)|^{-2} (1+l^2)/l dnu(l), whose
+weight reads F_nu on the imaginary axis from out_eval, exactly real there.
 For a measure of atoms alone sqrt(psi_big) is rational, and so are F_nu
 and h_nu (the finite-rank case of Kronecker's theorem): they are evaluated
 in closed form, and only measures with a density integrate log K.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "OuterFunction",
     "log_integral",
     "out_eval",
-    "out_on_axis",
     "f_nu",
     "f_nu_axis",
     "f_nu_boundary",
@@ -64,8 +63,8 @@ class BoundaryModulus:
         K(p) = a prod_k |p + i s_k| / prod_i |p + i l_i|,   every s_k, l_i >= 0,
 
     with zeros = (s_k) and poles = (l_i).  Its outer function is then
-    a R(-i z), R(w) = prod (w + s_k) / prod (w + l_i), and out_eval,
-    out_on_axis and boundary_phase_difference evaluate that closed form
+    a R(-i z), R(w) = prod (w + s_k) / prod (w + l_i), and out_eval and
+    boundary_phase_difference evaluate that closed form
     instead of integrating log K.  _sqrt_psi_modulus sets it for measures
     without density; products and quotients keep it when both factors have
     one and drop it otherwise, so it always describes fn.
@@ -270,21 +269,28 @@ def out_eval(C: complex, K: BoundaryModulus, z):
     edges, and so is s = 0 for a modulus that is not even.  Each component
     meets max(1e-12, 1e-10 |.|) (_LOG_QUADRATURE).
 
+    On the imaginary axis z = i lam the kernel is sech(s - u) / pi, real, so
+    F(i lam) comes out exactly real for C = 1; being smooth there, its u is
+    no panel edge (t_map's 1365 axis points of a 64-row table took 1.0 s
+    with those edges and 0.04 s without).
+
     A K with a rational form makes no pass: Out(C, K)(z) = C a R(-i z),
     R(w) = prod (w + s_k) / prod (w + l_i), to roundoff.
 
-    Refuses Im z < 1e-3 min(1, |z|): so close to the boundary (in angle,
-    below |z| = 1) the Herglotz kernel peaks too sharply for the
-    quadrature; use the boundary formulas instead.  The refusal holds for
-    a rational K too, so a point's validity does not depend on the measure.
+    Refuses a z that is not finite or has Im z < 1e-3 min(1, |z|) or Im z
+    <= 0: so close to the boundary (in angle, below |z| = 1) the Herglotz
+    kernel peaks too sharply for the quadrature; use the boundary formulas
+    instead.  The refusal holds for a rational K too, so a point's validity
+    does not depend on the measure.
     """
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
     r = np.abs(flat)
-    if not (flat.imag >= MIN_IM * np.minimum(1.0, r)).all():
+    if not (np.isfinite(flat) & (flat.imag > 0)
+            & (flat.imag >= MIN_IM * np.minimum(1.0, r))).all():
         raise ValueError(
-            f"out_eval requires Im z >= {MIN_IM} min(1, |z|); use boundary "
-            "formulas below"
+            f"out_eval requires a finite z with Im z > 0 and Im z >= {MIN_IM} "
+            "min(1, |z|); use boundary formulas below"
         )
     if abs(C) - 1.0 > 1e-12 or abs(C) < 1.0 - 1e-12:
         raise ValueError("leading constant must be unimodular")
@@ -299,8 +305,9 @@ def out_eval(C: complex, K: BoundaryModulus, z):
     # which does not cancel at the kernel's peak near the boundary
     pole = 2j * (flat.imag / r) * zeta
     even_k = -2j * zeta / np.pi     # 2 zeta / (pi i)
-    near = (flat.imag < 0.1) & (flat.real != 0.0)
-    breaks = [*u.tolist(), *np.log(np.abs(flat.real[near])).tolist(),
+    off_axis = flat.real != 0.0
+    near = (flat.imag < 0.1) & off_axis
+    breaks = [*u[off_axis].tolist(), *np.log(np.abs(flat.real[near])).tolist(),
               *_singular_breaks(K)]
     if K.symmetric:
         c = K.log(r)
@@ -333,39 +340,6 @@ def out_eval(C: complex, K: BoundaryModulus, z):
     val = _log_window(integrand, window, breaks)
     out = C * np.exp(c + val[0::2] + 1j * val[1::2])
     return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
-
-
-def out_on_axis(K: BoundaryModulus, lam):
-    """Out(K)(i lam) = exp((1/pi) int lam/(p^2+lam^2) log K(p) dp), K even.
-
-    Strictly positive real; the stable route for points on the imaginary
-    axis (no branch noise).  lam is a float (a float is returned) or an
-    array (an array of the same shape).  In p = e^s, lam = e^u the
-    exponent is log K(lam) + (1/pi) int_R sech(s - u) (log K(e^s) -
-    log K(lam)) ds, and every lam is one component of one integrate_batched
-    pass (tail bound at _LOG_TAIL), within max(1e-12, 1e-10 |.|).  A K with
-    a rational form makes no pass: Out(K)(i lam) = a R(lam), to roundoff.
-    """
-    if not K.symmetric:
-        raise ValueError("axis formula requires a symmetric modulus")
-    lams = np.asarray(lam, dtype=float)
-    flat = lams.ravel()
-    if not (np.isfinite(flat) & (flat > 0)).all():
-        raise ValueError("axis point must satisfy lam > 0")
-    if K.rational is not None:
-        out = _rational_outer(K, flat)
-        return float(out[0]) if lams.ndim == 0 else out.reshape(lams.shape)
-    u = np.log(flat)
-    c = K.log(flat)
-
-    def integrand(s):
-        t = np.clip(s[:, None] - u, -_T_CLIP, _T_CLIP)
-        return (K.log(np.exp(s))[:, None] - c) / (np.pi * np.cosh(t))
-
-    # the sech kernel is smooth, so the lam are no panel edges: as edges,
-    # 1365 lam (t_map of a 64-row table) took 1.0 s instead of 0.04 s
-    out = np.exp(c + _log_window(integrand, u, _singular_breaks(K)))
-    return float(out[0]) if lams.ndim == 0 else out.reshape(lams.shape)
 
 
 def boundary_phase_difference(K: BoundaryModulus, x):
@@ -435,9 +409,6 @@ class OuterFunction:
 
     def __call__(self, z):
         return out_eval(self.C, self.K, z)
-
-    def on_axis(self, lam):
-        return out_on_axis(self.K, lam)
 
 
 # -- measure-driven constructions --------------------------------------------
@@ -551,8 +522,8 @@ def f_nu_axis(nu: BoundaryMeasure, lam):
 
     The values are cached on nu, where t_map reads them too.
     """
-    v = nu.cached("axis", lam,
-                  lambda todo: out_on_axis(_sqrt_psi_modulus(nu), todo))
+    v = nu.cached("axis", lam, lambda todo: out_eval(
+        1.0, _sqrt_psi_modulus(nu), 1j * todo).real)
     return v if np.ndim(lam) else float(v)
 
 
@@ -587,8 +558,8 @@ def t_map(nu: BoundaryMeasure) -> BoundaryMeasure:
     """The transformed measure d(T nu)(l) = |F_nu(il)|^{-2} (1+l^2)/l dnu(l).
 
     Atoms at 0 and infinity are annihilated by the construction; atoms and
-    densities on (0, inf) are reweighted by (1+l^2)/(l F_nu(il)^2), using
-    the axis formula for F_nu (real positive, no branch noise).  The result
+    densities on (0, inf) are reweighted by (1+l^2)/(l F_nu(il)^2), with
+    F_nu(il) from out_eval, exactly real on the axis.  The result
     is invariant under scaling of nu.
     """
     return _t_map(nu, _sqrt_psi_modulus(nu))
@@ -597,7 +568,8 @@ def t_map(nu: BoundaryMeasure) -> BoundaryMeasure:
 def _t_map(nu: BoundaryMeasure, K: BoundaryModulus) -> BoundaryMeasure:
     """t_map(nu) with nu's modulus K = _sqrt_psi_modulus(nu) already built."""
     def factor(lam):
-        a = nu.cached("axis", lam, partial(out_on_axis, K))
+        a = nu.cached("axis", lam,
+                      lambda todo: out_eval(1.0, K, 1j * todo).real)
         return (1.0 + lam * lam) / (lam * a * a)
 
     lam, w = np.array(nu.atoms, dtype=float).reshape(-1, 2).T

@@ -756,6 +756,35 @@ class TestInputErrors:
         assert captured.err == ("error: kernel anchors must be finite and lie "
                                 "in the open upper half-plane\n")
 
+    @pytest.mark.parametrize("points", ["0j", "1+infj", "inf+1j", "2j,nanj"])
+    @pytest.mark.parametrize("measure", ["two_atom_path", "sample_path"])
+    def test_outer_eval_outside_rejected(self, points, measure, request,
+                                         capsys):
+        # on atoms 1+infj once printed 1,inf,nan,nan and 0j a value, both
+        # with exit 0; on the sample measure 0j failed in psi_big after
+        # three RuntimeWarnings
+        path = request.getfixturevalue(measure)
+        assert run(["outer-eval", "--measure", path, "--points", points]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == (
+            "error: out_eval requires a finite z with Im z > 0 and Im z >= "
+            "0.001 min(1, |z|); use boundary formulas below\n")
+
+    @pytest.mark.parametrize("command", ["fixed-point", "certify-psd",
+                                         "hankel-gram"])
+    @pytest.mark.parametrize("measure", ["two_atom_path", "sample_path"])
+    def test_empty_anchor_list_rejected(self, command, measure, request,
+                                        capsys):
+        # fixed-point once printed a deviation of 0.0 with exit 0, and the
+        # Gram commands failed in numpy with exit 2
+        path = request.getfixturevalue(measure)
+        assert run([command, "--measure", path, "--anchors", ","]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == ("error: at least one kernel anchor is "
+                                "required\n")
+
     @pytest.mark.parametrize("density, says", [
         ({"interval": [0.5, 2.0], "expr": "-1"}, "negative at l ="),
         ({"interval": [0.5, 2.0], "kind": "table",

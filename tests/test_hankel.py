@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hardyrp.hankel
+import hardyrp.hardy
 import hardyrp.measures
 import hardyrp.symbols
 from hardyrp.hankel import (
@@ -82,11 +83,18 @@ class TestGram:
             HankelGram((1j, -1j), np.zeros((2, 2)), np.eye(2))
 
     def test_mass_matrix_is_the_szego_table(self):
-        # <Q_{z_j}, Q_{z_k}> = Q_{z_k}(z_j), one array expression with the
-        # same arithmetic as szego's, entry by entry
+        # <Q_{z_j}, Q_{z_k}> = Q_{z_k}(z_j) = i / (2 pi (z_j - conj z_k)),
+        # Hermitian, with 1 / (4 pi Im z_j) on the diagonal
         z = np.array(default_anchors(10))
-        want = np.array([[szego(zk, zj) for zk in z] for zj in z])
-        assert np.array_equal(hardyrp.hankel._mass_matrix(z), want)
+        got = hardyrp.hardy._kernels(z, z)
+        want = np.array([[1j / (2.0 * math.pi * (zj - zk.conjugate()))
+                          for zk in z] for zj in z])
+        assert np.abs(got / want - 1.0).max() <= 1e-15
+        assert np.abs(np.diag(got) - 1.0 / (4.0 * math.pi * z.imag)).max() \
+            <= 1e-15 * np.abs(np.diag(got)).max()
+        assert np.array_equal(got, got.conj().T)
+        g = gram_from_measure(BoundaryMeasure(atoms=[(1.0, 1.0)]), z)
+        assert np.array_equal(g.M, got)
 
     def test_non_hermitian_rejected(self):
         G = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -629,6 +637,7 @@ class TestFixedPoint:
 
 
 ENDPOINT_ATOM = BoundaryMeasure(atom0=1.0, atoms=[(1.0, 1.0)])
+NO_ANCHORS = "at least one kernel anchor is required"
 INPUT_CHECKS = {
     "anchor count": (lambda: HankelGram((1j, 2j), np.eye(3), np.eye(3)),
                      "Gram matrices must match the anchor count"),
@@ -668,6 +677,21 @@ INPUT_CHECKS = {
         lambda: fixed_point_deviation(BoundaryMeasure(atoms=[(1.0, 1.0)]),
                                       [complex(np.inf, 1.0)]),
         "kernel anchors must be finite"),
+    "gram without anchors": (
+        lambda: gram_from_measure(BoundaryMeasure(atoms=[(1.0, 1.0)]), []),
+        NO_ANCHORS),
+    "symbol gram without anchors": (
+        lambda: gram_from_symbol(np.sign, []), NO_ANCHORS),
+    "HankelGram without anchors": (
+        lambda: HankelGram((), np.eye(0), np.eye(0)), NO_ANCHORS),
+    "fixed point without anchors": (
+        lambda: fixed_point_deviation(
+            BoundaryMeasure(atoms=[(1.0, 1.0), (2.0, 1.0)]), []),
+        NO_ANCHORS),
+    "fixed point without anchors on a density": (
+        lambda: fixed_point_check(BoundaryMeasure(density=[DensityPiece(
+            0.5, 2.0, expr="1")]), ()),
+        NO_ANCHORS),
     "fixed point NaN anchor on a density": (
         lambda: fixed_point_check(BoundaryMeasure(density=[DensityPiece(
             0.5, 2.0, expr="1")]), [complex(np.nan, 1.0)]),

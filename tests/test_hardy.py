@@ -41,6 +41,28 @@ class TestSzego:
         with pytest.raises(ValueError, match="anchors must be finite"):
             KernelCombination([(1.0, 2j), (1.0, z)])
 
+    def test_combination_and_inner_match_the_term_sums(self):
+        # one kernel matrix against the term-by-term sums, written out; the
+        # order of summation changed, so agreement is to a few ulps
+        terms = [(0.7 + 0.1j, 2j), (-1.3, 0.5 + 0.2j), (0.4j, -2.0 + 3.0j),
+                 (2.0 - 1.0j, 1e-3 + 1e-2j), (1.0, 40.0 + 1j)]
+        other = [(1.0 - 0.5j, 1j), (0.3, -0.7 + 0.9j)]
+
+        def q(w, z):
+            return 1j / (2.0 * math.pi * (z - w.conjugate()))
+
+        z = np.array([[1j, 0.5 + 2j, -3.0 + 0.1j], [7.0, -1.0, 1e-4j]])
+        f, g = KernelCombination(terms), KernelCombination(other)
+        want = np.array([[sum(c * q(w, x) for c, w in terms) for x in row]
+                         for row in z])
+        assert np.abs(f(z) - want).max() <= 1e-14 * np.abs(want).max()
+        assert abs(f(1j) - want[0, 0]) <= 1e-14 * abs(want[0, 0])
+        ip = sum((c.conjugate() * d * q(b, a) for c, a in terms
+                  for d, b in other), 0j)
+        assert abs(inner(f, g) - ip) <= 1e-14 * abs(ip)
+        assert KernelCombination([])(z).tolist() == np.zeros(z.shape).tolist()
+        assert inner(KernelCombination([]), g) == 0
+
     @given(a=upper, b=upper)
     @settings(max_examples=50, deadline=None)
     def test_inner_product_symmetry(self, a, b):

@@ -168,6 +168,19 @@ class TestPsiBig:
         assert psi_big(float_first, np.array([0.3]))[0] == x
         assert psi_big(array_first, 0.3) == y
 
+    @pytest.mark.parametrize("nu", [
+        BoundaryMeasure(atom0=0.3, atoms=[(0.4, 1.0), (6.0, 2.0)]),
+        lebesgue_cauchy_measure()], ids=["atoms", "density"])
+    def test_array_likes(self, nu):
+        # a list once raised TypeError in float(); h_nu and out_eval took it
+        want = psi_big(nu, np.array([1.0, 2.0]))
+        assert psi_big(nu, [1.0, 2.0]).tolist() == want.tolist()
+        assert psi_big(nu, (1.0, 2.0)).tolist() == want.tolist()
+        for scalar in (np.float64(2.0), np.array(2.0), 2):
+            x = psi_big(nu, scalar)
+            assert type(x) is float and x == want[1]
+        assert psi_big(nu, []).shape == (0,)
+
     @pytest.mark.parametrize("transform", [
         total_mass, lambda nu: psi_big(nu, 0.5)], ids=["mass", "psi_big"])
     def test_infinite_mass_density_raises(self, transform):
@@ -469,6 +482,9 @@ class TestIntegrateVector:
     def test_zero_measure_gives_zeros(self):
         assert BoundaryMeasure().integrate(
             moments, VECTOR_CFG).tolist() == [0.0] * 4
+        # a piece wholly beyond the cut, and no atom, adds zeros too
+        beyond = BoundaryMeasure(density=[DensityPiece(1e200, np.inf, expr="1")])
+        assert beyond.integrate(moments, VECTOR_CFG).tolist() == [0.0] * 4
 
     def test_non_finite_integrand_raises(self):
         nu = BoundaryMeasure(density=[DensityPiece(0.5, 2.0, expr="1")])

@@ -31,7 +31,6 @@ from hardyrp.symbols import (
     lambda_eval,
     log_integral,
     out_eval,
-    out_on_axis,
     t_map,
 )
 
@@ -79,12 +78,23 @@ class TestOuterEval:
         with pytest.raises(ValueError):
             out_eval(2.0, K, 1j)
 
-    def test_axis_formula_agrees(self):
-        K = BoundaryModulus(lambda p: 1 + p * p, (), True)
-        for lam in (0.5, 1.0, 2.0):
-            v = out_on_axis(K, lam)
-            w = out_eval(1.0, K, 1j * lam)
-            assert abs(v - abs(w)) < 1e-6 * v
+    @pytest.mark.parametrize("kind", ["atoms", "density", "1+p^2"])
+    def test_real_on_the_axis(self, kind):
+        # on z = i lam the kernel is sech(s - u) / pi: every imaginary part
+        # of the integrand is exactly 0, and so is that of the value
+        lam = np.geomspace(1e-6, 1e6, 25)
+        if kind == "1+p^2":
+            K = BoundaryModulus(lambda p: 1 + p * p, (), True)
+        else:
+            nu = (BoundaryMeasure(atom0=0.2, atoms=[(0.5, 1.0), (3.0, 2.0)])
+                  if kind == "atoms" else lebesgue_cauchy_measure())
+            K = f_nu(nu).K
+        v = out_eval(1.0, K, 1j * lam)
+        assert (v.imag == 0.0).all()
+        assert (v.real > 0.0).all()
+        if kind == "1+p^2":
+            # Out(1 + p^2)(z) = -(z + i)^2
+            assert np.abs(v.real / (1.0 + lam) ** 2 - 1.0).max() < 1e-12
 
     def test_float_only_modulus_on_arrays(self):
         # an fn that rejects arrays is evaluated node by node
@@ -103,9 +113,10 @@ class TestOuterEval:
         for zj, gj in zip(z.ravel(), got.ravel()):
             assert abs(out_eval(1.0, K, zj) - gj) < 1e-12 * abs(gj)
         lam = np.array([1e-8, 1.0, 1e8])
-        axis = out_on_axis(K, lam)
+        axis = out_eval(1.0, K, 1j * lam)
         assert axis.shape == lam.shape
-        assert [out_on_axis(K, l) for l in lam] == pytest.approx(axis, 1e-12)
+        assert [out_eval(1.0, K, 1j * l) for l in lam] == pytest.approx(
+            axis, 1e-12)
 
     def test_small_and_large_points(self):
         # the refusal is relative below |z| = 1: 1e-12 (0.6 + 0.8i) is far
@@ -129,8 +140,6 @@ class TestOuterEval:
         # Poisson integral at i is log|2i - a|
         assert abs(log_integral(K) - 0.5 * math.pi * math.log(4 + a * a)) \
             < 1e-12
-        with pytest.raises(ValueError):
-            out_on_axis(K, 1.0)
 
     def test_modulus_multiplicativity(self):
         # Out(K1 K2) = Out(K1) Out(K2)
@@ -659,16 +668,35 @@ class TestLambda:
         assert abs(out_eval(1.0, K, z) - lambda_eval(z)) < 1e-7
 
 
+OUTSIDE = ("out_eval requires a finite z with Im z > 0 and Im z >= 0.001 "
+           "min(1, |z|)")
 INPUT_CHECKS = {
     "rational modulus not even": (
         lambda: BoundaryModulus(lambda p: 1.0, rational=(1.0, (), ())),
         "a rational modulus is even: set symmetric"),
     "axis point at 0": (
-        lambda: out_on_axis(BoundaryModulus.power_law(1.0), 0.0),
-        "axis point must satisfy lam > 0"),
+        lambda: out_eval(1.0, BoundaryModulus.power_law(1.0), 1j * 0.0),
+        OUTSIDE),
     "axis point below 0": (
-        lambda: out_on_axis(BoundaryModulus.power_law(1.0), np.array([1.0, -1.0])),
-        "axis point must satisfy lam > 0"),
+        lambda: out_eval(1.0, BoundaryModulus.power_law(1.0),
+                         1j * np.array([1.0, -1.0])),
+        OUTSIDE),
+    "point at 0 on a rational modulus": (
+        lambda: out_eval(1.0, f_nu(BoundaryMeasure(atoms=[(1, 1), (2, 1)])).K,
+                         0j),
+        OUTSIDE),
+    "point at i infinity": (
+        lambda: out_eval(1.0, BoundaryModulus.power_law(1.0),
+                         complex(1.0, np.inf)),
+        OUTSIDE),
+    "point at infinity plus i": (
+        lambda: out_eval(1.0, BoundaryModulus.power_law(1.0),
+                         complex(np.inf, 1.0)),
+        OUTSIDE),
+    "NaN point": (
+        lambda: out_eval(1.0, BoundaryModulus.power_law(1.0),
+                         np.array([2j, complex(np.nan, 1.0)])),
+        OUTSIDE),
     "phase of a modulus not even": (
         lambda: boundary_phase_difference(BoundaryModulus(lambda p: 1.0), 1.0),
         "boundary phase formula requires a symmetric modulus"),
