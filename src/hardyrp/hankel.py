@@ -12,6 +12,7 @@ axis too, is symbols.out_eval.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -212,15 +213,16 @@ def gram_from_symbol(h: Callable, anchors: Sequence[complex]) -> HankelGram:
 def symbol_from_measure(mu: BoundaryMeasure, p):
     """The bounded symbol h(p) = (i/pi) int p/(l^2+p^2) dmu(l) of H_mu.
 
-    p is a float (a complex is returned) or an array (an array of the same
-    shape); every p is a component of one vector integral against mu.
+    p is a finite nonzero float (a complex is returned) or an array of
+    them (an array of the same shape); every p is a component of one vector
+    integral against mu.
     """
     if mu.atom0 > 0 or mu.atom_inf > 0:
         raise ValueError("the form measure must be supported on (0, inf)")
     ps = np.asarray(p, dtype=float)
     flat = ps.ravel()
-    if not flat.all():
-        raise ValueError("symbol undefined at p = 0")
+    if not (np.isfinite(flat) & (flat != 0.0)).all():
+        raise ValueError("the symbol requires finite nonzero p")
     val = mu.integrate(
         lambda lam: flat / ((lam * lam)[:, None] + flat * flat),
         _FORM_QUADRATURE)
@@ -367,8 +369,9 @@ def _time_sums(times: Sequence[float]) -> tuple[list[float], list[float]]:
     times = [float(t) for t in times]
     if not times:
         raise ValueError("times must not be empty")
-    if any(t < 0 for t in times):
-        raise ValueError("times must be nonnegative")
+    # NaN fails every comparison, so "t < 0" alone would let it through
+    if not all(math.isfinite(t) and t >= 0 for t in times):
+        raise ValueError("times must be finite and nonnegative")
     return times, sorted({tj + tk for tj in times for tk in times})
 
 
@@ -388,8 +391,8 @@ def rp_certify(nu: BoundaryMeasure,
     sum t_j + t_k in one phi_from_psi call and checks the matrix
     [phi(t_j + t_k)] for positive semidefiniteness relative to its scale
     (smallest eigenvalue >= -_RP_TOL max(1, largest |eigenvalue|)).
-    Raises ValueError when times is empty, or phi(0) diverges and 0 is
-    among the times.
+    Raises ValueError when times is empty or holds a time that is negative
+    or not finite, or phi(0) diverges and 0 is among the times.
     """
     if nu.is_zero:
         raise ValueError("reflection positivity is undefined for the zero measure")
@@ -447,7 +450,7 @@ def _residue_pairing(K: BoundaryModulus, f: KernelCombination,
     """
     l, c = _pole_residues(K)
     l, c = l[l > 0], c[l > 0]
-    rho = -2j * np.pi * c / out_eval(1.0, K, 1j * l).real
+    rho = -2j * np.pi * c / out_eval(K, 1j * l).real
     return complex(np.sum(rho * np.conj(f(1j * l)) * g(1j * l)))
 
 

@@ -397,14 +397,22 @@ def _psi_kernel(p2: np.ndarray) -> Callable:
 
 def _psi_values(nu: BoundaryMeasure, p2: np.ndarray) -> np.ndarray:
     """psi_big at the flat keys p2 = p^2, one integrate call per chunk of
-    at most _PSI_CHUNK keys (an empty p2 is one empty chunk)."""
+    at most _PSI_CHUNK keys (an empty p2 is one empty chunk).  The atom at
+    0 contributes atom0 / p^2, and ValueError says so where that overflows
+    (p^2 may underflow to 0)."""
+    if nu.atom0 > 0:
+        with np.errstate(divide="ignore", over="ignore"):
+            if not np.isfinite(nu.atom0 * (1.0 / p2)).all():
+                raise ValueError("psi_big overflows: the atom at 0 "
+                                 "contributes atom0 / p^2, which is not "
+                                 "finite at the smallest p")
     # sorted keys make each chunk a narrow band of p, whose kernels change
     # on the same stretch of v
     chunks = [p2[start:start + _PSI_CHUNK]
               for start in range(0, max(p2.size, 1), _PSI_CHUNK)]
     return np.concatenate([
-        nu.integrate(_psi_kernel(keys), _PSI_QUADRATURE, at_zero=1.0 / keys,
-                     at_inf=1.0)
+        nu.integrate(_psi_kernel(keys), _PSI_QUADRATURE,
+                     at_zero=1.0 / keys if nu.atom0 > 0 else None, at_inf=1.0)
         for keys in chunks]) / np.pi
 
 
@@ -421,8 +429,8 @@ def psi_big(nu: BoundaryMeasure, p):
     are cached on nu, keyed by p^2, and all uncached p of a call are
     integrated at once, in sorted chunks; a measure without density pieces
     is not cached.  Raises QuadratureError when a pass spends its panel
-    budget and ValueError when p = 0, 1/p^2 overflows on an atom at 0, or
-    the mass diverges.
+    budget and ValueError when p = 0, atom0 / p^2 overflows, or the mass
+    diverges.
     """
     p = np.asarray(p, dtype=float)
     if not p.all():

@@ -1,10 +1,10 @@
 """Outer functions and the reflection-positive symbols built from measures.
 
-An outer function is determined by its boundary modulus K through
+An outer function is determined by its boundary modulus K(|p|) through
 
-    Out(C, K)(z) = C exp( (1/(pi i)) int_R [1/(p-z) - p/(1+p^2)] log K(p) dp )
+    Out(K)(z) = exp( (1/(pi i)) int_R [1/(p-z) - p/(1+p^2)] log K(|p|) dp )
 
-whenever I(K) = int |log K(p)|/(1+p^2) dp is finite.  For a finite measure
+whenever I(K) = int |log K(|p|)|/(1+p^2) dp is finite.  For a finite measure
 nu on [0, inf] the module builds F_nu = Out(sqrt(psi_big(nu, .))), the
 unimodular symbol h_nu = F_nu / (F_nu o (-id)) on the boundary, and the
 transformed measure d(T nu)(l) = |F_nu(il)|^{-2} (1+l^2)/l dnu(l), whose
@@ -48,17 +48,16 @@ MIN_IM = 1e-3  # out_eval refuses points closer to the boundary, see there
 
 @dataclass(frozen=True)
 class BoundaryModulus:
-    """Nonnegative boundary modulus K with declared singular points.
+    """The boundary modulus p -> K(|p|) of an outer function, K > 0.
 
-    fn takes a float or an ndarray of floats and returns K elementwise:
-    every integral against log K (outer function, axis values, boundary
-    phase) evaluates it on whole arrays of nodes, and an fn written for
-    floats only, which rejects the array, is evaluated node by node.  The
-    nonzero singular points (zeros or poles of K, where log K fails to be
-    smooth) are initial panel edges of those integrals.
+    fn is K on p > 0: it takes a float or an ndarray of floats p > 0 and
+    returns K elementwise, and the library calls it nowhere else.  Every
+    integral against log K (outer function, axis values, boundary phase)
+    evaluates it on whole arrays of nodes, and an fn written for floats
+    only, which rejects the array, is evaluated node by node.
 
     rational, when it is not None, is the factorization (a, zeros, poles)
-    of an even rational K,
+    of a rational K,
 
         K(p) = a prod_k |p + i s_k| / prod_i |p + i l_i|,   every s_k, l_i >= 0,
 
@@ -71,59 +70,34 @@ class BoundaryModulus:
     """
 
     fn: Callable
-    singularities: tuple[float, ...] = ()
-    symmetric: bool = False
-    name: str = "K"
     rational: tuple[float, tuple[float, ...], tuple[float, ...]] | None = None
-
-    def __post_init__(self):
-        if self.rational is not None and not self.symmetric:
-            raise ValueError("a rational modulus is even: set symmetric")
 
     def __call__(self, p: float) -> float:
         return float(self.fn(p))
 
     def log(self, p):
-        if isinstance(p, np.ndarray):
-            v = _on_nodes(self.fn, p)
-            if not (v > 0.0).all():
-                raise ValueError("boundary modulus vanishes at a given point")
-            return np.log(v)
-        v = self(p)
-        if v <= 0.0:
-            raise ValueError(f"boundary modulus vanishes at p = {p}")
-        return math.log(v)
+        v = _on_nodes(self.fn, np.asarray(p, dtype=float))
+        if not (v > 0.0).all():
+            raise ValueError("boundary modulus vanishes at a given point")
+        return np.log(v)
 
     @classmethod
     def power_law(cls, exponent: float) -> "BoundaryModulus":
-        return cls(lambda p, a=exponent: abs(p) ** a, (0.0,), True,
-                   name=f"|p|^{exponent}")
+        return cls(lambda p, a=exponent: abs(p) ** a)
 
     def __mul__(self, other: "BoundaryModulus") -> "BoundaryModulus":
         rational = None
         if self.rational is not None and other.rational is not None:
             (a, z, p), (b, y, q) = self.rational, other.rational
             rational = (a * b, tuple(sorted(z + y)), tuple(sorted(p + q)))
-        return BoundaryModulus(
-            lambda p: self.fn(p) * other.fn(p),
-            tuple(sorted(set(self.singularities) | set(other.singularities))),
-            self.symmetric and other.symmetric,
-            name=f"{self.name}*{other.name}",
-            rational=rational,
-        )
+        return BoundaryModulus(lambda p: self.fn(p) * other.fn(p), rational)
 
     def __truediv__(self, other: "BoundaryModulus") -> "BoundaryModulus":
         rational = None
         if self.rational is not None and other.rational is not None:
             (a, z, p), (b, y, q) = self.rational, other.rational
             rational = (a / b, tuple(sorted(z + q)), tuple(sorted(p + y)))
-        return BoundaryModulus(
-            lambda p: self.fn(p) / other.fn(p),
-            tuple(sorted(set(self.singularities) | set(other.singularities))),
-            self.symmetric and other.symmetric,
-            name=f"{self.name}/{other.name}",
-            rational=rational,
-        )
+        return BoundaryModulus(lambda p: self.fn(p) / other.fn(p), rational)
 
 
 def _paired(K: BoundaryModulus):
@@ -166,12 +140,12 @@ def _pole_residues(K: BoundaryModulus):
     return l, 1j * a * ratio * np.prod(s[k.size:] - li, axis=1)
 
 
-# The integrals against log K run in the log variable, p = e^s (and p =
-# -e^s for a modulus that is not even), over the window [min u - T, max u + T]
-# around the points' u = log|z|, T = _LOG_TAIL, or a wider one;
-# _log_window makes each one integrate_batched pass.  Tail bounds:
+# The integrals against log K run in the log variable, p = e^s, over the
+# window [min u - T, max u + T] around the points' u = log|z|, T =
+# _LOG_TAIL, or a wider one; _log_window makes each one integrate_batched
+# pass.  Tail bounds:
 #
-# - outer function, even K, z = |z| zeta, t = s - log|z|: pairing p with -p,
+# - outer function, z = |z| zeta, t = s - log|z|: pairing p with -p,
 #   log Out(K)(z) = (1/(pi i)) int_R k log K(e^s) ds with the Herglotz
 #   kernel k = 2 zeta e^t / (e^{2t} - zeta^2), which is i sech(t) on the
 #   axis z = i lam.  k integrates to pi i over R for every z in the upper
@@ -180,10 +154,6 @@ def _pole_residues(K: BoundaryModulus):
 #   sqrt(psi_big): d log psi / d log p lies in [-2, 0]) and |k| <=
 #   1/|sinh t|, the two cut-off tails add up to at most a (4/pi) (T+1)
 #   e^{-T} / (1 - e^{-2T}) in log Out, 2.2e-16 a at T = 40;
-# - outer function, K not even: the odd part of log K meets a kernel that
-#   decays like e^{-2|s - log|z||} beyond log|z| and like e^{-2|s|} beyond
-#   0, so the window covers s = 0 too, and that part's tails are e^{-2T}
-#   small;
 # - boundary phase: the integrand is -(2/pi) (log K(e^s) - log K(e^u)) /
 #   sinh(s - u), so the two tails add up to at most a (8/pi) (T+1) e^{-T} /
 #   (1 - e^{-2T}), 4.4e-16 a at T = 40;
@@ -236,29 +206,22 @@ def _log_window(integrand, u: NDArray[np.float64],
                               *breakpoints])
 
 
-def _singular_breaks(K: BoundaryModulus) -> list[float]:
-    """log|q| for the nonzero singular points q of K (0 lies at s = -inf)."""
-    return [math.log(abs(q)) for q in K.singularities if q]
-
-
 def log_integral(K: BoundaryModulus) -> float:
-    """I(K) = int |log K(p)| / (1+p^2) dp; finite iff K admits an outer function.
+    """I(K) = int |log K(|p|)| / (1+p^2) dp; finite iff K admits an outer
+    function.
 
-    With p = +-e^s, dp / (1+p^2) = sech(s) ds / 2: one pass over |s| <=
-    _LOG_TAIL (tail bound there), with s = 0 an initial panel edge.
+    With p = +-e^s, 2 dp / (1+p^2) = sech(s) ds: one pass of |log K(e^s)| /
+    cosh s over |s| <= _LOG_TAIL (tail bound there), with s = 0 an initial
+    panel edge.
     """
     def integrand(s):
-        p = np.exp(s)
-        v = np.abs(K.log(p))
-        v = v + (v if K.symmetric else np.abs(K.log(-p)))
-        return (0.5 * v / np.cosh(s))[:, None]
+        return (np.abs(K.log(np.exp(s))) / np.cosh(s))[:, None]
 
-    return float(_log_window(integrand, np.zeros(1),
-                             [0.0, *_singular_breaks(K)])[0])
+    return float(_log_window(integrand, np.zeros(1), [0.0])[0])
 
 
-def out_eval(C: complex, K: BoundaryModulus, z):
-    """Evaluate the outer function Out(C, K) at z in the upper half-plane.
+def out_eval(K: BoundaryModulus, z):
+    """Evaluate the outer function Out(K) at z in the upper half-plane.
 
     z is a complex (a complex is returned) or an array (an array of the
     same shape).  Each point is two components, the real and imaginary
@@ -266,15 +229,14 @@ def out_eval(C: complex, K: BoundaryModulus, z):
     s = log|p| (kernels and tail bound at _LOG_TAIL), so log K is
     evaluated once per node for every point.  The points' log|z|, and
     log|Re z| where Im z < 0.1 (the kernel peaks there), are initial panel
-    edges, and so is s = 0 for a modulus that is not even.  Each component
-    meets max(1e-12, 1e-10 |.|) (_LOG_QUADRATURE).
+    edges.  Each component meets max(1e-12, 1e-10 |.|) (_LOG_QUADRATURE).
 
     On the imaginary axis z = i lam the kernel is sech(s - u) / pi, real, so
-    F(i lam) comes out exactly real for C = 1; being smooth there, its u is
+    F(i lam) comes out exactly real; being smooth there, its u is
     no panel edge (t_map's 1365 axis points of a 64-row table took 1.0 s
     with those edges and 0.04 s without).
 
-    A K with a rational form makes no pass: Out(C, K)(z) = C a R(-i z),
+    A K with a rational form makes no pass: Out(K)(z) = a R(-i z),
     R(w) = prod (w + s_k) / prod (w + l_i), to roundoff.
 
     Refuses a z that is not finite or has Im z < 1e-3 min(1, |z|) or Im z
@@ -292,12 +254,10 @@ def out_eval(C: complex, K: BoundaryModulus, z):
             f"out_eval requires a finite z with Im z > 0 and Im z >= {MIN_IM} "
             "min(1, |z|); use boundary formulas below"
         )
-    if abs(C) - 1.0 > 1e-12 or abs(C) < 1.0 - 1e-12:
-        raise ValueError("leading constant must be unimodular")
     if not flat.size:
         return np.empty(zs.shape, dtype=complex)
     if K.rational is not None:
-        out = C * _rational_outer(K, -1j * flat)
+        out = _rational_outer(K, -1j * flat)
         return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
     u = np.log(r)
     zeta = flat / r
@@ -307,47 +267,26 @@ def out_eval(C: complex, K: BoundaryModulus, z):
     even_k = -2j * zeta / np.pi     # 2 zeta / (pi i)
     off_axis = flat.real != 0.0
     near = (flat.imag < 0.1) & off_axis
-    breaks = [*u[off_axis].tolist(), *np.log(np.abs(flat.real[near])).tolist(),
-              *_singular_breaks(K)]
-    if K.symmetric:
-        c = K.log(r)
-        window = u
+    breaks = [*u[off_axis].tolist(), *np.log(np.abs(flat.real[near])).tolist()]
+    c = K.log(r)
 
-        def integrand(s):
-            t = np.clip(s[:, None] - u, -_T_CLIP, _T_CLIP)
-            k = even_k * np.exp(t) / (np.expm1(2.0 * t) - pole)
-            return (k * (K.log(np.exp(s))[:, None] - c)).view(float)
-    else:
-        # log K = E + O on p > 0, E and O its even and odd parts: E meets
-        # the even kernel, O the kernel of k(p) - k(-p), which is
-        # 2 (1 + z^2) e^{2s} / ((e^{2s} - z^2)(1 + e^{2s})) in s
-        c = 0.5 * (K.log(r) + K.log(-r))
-        odd_k = -2j * (1.0 / (r * r) + zeta * zeta) / np.pi
-        window = np.append(u, 0.0)
-        breaks.append(0.0)
+    def integrand(s):
+        t = np.clip(s[:, None] - u, -_T_CLIP, _T_CLIP)
+        k = even_k * np.exp(t) / (np.expm1(2.0 * t) - pole)
+        return (k * (K.log(np.exp(s))[:, None] - c)).view(float)
 
-        def integrand(s):
-            t = np.clip(s[:, None] - u, -_T_CLIP, _T_CLIP)
-            p = np.exp(s)
-            lp, lm = K.log(p), K.log(-p)
-            # e^{2s} / (1 + e^{2s}), without overflow or cancellation
-            e = np.exp(-2.0 * np.abs(s))
-            odd = np.where(s < 0.0, e, 1.0) / (1.0 + e) * (0.5 * (lp - lm))
-            k = (even_k * np.exp(t) * (0.5 * (lp + lm)[:, None] - c)
-                 + odd_k * odd[:, None])
-            return (k / (np.expm1(2.0 * t) - pole)).view(float)
-
-    val = _log_window(integrand, window, breaks)
-    out = C * np.exp(c + val[0::2] + 1j * val[1::2])
+    val = _log_window(integrand, u, breaks)
+    out = np.exp(c + val[0::2] + 1j * val[1::2])
     return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
 def boundary_phase_difference(K: BoundaryModulus, x):
-    """arg Out(K)(x) - arg Out(K)(-x) for an even modulus, x float or array.
+    """arg Out(K)(x) - arg Out(K)(-x) for finite nonzero x, a float or an
+    array.
 
     On the boundary arg Out(K)(x) = -(1/pi) PV int [1/(p-x) - p/(1+p^2)]
-    log K(p) dp; in the difference the normalizing term cancels and, K
-    being even, the principal-value pair collapses to
+    log K(|p|) dp; in the difference the normalizing term cancels and the
+    principal-value pair collapses to
 
         -(4x/pi) int_0^inf (log K(p) - log K(x)) / (p^2 - x^2) dp.
 
@@ -368,11 +307,9 @@ def boundary_phase_difference(K: BoundaryModulus, x):
     A K with a rational form makes no pass: the phase is -2 arg R(ix) =
     2 [sum atan(x/l_i) - sum atan(x/s_k)], odd in x, to roundoff.
     """
-    if not K.symmetric:
-        raise ValueError("boundary phase formula requires a symmetric modulus")
     x = np.asarray(x, dtype=float)
-    if not x.all():
-        raise ValueError("phase undefined at x = 0")
+    if not (np.isfinite(x) & (x != 0.0)).all():
+        raise ValueError("the boundary phase requires finite nonzero x")
     if K.rational is not None:
         # arg Out(K)(x) = arg R(-ix) = sum atan(x/l_i) - sum atan(x/s_k),
         # a pair's two terms taken as one, atan(x (s - l) / (l s + x^2)):
@@ -402,13 +339,12 @@ def boundary_phase_difference(K: BoundaryModulus, x):
 
 @dataclass
 class OuterFunction:
-    """The outer function Out(C, K); a call takes one point or an array."""
+    """The outer function Out(K); a call takes one point or an array."""
 
     K: BoundaryModulus
-    C: complex = 1.0 + 0.0j
 
     def __call__(self, z):
-        return out_eval(self.C, self.K, z)
+        return out_eval(self.K, z)
 
 
 # -- measure-driven constructions --------------------------------------------
@@ -496,8 +432,7 @@ def _sqrt_psi_modulus(nu: BoundaryMeasure) -> BoundaryModulus:
         lead = nu.atom_inf if nu.atom_inf > 0 else c.sum()
         rational = (math.sqrt(lead / np.pi), tuple(np.sqrt(r).tolist()),
                     tuple(poles.tolist()))
-    return BoundaryModulus(lambda p: np.sqrt(psi_big(nu, p)), (0.0,), True,
-                           name="sqrt(psi)", rational=rational)
+    return BoundaryModulus(lambda p: np.sqrt(psi_big(nu, p)), rational)
 
 
 def _phase(nu: BoundaryMeasure, x) -> NDArray[np.float64]:
@@ -523,7 +458,7 @@ def f_nu_axis(nu: BoundaryMeasure, lam):
     The values are cached on nu, where t_map reads them too.
     """
     v = nu.cached("axis", lam, lambda todo: out_eval(
-        1.0, _sqrt_psi_modulus(nu), 1j * todo).real)
+        _sqrt_psi_modulus(nu), 1j * todo).real)
     return v if np.ndim(lam) else float(v)
 
 
@@ -545,7 +480,7 @@ def h_nu_symbol(nu: BoundaryMeasure) -> SymbolFunction:
 def f_nu_boundary(nu: BoundaryMeasure, x):
     """Boundary value F_nu(x) = sqrt(psi_big(nu, x)) exp(i arg F_nu(x)).
 
-    For an even modulus arg F_nu is odd, so it equals half the phase
+    The modulus being even, arg F_nu is odd, so it equals half the phase
     difference arg F_nu(x) - arg F_nu(-x); modulus and phase are computed
     separately, making |F_nu(x)|^2 = psi_big(nu, x) exact.
     """
@@ -569,7 +504,7 @@ def _t_map(nu: BoundaryMeasure, K: BoundaryModulus) -> BoundaryMeasure:
     """t_map(nu) with nu's modulus K = _sqrt_psi_modulus(nu) already built."""
     def factor(lam):
         a = nu.cached("axis", lam,
-                      lambda todo: out_eval(1.0, K, 1j * todo).real)
+                      lambda todo: out_eval(K, 1j * todo).real)
         return (1.0 + lam * lam) / (lam * a * a)
 
     lam, w = np.array(nu.atoms, dtype=float).reshape(-1, 2).T

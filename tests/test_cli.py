@@ -771,6 +771,53 @@ class TestInputErrors:
             "error: out_eval requires a finite z with Im z > 0 and Im z >= "
             "0.001 min(1, |z|); use boundary formulas below\n")
 
+    @pytest.mark.parametrize("args, says", [
+        (["symbol", "--points=nan,1"], "the boundary phase requires finite "
+                                       "nonzero x"),
+        (["symbol", "--points=-inf"], "the boundary phase requires finite "
+                                      "nonzero x"),
+        (["symbol-from-measure", "--points=inf"], "the symbol requires "
+                                                  "finite nonzero p"),
+        (["rp-certify", "--times=0,nan"], "times must be finite and "
+                                          "nonnegative"),
+        (["rp-certify", "--times=nan"], "times must be finite and "
+                                        "nonnegative"),
+        (["rp-certify", "--times=1,inf"], "times must be finite and "
+                                          "nonnegative"),
+    ], ids=["symbol-nan", "symbol-minus-inf", "symbol-from-measure-inf",
+            "rp-certify-0-nan", "rp-certify-nan", "rp-certify-inf"])
+    @pytest.mark.parametrize("measure", ["two_atom_path", "sample_path"])
+    def test_non_finite_point_rejected(self, args, says, measure, request,
+                                       capsys):
+        # symbol printed nan,nan,nan with exit 0 on atoms, and -inf read
+        # "boundary modulus vanishes"; symbol-from-measure warned before
+        # failing; rp-certify with a NaN time failed in a reshape or in
+        # phi_from_psi
+        path = request.getfixturevalue(measure)
+        assert run([*args, "--measure", path]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == f"error: {says}\n"
+
+    def test_psi_where_p_squared_underflows(self, two_atom_path, tmp_path,
+                                            capsys):
+        # without an atom at 0, p = 1e-200 is the p -> 0 limit 3.25/pi,
+        # and no divide-by-zero warning; with one, atom0 / p^2 overflows
+        assert run(["psi", "--measure", two_atom_path,
+                    "--points", "1e-200"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ("p,psi\n"
+                                "9.9999999999999998e-201,1.0345071300973196\n")
+        assert not captured.err
+        path = tmp_path / "atom0.json"
+        path.write_text(json.dumps({"atom0": 1, "atoms": [[1.0, 1.0]]}))
+        assert run(["psi", "--measure", str(path), "--points", "1e-160"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == (
+            "error: psi_big overflows: the atom at 0 contributes atom0 / p^2, "
+            "which is not finite at the smallest p\n")
+
     @pytest.mark.parametrize("command", ["fixed-point", "certify-psd",
                                          "hankel-gram"])
     @pytest.mark.parametrize("measure", ["two_atom_path", "sample_path"])

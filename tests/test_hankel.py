@@ -379,6 +379,19 @@ class TestReflectionPositivity:
         with pytest.raises(ValueError):
             rp_matrix(math.cos, (0.0, -1.0))
 
+    @pytest.mark.parametrize("times", [(0.0, math.nan), (math.nan,),
+                                       (1.0, math.inf), (-math.inf,)])
+    def test_non_finite_times_rejected(self, times):
+        # NaN passed "t < 0"; rp_certify then failed in a reshape or in
+        # phi_from_psi with words about other inputs
+        says = "times must be finite and nonnegative"
+        with pytest.raises(ValueError, match=says):
+            rp_matrix(math.cos, times)
+        for nu in (BoundaryMeasure(atoms=[(1.0, 1.0), (2.0, 1.0)]),
+                   two_lebesgue()):
+            with pytest.raises(ValueError, match=says):
+                rp_certify(nu, times)
+
     def test_zero_measure_rejected(self):
         with pytest.raises(ValueError):
             rp_certify(BoundaryMeasure(), (0.0, 1.0))
@@ -638,6 +651,7 @@ class TestFixedPoint:
 
 ENDPOINT_ATOM = BoundaryMeasure(atom0=1.0, atoms=[(1.0, 1.0)])
 NO_ANCHORS = "at least one kernel anchor is required"
+SYMBOL_POINTS = "the symbol requires finite nonzero p"
 INPUT_CHECKS = {
     "anchor count": (lambda: HankelGram((1j, 2j), np.eye(3), np.eye(3)),
                      "Gram matrices must match the anchor count"),
@@ -645,6 +659,14 @@ INPUT_CHECKS = {
                            "the form measure must be supported on (0, inf)"),
     "symbol endpoint atom": (lambda: symbol_from_measure(ENDPOINT_ATOM, 1.0),
                              "the form measure must be supported on (0, inf)"),
+    "symbol at NaN": (
+        lambda: symbol_from_measure(BoundaryMeasure(atoms=[(1.0, 1.0)]),
+                                    np.array([1.0, np.nan])),
+        SYMBOL_POINTS),
+    "symbol at inf on a density": (
+        lambda: symbol_from_measure(two_lebesgue(), np.inf), SYMBOL_POINTS),
+    "symbol at 0": (
+        lambda: symbol_from_measure(two_lebesgue(), 0.0), SYMBOL_POINTS),
     "compactness endpoint atom": (
         lambda: compactness_check(BoundaryMeasure(atom_inf=1.0)),
         "the form measure must be supported on (0, inf)"),

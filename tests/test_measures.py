@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -203,6 +204,15 @@ class TestPsiBig:
         nu = BoundaryMeasure(atom0=math.pi)
         for p in (0.4, 2.0):
             assert abs(psi_big(nu, p) - 1.0 / p ** 2) < 1e-12
+
+    def test_p_squared_underflows_without_atom_at_zero(self):
+        # (1e-200)^2 is 0 in doubles; only an atom at 0 reads 1/p^2, so two
+        # interior atoms give their p -> 0 limit, 3.25/pi, with no warning
+        nu = BoundaryMeasure(atoms=[(1.0, 1.0), (2.0, 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert psi_big(nu, 1e-200) == pytest.approx(3.25 / math.pi,
+                                                        rel=1e-15)
 
     def test_atom_at_infinity(self):
         nu = BoundaryMeasure(atom_inf=math.pi)
@@ -625,6 +635,8 @@ class TestSerialization:
         assert abs(total_mass(nu) - 1.0) < 1e-10
 
 
+ATOM0_OVERFLOW = ("psi_big overflows: the atom at 0 contributes atom0 / p^2, "
+                  "which is not finite at the smallest p")
 INPUT_CHECKS = {
     "unknown kind": (lambda: DensityPiece(0.5, 2.0, "spline", expr="1"),
                      "unknown density kind 'spline'"),
@@ -637,6 +649,17 @@ INPUT_CHECKS = {
     "psi_small at 0": (
         lambda: psi_small(BoundaryMeasure(atoms=[(1.0, 1.0)]), 0.0),
         "psi_small is undefined at p = 0"),
+    "psi_big where atom0 / p^2 overflows": (
+        lambda: psi_big(BoundaryMeasure(atom0=1.0, atoms=[(1.0, 1.0)]),
+                        np.array([1.0, 1e-160])),
+        ATOM0_OVERFLOW),
+    "psi_big where p^2 underflows to 0 on an atom at 0": (
+        lambda: psi_big(BoundaryMeasure(atom0=1e-300), 1e-200),
+        ATOM0_OVERFLOW),
+    "psi_big where atom0 / p^2 overflows on a density": (
+        lambda: psi_big(BoundaryMeasure(atom0=1e300, density=[
+            DensityPiece(0.5, 2.0, expr="1")]), 1e-10),
+        ATOM0_OVERFLOW),
     "phi_mu with atom at infinity": (
         lambda: phi_mu(BoundaryMeasure(atom_inf=1.0), 1.0),
         "phi_mu requires no atom at infinity"),

@@ -44,13 +44,11 @@ def modulus_cases():
         (BoundaryModulus.power_law(-1.0), lambda z: 1j / z),
         (BoundaryModulus.power_law(-0.5),
          lambda z: (1 + 1j) / np.sqrt(2 * z)),
-        (BoundaryModulus(lambda p: 1 + p * p, (), True, "1+p^2"),
+        (BoundaryModulus(lambda p: 1 + p * p),
          lambda z: -(z + 1j) ** 2),
-        (BoundaryModulus(lambda p: abs(p) / (1 + p * p), (0.0,), True,
-                         "|p|/(1+p^2)"),
+        (BoundaryModulus(lambda p: abs(p) / (1 + p * p)),
          lambda z: 1j * z / (z + 1j) ** 2),
-        (BoundaryModulus(lambda p: 1 / math.sqrt(1 + p * p), (), True,
-                         "1/sqrt(1+p^2)"),
+        (BoundaryModulus(lambda p: 1 / math.sqrt(1 + p * p)),
          lambda z: 1j / (z + 1j)),
     ]
 
@@ -60,9 +58,9 @@ class TestOuterEval:
     def test_closed_forms(self, case):
         K, exact = modulus_cases()[case]
         for z in (2j, 0.5 + 1j, -1.5 + 0.3j, 3.0 + 0.1j):
-            got = out_eval(1.0, K, z)
+            got = out_eval(K, z)
             want = exact(z)
-            assert abs(got - want) <= 1e-6 * abs(want), (K.name, z)
+            assert abs(got - want) <= 1e-6 * abs(want), (case, z)
 
     def test_log_integral_of_abs(self):
         assert abs(log_integral(BoundaryModulus.power_law(1.0))
@@ -71,12 +69,7 @@ class TestOuterEval:
     def test_refuses_boundary_points(self):
         K = BoundaryModulus.power_law(1.0)
         with pytest.raises(ValueError):
-            out_eval(1.0, K, 1.0 + 1e-4j)
-
-    def test_refuses_non_unimodular_constant(self):
-        K = BoundaryModulus.power_law(1.0)
-        with pytest.raises(ValueError):
-            out_eval(2.0, K, 1j)
+            out_eval(K, 1.0 + 1e-4j)
 
     @pytest.mark.parametrize("kind", ["atoms", "density", "1+p^2"])
     def test_real_on_the_axis(self, kind):
@@ -84,12 +77,12 @@ class TestOuterEval:
         # of the integrand is exactly 0, and so is that of the value
         lam = np.geomspace(1e-6, 1e6, 25)
         if kind == "1+p^2":
-            K = BoundaryModulus(lambda p: 1 + p * p, (), True)
+            K = BoundaryModulus(lambda p: 1 + p * p)
         else:
             nu = (BoundaryMeasure(atom0=0.2, atoms=[(0.5, 1.0), (3.0, 2.0)])
                   if kind == "atoms" else lebesgue_cauchy_measure())
             K = f_nu(nu).K
-        v = out_eval(1.0, K, 1j * lam)
+        v = out_eval(K, 1j * lam)
         assert (v.imag == 0.0).all()
         assert (v.real > 0.0).all()
         if kind == "1+p^2":
@@ -98,24 +91,24 @@ class TestOuterEval:
 
     def test_float_only_modulus_on_arrays(self):
         # an fn that rejects arrays is evaluated node by node
-        K = BoundaryModulus(lambda p: 1 / math.sqrt(1 + p * p), (), True)
+        K = BoundaryModulus(lambda p: 1 / math.sqrt(1 + p * p))
         p = np.array([0.0, 1.0, -3.0])
         assert np.abs(K.log(p) + 0.5 * np.log1p(p * p)).max() < 1e-15
         z = np.array([2j, 0.5 + 1j, -1.5 + 0.3j, 1e-9 + 1e-9j, 1e9j])
         want = 1j / (z + 1j)
-        assert np.abs(out_eval(1.0, K, z) / want - 1.0).max() < 1e-12
+        assert np.abs(out_eval(K, z) / want - 1.0).max() < 1e-12
 
     def test_array_matches_points(self):
-        K = BoundaryModulus(lambda p: abs(p) / (1 + p * p), (0.0,), True)
+        K = BoundaryModulus(lambda p: abs(p) / (1 + p * p))
         z = np.array([[2j, 0.5 + 1j], [-1.5 + 0.3j, 3.0 + 1e-3j]])
-        got = out_eval(1.0, K, z)
+        got = out_eval(K, z)
         assert got.shape == z.shape
         for zj, gj in zip(z.ravel(), got.ravel()):
-            assert abs(out_eval(1.0, K, zj) - gj) < 1e-12 * abs(gj)
+            assert abs(out_eval(K, zj) - gj) < 1e-12 * abs(gj)
         lam = np.array([1e-8, 1.0, 1e8])
-        axis = out_eval(1.0, K, 1j * lam)
+        axis = out_eval(K, 1j * lam)
         assert axis.shape == lam.shape
-        assert [out_eval(1.0, K, 1j * l) for l in lam] == pytest.approx(
+        assert [out_eval(K, 1j * l) for l in lam] == pytest.approx(
             axis, 1e-12)
 
     def test_small_and_large_points(self):
@@ -123,31 +116,34 @@ class TestOuterEval:
         # from the boundary, 1e-12 + 1e-17i is not
         K = BoundaryModulus.power_law(-1.0)
         z = np.array([1e-12 * (0.6 + 0.8j), 1e12 * (-0.6 + 0.8j)])
-        assert np.abs(out_eval(1.0, K, z) / (1j / z) - 1.0).max() < 1e-12
+        assert np.abs(out_eval(K, z) / (1j / z) - 1.0).max() < 1e-12
         with pytest.raises(ValueError):
-            out_eval(1.0, K, 1e-12 + 1e-17j)
+            out_eval(K, 1e-12 + 1e-17j)
 
-    @pytest.mark.parametrize("a", [1.0, -3.0, 0.2])
-    def test_non_even_modulus(self, a):
-        # |p - a + i| is the modulus of the outer function z - a + i; Out
-        # is its multiple that is positive at i
-        K = BoundaryModulus(lambda p: np.sqrt((p - a) ** 2 + 1.0), (), False)
-        z = np.array([2j, 0.5 + 1j, -1.5 + 0.3j, 3.0 + 1e-3j,
-                      1e-6 * (1 + 1j), 1e6 * (-1 + 0.5j)])
-        want = (z - a + 1j) * abs(2j - a) / (2j - a)
-        assert np.abs(out_eval(1.0, K, z) / want - 1.0).max() < 1e-12
-        # log|p - (a - i)| is harmonic in the upper half-plane, so its
-        # Poisson integral at i is log|2i - a|
-        assert abs(log_integral(K) - 0.5 * math.pi * math.log(4 + a * a)) \
-            < 1e-12
+    def test_fn_is_called_at_positive_p_only(self):
+        # K(|p|) is fn on p > 0: an fn that refuses p <= 0 still gives the
+        # outer function, the boundary phase and the log integral of |p|
+        def fn(p):
+            p = np.asarray(p, dtype=float)
+            if not (p > 0.0).all():
+                raise ValueError("fn called at p <= 0")
+            return p
+
+        K = BoundaryModulus(fn)
+        z = np.array([2j, 0.5 + 1j, -1.5 + 0.3j, 1e-6 * (1 + 1j), 1e6j])
+        assert np.abs(out_eval(K, z) / (-1j * z) - 1.0).max() < 1e-12
+        x = np.array([1e-6, -0.5, 3.0, -1e6])
+        assert np.abs(boundary_phase_difference(K, x)
+                      + np.pi * np.sign(x)).max() < 1e-10
+        assert abs(log_integral(K) - CATALAN4) < 1e-8
 
     def test_modulus_multiplicativity(self):
         # Out(K1 K2) = Out(K1) Out(K2)
         K1 = BoundaryModulus.power_law(1.0)
-        K2 = BoundaryModulus(lambda p: 1 / math.sqrt(1 + p * p), (), True)
+        K2 = BoundaryModulus(lambda p: 1 / math.sqrt(1 + p * p))
         z = 1.0 + 1.5j
-        lhs = out_eval(1.0, K1 * K2, z)
-        rhs = out_eval(1.0, K1, z) * out_eval(1.0, K2, z)
+        lhs = out_eval(K1 * K2, z)
+        rhs = out_eval(K1, z) * out_eval(K2, z)
         assert abs(lhs - rhs) < 1e-6 * abs(rhs)
 
 
@@ -208,7 +204,7 @@ class TestMeasureSymbols:
         assert abs(v / f_nu_boundary(nu, -x) - h_nu(nu, x)) < 1e-12
 
     def test_boundary_phase_odd(self):
-        K = BoundaryModulus(lambda p: 1 + p * p, (), True)
+        K = BoundaryModulus(lambda p: 1 + p * p)
         assert boundary_phase_difference(K, 1.5) == \
             -boundary_phase_difference(K, -1.5)
 
@@ -346,7 +342,7 @@ class TestBoundaryPhase:
             assert abs(boundary_phase_difference(K, -x) - a * np.pi) < 1e-10
 
     def test_inverse_sqrt_is_two_arctan(self):
-        K = BoundaryModulus(lambda p: 1.0 / np.sqrt(1.0 + p * p), (), True)
+        K = BoundaryModulus(lambda p: 1.0 / np.sqrt(1.0 + p * p))
         got = boundary_phase_difference(K, DECADES)
         assert np.abs(got - 2.0 * np.arctan(DECADES)).max() < 1e-10
         x = np.array([[0.5, -3.0], [-1e-6, 1e9]])
@@ -560,14 +556,14 @@ class TestRationalAtoms:
         K1 = f_nu(BoundaryMeasure(atoms=[(0.5, 1.0), (2.0, 3.0)])).K
         K2 = f_nu(BoundaryMeasure(atom0=0.4, atoms=[(1.5, 0.7)])).K
         z = np.array([0.3 + 0.2j, -2.0 + 1.0j, 5j])
-        for K, want in ((K1 * K2, out_eval(1.0, K1, z) * out_eval(1.0, K2, z)),
-                        (K1 / K2, out_eval(1.0, K1, z) / out_eval(1.0, K2, z))):
+        for K, want in ((K1 * K2, out_eval(K1, z) * out_eval(K2, z)),
+                        (K1 / K2, out_eval(K1, z) / out_eval(K2, z))):
             assert K.rational is not None
-            got = out_eval(1.0, K, z)
+            got = out_eval(K, z)
             assert np.abs(got / want - 1.0).max() <= 1e-12
             # the form describes K.fn: the quadrature of fn agrees
             bare = dataclasses.replace(K, rational=None)
-            assert np.abs(got / out_eval(1.0, bare, z) - 1.0).max() <= 1e-12
+            assert np.abs(got / out_eval(bare, z) - 1.0).max() <= 1e-12
 
     def test_product_with_a_modulus_without_form_has_none(self):
         K = f_nu(BoundaryMeasure(atoms=[(1.0, 1.0)])).K
@@ -576,8 +572,8 @@ class TestRationalAtoms:
         for prod in (K * P, P * K, K / P, P / K):
             assert prod.rational is None
         z = 1.0 + 1.0j
-        assert abs(out_eval(1.0, K * P, z)
-                   / (out_eval(1.0, K, z) * out_eval(1.0, P, z)) - 1.0) < 1e-10
+        assert abs(out_eval(K * P, z)
+                   / (out_eval(K, z) * out_eval(P, z)) - 1.0) < 1e-10
 
 
 def mp_kernel(f, z):
@@ -663,43 +659,57 @@ class TestLambda:
 
     def test_matches_outer_of_its_modulus(self):
         # Lambda is the outer function of |x|/(1+x^2)
-        K = BoundaryModulus(lambda p: abs(p) / (1 + p * p), (0.0,), True)
+        K = BoundaryModulus(lambda p: abs(p) / (1 + p * p))
         z = 0.5 + 2j
-        assert abs(out_eval(1.0, K, z) - lambda_eval(z)) < 1e-7
+        assert abs(out_eval(K, z) - lambda_eval(z)) < 1e-7
 
 
 OUTSIDE = ("out_eval requires a finite z with Im z > 0 and Im z >= 0.001 "
            "min(1, |z|)")
+PHASE_POINTS = "the boundary phase requires finite nonzero x"
 INPUT_CHECKS = {
-    "rational modulus not even": (
-        lambda: BoundaryModulus(lambda p: 1.0, rational=(1.0, (), ())),
-        "a rational modulus is even: set symmetric"),
     "axis point at 0": (
-        lambda: out_eval(1.0, BoundaryModulus.power_law(1.0), 1j * 0.0),
+        lambda: out_eval(BoundaryModulus.power_law(1.0), 1j * 0.0),
         OUTSIDE),
     "axis point below 0": (
-        lambda: out_eval(1.0, BoundaryModulus.power_law(1.0),
+        lambda: out_eval(BoundaryModulus.power_law(1.0),
                          1j * np.array([1.0, -1.0])),
         OUTSIDE),
     "point at 0 on a rational modulus": (
-        lambda: out_eval(1.0, f_nu(BoundaryMeasure(atoms=[(1, 1), (2, 1)])).K,
+        lambda: out_eval(f_nu(BoundaryMeasure(atoms=[(1, 1), (2, 1)])).K,
                          0j),
         OUTSIDE),
     "point at i infinity": (
-        lambda: out_eval(1.0, BoundaryModulus.power_law(1.0),
+        lambda: out_eval(BoundaryModulus.power_law(1.0),
                          complex(1.0, np.inf)),
         OUTSIDE),
     "point at infinity plus i": (
-        lambda: out_eval(1.0, BoundaryModulus.power_law(1.0),
+        lambda: out_eval(BoundaryModulus.power_law(1.0),
                          complex(np.inf, 1.0)),
         OUTSIDE),
     "NaN point": (
-        lambda: out_eval(1.0, BoundaryModulus.power_law(1.0),
+        lambda: out_eval(BoundaryModulus.power_law(1.0),
                          np.array([2j, complex(np.nan, 1.0)])),
         OUTSIDE),
-    "phase of a modulus not even": (
-        lambda: boundary_phase_difference(BoundaryModulus(lambda p: 1.0), 1.0),
-        "boundary phase formula requires a symmetric modulus"),
+    "phase at NaN on a rational modulus": (
+        lambda: boundary_phase_difference(
+            f_nu(BoundaryMeasure(atoms=[(1, 1), (2, 1)])).K, np.nan),
+        PHASE_POINTS),
+    "phase at -inf": (
+        lambda: boundary_phase_difference(BoundaryModulus.power_law(1.0),
+                                          -np.inf),
+        PHASE_POINTS),
+    "symbol at NaN on atoms": (
+        lambda: h_nu(BoundaryMeasure(atoms=[(1, 1), (2, 1)]),
+                     np.array([np.nan, 1.0])),
+        PHASE_POINTS),
+    "symbol at -inf on a density": (
+        lambda: h_nu(BoundaryMeasure(atoms=[(1, 1)], density=[
+            DensityPiece(0.5, 2.0, expr="1")]), -np.inf),
+        PHASE_POINTS),
+    "boundary value at inf": (
+        lambda: f_nu_boundary(BoundaryMeasure(atoms=[(1, 1)]), np.inf),
+        PHASE_POINTS),
 }
 
 
