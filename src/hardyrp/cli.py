@@ -125,14 +125,19 @@ def eigencurves(F: RationalPickFunction, xs: np.ndarray) -> np.ndarray:
 
 # -- subcommand bodies --------------------------------------------------------
 
-def _cmd_psi(args) -> int:
+def _points_table(args, header: str, parse, evaluate, fmt_x, fmt_v) -> int:
+    """The CSV of one evaluate(measure, points) call: a row per point of
+    --points, the point by fmt_x and its value by fmt_v."""
     nu = load_measure(args.measure)
-    ps = _parse_floats(args.points)
-    lines = ["p,psi"]
-    for p, v in zip(ps, psi_big(nu, np.array(ps)).tolist()):
-        lines.append(f"{_fmt(p)},{_fmt(v)}")
-    _write(args.out, "\n".join(lines) + "\n")
+    xs = parse(args.points)
+    rows = [f"{fmt_x(x)},{fmt_v(v)}"
+            for x, v in zip(xs, evaluate(nu, np.array(xs)).tolist())]
+    _write(args.out, "\n".join([header, *rows]) + "\n")
     return EXIT_OK
+
+
+def _cmd_psi(args) -> int:
+    return _points_table(args, "p,psi", _parse_floats, psi_big, _fmt, _fmt)
 
 
 def _cmd_degree(args) -> int:
@@ -173,33 +178,18 @@ def _cmd_plot_eigencurves(args) -> int:
 
 
 def _cmd_outer_eval(args) -> int:
-    nu = load_measure(args.measure)
-    zs = _parse_complexes(args.points)
-    lines = ["z_re,z_im,F_re,F_im"]
-    for z, v in zip(zs, f_nu(nu)(np.array(zs)).tolist()):
-        lines.append(f"{_fmt_complex(z)},{_fmt_complex(v)}")
-    _write(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return _points_table(args, "z_re,z_im,F_re,F_im", _parse_complexes,
+                         lambda nu, z: f_nu(nu)(z), _fmt_complex, _fmt_complex)
 
 
 def _cmd_symbol(args) -> int:
-    nu = load_measure(args.measure)
-    xs = _parse_floats(args.points)
-    lines = ["x,h_re,h_im"]
-    for x, v in zip(xs, h_nu(nu, np.array(xs)).tolist()):
-        lines.append(f"{_fmt(x)},{_fmt_complex(v)}")
-    _write(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return _points_table(args, "x,h_re,h_im", _parse_floats, h_nu, _fmt,
+                         _fmt_complex)
 
 
 def _cmd_symbol_from_measure(args) -> int:
-    mu = load_measure(args.measure)
-    ps = _parse_floats(args.points)
-    lines = ["p,h_re,h_im"]
-    for p, v in zip(ps, symbol_from_measure(mu, np.array(ps)).tolist()):
-        lines.append(f"{_fmt(p)},{_fmt_complex(v)}")
-    _write(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return _points_table(args, "p,h_re,h_im", _parse_floats,
+                         symbol_from_measure, _fmt, _fmt_complex)
 
 
 def _anchors_from(args) -> tuple[complex, ...]:

@@ -112,7 +112,7 @@ def _boundary_pairing(fn: Callable, scales) -> NDArray[np.complex128]:
         v = np.asarray(fn(np.concatenate([x, -x])), dtype=complex)
         return ((v[:s.size] + v[s.size:]) * x[:, None]).view(float)
 
-    val = _log_window(integrand, np.log(np.abs(scales)), [])
+    val = _log_window(np.log(np.abs(scales)), [])(integrand)
     return val[0::2] + 1j * val[1::2]
 
 

@@ -85,9 +85,9 @@ class DensityPiece:
 
     kind is "closed-form" (expr: a formula in `lam`, or a Python callable)
     or "table" (samples: rows of (lam, value), linearly interpolated).
-    A piece evaluates a float, or an ndarray of lam in one call where the
-    expr and weight allow it (numpy arithmetic does) and node by node where
-    they do not.
+    A piece evaluates an ndarray of lam (a float is returned for a float)
+    in one call where the expr and weight allow it (numpy arithmetic does)
+    and node by node where they do not.
     """
 
     a: float
@@ -132,18 +132,14 @@ class DensityPiece:
         # the weight is read only where the density is not 0: a reweighted
         # measure is 0 there too, however large the weight (t_map's grows
         # like l^3 where a density has already underflowed to 0)
-        if isinstance(lam, np.ndarray):
-            v = _on_nodes(self._fn, lam)
-            if self.weight is None:
-                return v
+        lam = np.asarray(lam, dtype=float)
+        v = _on_nodes(self._fn, lam)
+        if self.weight is not None:
             out = np.zeros(lam.shape)
             live = v != 0.0
             out[live] = v[live] * _on_nodes(self.weight, lam[live])
-            return out
-        v = float(self._fn(lam))
-        if self.weight is not None and v:
-            v *= self.weight(lam)
-        return v
+            v = out
+        return v if lam.ndim else float(v)
 
     @property
     def log_kinks(self) -> tuple[float, ...]:
@@ -425,20 +421,20 @@ def psi_big(nu: BoundaryMeasure, p):
     Gauss-Kronrod pass in v = log l (integrate_batched) whose components
     are the p of a chunk of at most _PSI_CHUNK keys, from the graded first
     panels of _first_edges; no clamp pulls them into mass min(1, 1/p^2)
-    <= pi psi_big <= mass max(1, 1/p^2).  With density pieces the values
-    are cached on nu, keyed by p^2, and all uncached p of a call are
-    integrated at once, in sorted chunks; a measure without density pieces
-    is not cached.  Raises QuadratureError when a pass spends its panel
+    <= pi psi_big <= mass max(1, 1/p^2).  The values are cached on nu,
+    keyed by p^2, and all uncached p of a call are integrated at once, in
+    sorted chunks.  Raises QuadratureError when a pass spends its panel
     budget and ValueError when p = 0, atom0 / p^2 overflows, or the mass
     diverges.
     """
     p = np.asarray(p, dtype=float)
     if not p.all():
         raise ValueError("psi_big is undefined at p = 0")
-    if nu.density:
-        v = nu.cached("psi", p * p, partial(_psi_values, nu))
-    else:
-        v = _psi_values(nu, (p * p).ravel()).reshape(p.shape)
+    # a p^2 that overflows is the key inf, whose kernel is 0: the p -> inf
+    # limit
+    with np.errstate(over="ignore"):
+        p2 = p * p
+    v = nu.cached("psi", p2, partial(_psi_values, nu))
     return v if p.ndim else float(v)
 
 
@@ -481,14 +477,6 @@ def lebesgue_cauchy_measure() -> BoundaryMeasure:
 
 # -- JSON serialization ------------------------------------------------------
 
-def _parse_bound(v) -> float:
-    if isinstance(v, str):
-        if v.lower() in ("inf", "infinity"):
-            return np.inf
-        return float(v)
-    return float(v)
-
-
 def load_measure(source) -> BoundaryMeasure:
     """Build a measure from a JSON dict, JSON string, or file path."""
     if isinstance(source, dict):
@@ -503,7 +491,7 @@ def load_measure(source) -> BoundaryMeasure:
     try:
         pieces = []
         for d in spec.get("density", []):
-            a, b = (_parse_bound(v) for v in d["interval"])
+            a, b = map(float, d["interval"])
             kind = d.get("kind", "closed-form")
             pieces.append(DensityPiece(
                 a, b, kind,

@@ -1,8 +1,7 @@
 """Shared numeric kernels.
 
 Adaptive Gauss-Kronrod quadrature of vector-valued integrands on a finite
-interval, branch-tracked winding numbers of sampled closed curves, and
-Hermitian eigendecomposition for small dense matrices.
+interval and branch-tracked winding numbers of sampled closed curves.
 """
 from __future__ import annotations
 

@@ -62,7 +62,6 @@ from .numerics import (
 __all__ = [
     "RationalPickFunction",
     "BlaschkePotapovProduct",
-    "MobiusTransform",
     "pick_eval",
     "is_regular",
     "degree_rank",
@@ -162,6 +161,19 @@ class RationalPickFunction:
                poles: Sequence[tuple[float, float]] = ()) -> "RationalPickFunction":
         return cls(np.array([[c]], dtype=complex), np.array([[d]], dtype=complex),
                    tuple((l, np.array([[a]], dtype=complex)) for l, a in poles))
+
+    @classmethod
+    def mobius(cls, a: float, b: float, c: float,
+               d: float) -> "RationalPickFunction":
+        """z -> (a z + b)/(c z + d), a, b, c, d real with ad - bc = 1 on the
+        scale |ad| + |bc|."""
+        ad, bc = a * d, b * c
+        if abs(ad - bc - 1.0) > 1e-12 * (abs(ad) + abs(bc)):
+            raise ValueError("coefficients must satisfy ad - bc = 1")
+        # a/c + (1/c^2)/(-d/c - z) for c != 0, else b/d + a^2 z
+        if c == 0.0:
+            return cls.scalar(b / d, a ** 2)
+        return cls.scalar(a / c, 0.0, [(-d / c, 1.0 / c ** 2)])
 
 
 def pick_eval(F: RationalPickFunction, z) -> NDArray[np.complex128]:
@@ -485,9 +497,9 @@ def _winding_on_circle(
             continue
         prev = v
         r = 1.0 + (r - 1.0) / 2.0
+    cause = "" if last_error is None else f": {last_error}"
     raise RuntimeError(
-        f"winding count failed to stabilize down to r = {r:.6f}: {last_error}"
-    )
+        f"winding count failed to stabilize down to r = {r:.6f}{cause}")
 
 
 def _winding_at_radius(fn, r: float) -> int:
@@ -664,35 +676,7 @@ def bp_degree(phi: BlaschkePotapovProduct) -> int:
     return sum(int(_psd_eig(P)[2].sum()) for _, P in phi.factors)
 
 
-# -- Moebius transforms and composition ---------------------------------------
-
-@dataclass(frozen=True)
-class MobiusTransform:
-    """z -> (a z + b)/(c z + d), real, ad - bc = 1 on the scale |ad| + |bc|."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        ad, bc = self.a * self.d, self.b * self.c
-        if abs(ad - bc - 1.0) > 1e-12 * (abs(ad) + abs(bc)):
-            raise ValueError("coefficients must satisfy ad - bc = 1")
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = (self.a * z + self.b) / (self.c * z + self.d)
-        return out if out.shape else complex(out)
-
-    def as_pick(self) -> RationalPickFunction:
-        # (az+b)/(cz+d) = a/c + (1/c^2)/(-d/c - z) for c != 0, else b/d + a^2 z
-        if self.c == 0.0:
-            return RationalPickFunction.scalar(self.b / self.d, self.a ** 2)
-        return RationalPickFunction.scalar(
-            self.a / self.c, 0.0, [(-self.d / self.c, 1.0 / self.c ** 2)]
-        )
-
+# -- composition --------------------------------------------------------------
 
 def _sum(C: NDArray[np.complex128], terms) -> RationalPickFunction:
     """C + sum_k c_k h_k, coinciding poles merged.

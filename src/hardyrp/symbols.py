@@ -16,6 +16,7 @@ in closed form, and only measures with a density integrate log K.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -183,27 +184,43 @@ _LOG_STEP = _LOG_GRID / 4
 # beyond |t| = 350 every kernel is below e^{-350}; clipping t there keeps
 # e^{2t} finite and the kernels' values unchanged far below any tolerance
 _T_CLIP = 350.0
+# e^s is a positive finite double for _LOG_MIN <= s <= _LOG_MAX
+_LOG_MIN, _LOG_MAX = math.log(math.ulp(0.0)), math.log(sys.float_info.max)
 
 
-def _log_window(integrand, u: NDArray[np.float64],
-                breakpoints) -> NDArray[np.float64]:
-    """integrand over [min u - _LOG_TAIL, max u + _LOG_TAIL], widened to
-    multiples of _LOG_GRID, in one pass under _LOG_QUADRATURE.
+def _log_window(u: NDArray[np.float64], breakpoints) -> Callable:
+    """The pass over [min u - _LOG_TAIL, max u + _LOG_TAIL], widened to
+    multiples of _LOG_GRID: a function that integrates an integrand over
+    it in one integrate_batched pass under _LOG_QUADRATURE.
 
     The first panel edges are the multiples of _LOG_GRID, the multiples of
     _LOG_STEP within _LOG_GRID of some u (each u rounded onto that
     lattice; the lattice points of all u, without repeats), and the
     breakpoints.  So the first panels near the points are narrow enough
     for their kernels, and all edges lie on one lattice, which the passes
-    for different points share."""
+    for different points share.
+
+    Raises RuntimeError, a numerical failure, when e^s is 0 or infinite at
+    an end of the window: a point e^u so close to 0 or to infinity leaves
+    no window of doubles around it.  The callers build the window before
+    they evaluate anything at the points.
+    """
     lo = _LOG_GRID * math.floor((u.min() - _LOG_TAIL) / _LOG_GRID)
     hi = _LOG_GRID * math.ceil((u.max() + _LOG_TAIL) / _LOG_GRID)
+    if lo < _LOG_MIN or hi > _LOG_MAX:
+        far = u.min() if lo < _LOG_MIN else u.max()
+        raise RuntimeError(
+            f"a point of modulus {math.exp(far):.3g} is too close to 0 or to "
+            f"infinity: its log window [{lo:g}, {hi:g}] leaves the doubles")
     # the 9 lattice points within _LOG_GRID = 4 _LOG_STEP of each u
     near = np.unique(np.round(u / _LOG_STEP)[:, None] + np.arange(-4, 5))
-    grid = np.arange(lo, hi, _LOG_GRID)
-    return integrate_batched(integrand, lo, hi, _LOG_QUADRATURE,
-                             [*grid.tolist(), *(near * _LOG_STEP).tolist(),
-                              *breakpoints])
+    edges = [*np.arange(lo, hi, _LOG_GRID).tolist(),
+             *(near * _LOG_STEP).tolist(), *breakpoints]
+
+    def integrate(integrand) -> NDArray[np.float64]:
+        return integrate_batched(integrand, lo, hi, _LOG_QUADRATURE, edges)
+
+    return integrate
 
 
 def log_integral(K: BoundaryModulus) -> float:
@@ -217,7 +234,7 @@ def log_integral(K: BoundaryModulus) -> float:
     def integrand(s):
         return (np.abs(K.log(np.exp(s))) / np.cosh(s))[:, None]
 
-    return float(_log_window(integrand, np.zeros(1), [0.0])[0])
+    return float(_log_window(np.zeros(1), [0.0])(integrand)[0])
 
 
 def out_eval(K: BoundaryModulus, z):
@@ -260,14 +277,15 @@ def out_eval(K: BoundaryModulus, z):
         out = _rational_outer(K, -1j * flat)
         return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
     u = np.log(r)
+    off_axis = flat.real != 0.0
+    near = (flat.imag < 0.1) & off_axis
+    window = _log_window(u, [*u[off_axis].tolist(),
+                             *np.log(np.abs(flat.real[near])).tolist()])
     zeta = flat / r
     # e^{2t} - zeta^2 = expm1(2t) - 2i sigma zeta with sigma = Im z / |z|,
     # which does not cancel at the kernel's peak near the boundary
     pole = 2j * (flat.imag / r) * zeta
     even_k = -2j * zeta / np.pi     # 2 zeta / (pi i)
-    off_axis = flat.real != 0.0
-    near = (flat.imag < 0.1) & off_axis
-    breaks = [*u[off_axis].tolist(), *np.log(np.abs(flat.real[near])).tolist()]
     c = K.log(r)
 
     def integrand(s):
@@ -275,7 +293,7 @@ def out_eval(K: BoundaryModulus, z):
         k = even_k * np.exp(t) / (np.expm1(2.0 * t) - pole)
         return (k * (K.log(np.exp(s))[:, None] - c)).view(float)
 
-    val = _log_window(integrand, u, breaks)
+    val = window(integrand)
     out = np.exp(c + val[0::2] + 1j * val[1::2])
     return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
@@ -316,12 +334,20 @@ def boundary_phase_difference(K: BoundaryModulus, x):
         # 64 separate terms near pi/2 left the sum 2.4e-14 off at x = 1e4
         _, s, l, m = _paired(K)
         xs = x[..., None]
-        terms = (np.arctan2(xs * (s[:m] - l[:m]), l[:m] * s[:m] + xs * xs),
+        # both arguments of a pair's arctan2 times c^2, c = 1 for |x| <=
+        # 2^500 and else the power of two that brings x below it: exact, so
+        # the angle is unchanged where x^2 and x (s - l) are finite, and
+        # neither overflows where they are not
+        c = np.ldexp(1.0, -np.maximum(np.frexp(xs)[1] - 500, 0))
+        xc = xs * c
+        terms = (np.arctan2(xc * ((s[:m] - l[:m]) * c),
+                            (l[:m] * c) * (s[:m] * c) + xc * xc),
                  np.arctan2(xs, l[m:]), -np.arctan2(xs, s[m:]))
         delta = 2.0 * sum(t.sum(axis=-1) for t in terms)
         return delta if delta.ndim else float(delta)
     ax = np.abs(x).ravel()
     u = np.log(ax)
+    window = _log_window(u, [])
     log_kx = K.log(ax)
 
     def integrand(s):
@@ -332,7 +358,7 @@ def boundary_phase_difference(K: BoundaryModulus, x):
         out = np.divide(num, np.sinh(d), out=np.zeros_like(num), where=d != 0)
         return out * (-2.0 / np.pi)
 
-    val = _log_window(integrand, u, [])
+    val = window(integrand)
     delta = np.where(x.ravel() > 0, val, -val).reshape(x.shape)
     return delta if delta.ndim else float(delta)
 

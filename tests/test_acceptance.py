@@ -31,7 +31,6 @@ from hardyrp.measures import (
 )
 from hardyrp.pick import (
     BlaschkePotapovProduct,
-    MobiusTransform,
     RationalPickFunction,
     bp_eval,
     compose_scalar,
@@ -217,11 +216,11 @@ def test_05_composition_law():
         assert isinstance(comp, RationalPickFunction)
         assert multiplicity_winding(comp) == a * b * c, (seed, a, b, c)
 
-    m = MobiusTransform(1.0, 1.0, 0.0, 1.0)         # z -> z + 1
-    minv = MobiusTransform(1.0, -1.0, 0.0, 1.0)     # z -> z - 1
+    m = RationalPickFunction.mobius(1.0, 1.0, 0.0, 1.0)         # z -> z + 1
+    minv = RationalPickFunction.mobius(1.0, -1.0, 0.0, 1.0)     # z -> z - 1
     for F in (worked_example(), matrix_pick_of_degree(
             np.random.default_rng(77), 2)):
-        conj = compose_scalar(minv.as_pick(), F, m.as_pick())
+        conj = compose_scalar(minv, F, m)
         assert degree_rank(conj) == degree_rank(F)
         assert multiplicity_winding(conj) == degree_rank(F)
     report(5, "winding degree multiplies under composition", True)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -845,6 +846,61 @@ class TestInputErrors:
         assert run(["psi", "--measure", str(path), "--points", "1"]) == 2
         captured = capsys.readouterr()
         assert says in captured.err and not captured.out
+
+
+def run_recording_warnings(argv):
+    """run(argv) and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    return code, [str(w.message) for w in caught]
+
+
+# points whose log window [log|x| - 40, log|x| + 40] leaves the doubles
+OUTSIDE_THE_DOUBLES = [("outer-eval", "1e-310j"), ("symbol", "1e-310"),
+                       ("outer-eval", "1e300j"), ("symbol", "1e300")]
+
+
+class TestExtremePoints:
+    @pytest.mark.parametrize("command, points", OUTSIDE_THE_DOUBLES)
+    def test_window_outside_the_doubles_exits_three(self, command, points,
+                                                    sample_path, capsys):
+        # these once warned from numpy and then exited 2, saying psi_big is
+        # undefined at p = 0 or the boundary modulus vanishes
+        code, caught = run_recording_warnings(
+            [command, "--measure", sample_path, "--points", points])
+        assert code == 3 and not caught
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith(
+            "numerical failure: a point of modulus ")
+        assert "leaves the doubles" in captured.err
+        assert "RuntimeWarning" not in captured.err
+
+    @pytest.mark.parametrize("command, points", OUTSIDE_THE_DOUBLES)
+    def test_closed_forms_take_any_point(self, command, points, two_atom_path,
+                                         capsys):
+        code, caught = run_recording_warnings(
+            [command, "--measure", two_atom_path, "--points", points])
+        assert code == 0 and not caught
+        assert not capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, measure, out", [
+        (["psi", "--points", "1e200"], "sample_path",
+         "p,psi\n9.9999999999999997e+199,0\n"),
+        (["psi", "--points", "1e200"], "two_atom_path",
+         "p,psi\n9.9999999999999997e+199,0\n"),
+        (["symbol", "--points", "1e300"], "two_atom_path",
+         "x,h_re,h_im\n1.0000000000000001e+300,-1,1.2246467991473532e-16\n"),
+    ], ids=["psi-sample", "psi-atoms", "symbol-atoms"])
+    def test_huge_points_do_not_overflow(self, args, measure, out, request,
+                                         capsys):
+        # p * p in psi_big and x * x in the rational phase once warned of
+        # an overflow before printing these values
+        code, caught = run_recording_warnings(
+            [*args, "--measure", request.getfixturevalue(measure)])
+        assert code == 0 and not caught
+        assert capsys.readouterr() == (out, "")
 
 
 def per_point_polylines(curves, width=640, height=480):

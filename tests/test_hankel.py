@@ -655,6 +655,13 @@ SYMBOL_POINTS = "the symbol requires finite nonzero p"
 INPUT_CHECKS = {
     "anchor count": (lambda: HankelGram((1j, 2j), np.eye(3), np.eye(3)),
                      "Gram matrices must match the anchor count"),
+    "mass matrix not Hermitian": (
+        lambda: HankelGram((1j, 2j), np.eye(2), [[1, 1], [0, 1]]),
+        "mass matrix is not Hermitian"),
+    "clustered anchors": (
+        lambda: pencil_eigenvalues(gram_from_measure(
+            BoundaryMeasure(atoms=[(1.0, 1.0)]), (1j, 1j + 1e-7))),
+        "mass matrix is near-singular; re-select anchors"),
     "gram endpoint atom": (lambda: gram_from_measure(ENDPOINT_ATOM, [1j, 2j]),
                            "the form measure must be supported on (0, inf)"),
     "symbol endpoint atom": (lambda: symbol_from_measure(ENDPOINT_ATOM, 1.0),

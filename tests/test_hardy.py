@@ -63,6 +63,15 @@ class TestSzego:
         assert KernelCombination([])(z).tolist() == np.zeros(z.shape).tolist()
         assert inner(KernelCombination([]), g) == 0
 
+    def test_combination_sum_and_scaling(self):
+        f = KernelCombination([(0.7 + 0.1j, 2j), (-1.3, 0.5 + 0.2j)])
+        g = KernelCombination([(1.0 - 0.5j, 1j)])
+        z = np.array([1j, -3.0 + 0.1j, 7.0])
+        assert (f + g).terms == f.terms + g.terms
+        assert np.abs((f + g)(z) - (f(z) + g(z))).max() <= 1e-15
+        assert f.scaled(2j).terms == ((-0.2 + 1.4j, 2j), (-2.6j, 0.5 + 0.2j))
+        assert np.abs(f.scaled(2j)(z) - 2j * f(z)).max() <= 1e-15
+
     @given(a=upper, b=upper)
     @settings(max_examples=50, deadline=None)
     def test_inner_product_symmetry(self, a, b):
@@ -90,6 +99,12 @@ class TestSymbolsAndOperators:
     def test_negated_flips_values(self):
         h = SymbolFunction.i_sgn().negated()
         assert h(np.array([2.0]))[0] == -1j
+
+    def test_constant(self):
+        h = SymbolFunction.constant(0.6 - 0.8j)
+        assert h(np.array([-2.0, 0.0, 3.0])).tolist() == [0.6 - 0.8j] * 3
+        assert h.name == "const((0.6-0.8j))"
+        assert h.unimodular_defect(np.array([1.0, 2.0])) < 1e-15
 
 
 class TestCayley:

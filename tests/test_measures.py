@@ -663,6 +663,10 @@ INPUT_CHECKS = {
     "phi_mu with atom at infinity": (
         lambda: phi_mu(BoundaryMeasure(atom_inf=1.0), 1.0),
         "phi_mu requires no atom at infinity"),
+    "atom with an infinite integrand": (
+        lambda: BoundaryMeasure(atoms=[(1.0, 1.0)]).integrate(
+            lambda lam: np.full((lam.size, 1), np.inf), QuadratureConfig()),
+        "integral against the measure is not finite"),
     "dump of a reweighted piece": (
         lambda: dump_measure(BoundaryMeasure(
             density=[DensityPiece(0.5, 2.0, expr="1")]).scaled(2.0)),

@@ -11,7 +11,6 @@ import hardyrp.pick
 from hardyrp.numerics import DegenerateCurveError, UnderSampledCurveError
 from hardyrp.pick import (
     BlaschkePotapovProduct,
-    MobiusTransform,
     RationalPickFunction,
     blaschke_factor,
     boundary_unitary,
@@ -664,28 +663,30 @@ class TestBlaschkePotapov:
 class TestComposition:
     def test_mobius_normalization(self):
         with pytest.raises(ValueError):
-            MobiusTransform(2.0, 0.0, 0.0, 1.0)
+            RationalPickFunction.mobius(2.0, 0.0, 0.0, 1.0)
         # at |ad| + |bc| = 2e12 a relative error of 1e-10 in d is 100
         with pytest.raises(ValueError):
-            MobiusTransform(1e6, 1e6, 1e6, (1.0 + 1e12) / 1e6 * (1.0 + 1e-10))
+            RationalPickFunction.mobius(1e6, 1e6, 1e6,
+                                        (1.0 + 1e12) / 1e6 * (1.0 + 1e-10))
 
     def test_mobius_normalization_judged_on_its_scale(self):
         # ad - bc = 1 rounds on the scale |ad| + |bc|, up to 1e12 here
         rng = np.random.default_rng(0)
         for _ in range(1000):
             a, b, c = rng.choice([-1.0, 1.0], 3) * 10 ** rng.uniform(-6, 6, 3)
-            m = MobiusTransform(a, b, c, (1.0 + b * c) / a)
-            assert degree_rank(m.as_pick()) == 1
+            m = RationalPickFunction.mobius(a, b, c, (1.0 + b * c) / a)
+            assert degree_rank(m) == 1
 
     def test_mobius_as_pick_agrees(self):
-        m = MobiusTransform(0.0, 1.0, -1.0, 0.0)   # z -> -1/z
-        F = m.as_pick()
+        a, b, c, d = 0.0, 1.0, -1.0, 0.0
+        F = RationalPickFunction.mobius(a, b, c, d)   # z -> -1/z
         for z in (1j, 2 + 1j):
-            assert abs(pick_eval(F, z)[0, 0] - m(z)) < 1e-14
+            want = (a * z + b) / (c * z + d)
+            assert abs(pick_eval(F, z)[0, 0] - want) < 1e-14
         assert degree_rank(F) == 1
 
     def test_degree_multiplicative(self):
-        f = MobiusTransform(0.0, 1.0, -1.0, 0.0).as_pick()      # degree 1
+        f = RationalPickFunction.mobius(0.0, 1.0, -1.0, 0.0)     # degree 1
         F = worked_example()                                     # degree 1
         g = RationalPickFunction.scalar(0.0, 1.0, [(1.0, 1.0)])  # degree 2
         comp = compose_scalar(f, F, g)
@@ -694,15 +695,15 @@ class TestComposition:
         assert multiplicity_winding(comp) == 2
 
     def test_mobius_conjugation_preserves_degree(self):
-        m = MobiusTransform(1.0, 1.0, 0.0, 1.0)                  # z -> z + 1
+        m = RationalPickFunction.mobius(1.0, 1.0, 0.0, 1.0)      # z -> z + 1
         F = worked_example()
-        comp = compose_scalar(m.as_pick(), F, m.as_pick())
+        comp = compose_scalar(m, F, m)
         assert degree_rank(comp) == degree_rank(F)
         assert multiplicity_winding(comp) == degree_rank(F)
 
     def test_identity_composition_returns_F(self):
         F = degree3_pick()
-        e = MobiusTransform(1.0, 0.0, 0.0, 1.0).as_pick()
+        e = RationalPickFunction.mobius(1.0, 0.0, 0.0, 1.0)
         comp = compose_scalar(e, F, e)
         assert np.abs(comp.C - F.C).max() < 1e-14
         assert np.abs(comp.D - F.D).max() < 1e-14
@@ -960,9 +961,9 @@ def degree3_pick() -> RationalPickFunction:
 
 def conjugated_example():
     # f o F o g with f, g the Moebius shifts z -> z - 1 and z -> z + 1
-    m = MobiusTransform(1.0, 1.0, 0.0, 1.0)
-    minv = MobiusTransform(1.0, -1.0, 0.0, 1.0)
-    return compose_scalar(minv.as_pick(), worked_example(), m.as_pick())
+    m = RationalPickFunction.mobius(1.0, 1.0, 0.0, 1.0)
+    minv = RationalPickFunction.mobius(1.0, -1.0, 0.0, 1.0)
+    return compose_scalar(minv, worked_example(), m)
 
 
 class TestArrayProtocol:
@@ -1001,7 +1002,7 @@ class TestArrayProtocol:
 
     def test_identity_mobius_composition_is_pick_eval(self):
         F = degree3_pick()
-        e = MobiusTransform(1.0, 0.0, 0.0, 1.0).as_pick()
+        e = RationalPickFunction.mobius(1.0, 0.0, 0.0, 1.0)
         comp = compose_scalar(e, F, e)
         assert np.abs(comp(self.zs) - pick_eval(F, self.zs)).max() < 1e-10
 
@@ -1033,6 +1034,41 @@ class TestCallableBranch:
         assert degree_winding(counted) == 1
         assert len(calls) < 100
         assert max(calls) > 1
+
+    def test_failed_confirmation_restarts_the_shrink(self):
+        # w^2 counts 2 at r = 1.25, 1.125 and 1.0625, the confirmation at
+        # r = 1.0039 counts 3, and the shrink from there settles on 3
+        radii = []
+
+        def curve(w):
+            radii.append(abs(w[0]))
+            return w ** (2 if abs(w[0]) > 1.01 else 3)
+
+        assert hardyrp.pick._winding_on_circle(curve) == 3
+        assert radii[:4] == [1.25, 1.125, 1.0625, 1.00390625]
+
+    def test_failed_radius_breaks_the_streak(self):
+        radii = []
+
+        def curve(w):
+            radii.append(abs(w[0]))
+            if abs(w[0]) == 1.125:
+                raise ZeroDivisionError("a pole on the circle")
+            return w ** 2
+
+        assert hardyrp.pick._winding_on_circle(curve) == 2
+        assert radii == [1.25, 1.125, 1.0625, 1.03125, 1.015625,
+                         1.0009765625]
+
+    def test_give_up_names_no_error_when_none_was_raised(self):
+        # the count cycles through 5, 4, 2, 3 as r halves toward 1
+        def curve(w):
+            return w ** int(1 + 1 / (abs(w[0]) - 1) % 5)
+
+        with pytest.raises(RuntimeError) as info:
+            hardyrp.pick._winding_on_circle(curve)
+        assert str(info.value) == ("winding count failed to stabilize down "
+                                   "to r = 1.000002")
 
 
 class TestBoundaryUnitary:

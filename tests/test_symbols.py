@@ -565,6 +565,20 @@ class TestRationalAtoms:
             bare = dataclasses.replace(K, rational=None)
             assert np.abs(got / out_eval(bare, z) - 1.0).max() <= 1e-12
 
+    def test_phase_at_huge_points(self):
+        # with atom_inf > 0 every zero pairs with a pole, and the phase is
+        # 2 sum atan(x (s - l) / (l s + x^2)) -> 2 (sum s - sum l) / x;
+        # x * x overflowed above 1.3e154 (phase 0) and x (s - l) at 1e303
+        # (phase pi / 2)
+        K = f_nu(BoundaryMeasure(atom_inf=1e-6,
+                                 atoms=[(1.0, 1.0), (1000.0, 1.0)])).K
+        _, zeros, poles = K.rational
+        assert len(zeros) == len(poles) and max(zeros) > 1e6
+        x = np.array([1e200, 1e290, 1e303, -1e303])
+        want = 2.0 * (sum(zeros) - sum(poles)) / x
+        got = boundary_phase_difference(K, x)
+        assert np.abs(got / want - 1.0).max() <= 1e-12
+
     def test_product_with_a_modulus_without_form_has_none(self):
         K = f_nu(BoundaryMeasure(atoms=[(1.0, 1.0)])).K
         P = BoundaryModulus.power_law(0.5)
@@ -710,6 +724,9 @@ INPUT_CHECKS = {
     "boundary value at inf": (
         lambda: f_nu_boundary(BoundaryMeasure(atoms=[(1, 1)]), np.inf),
         PHASE_POINTS),
+    "modulus that vanishes": (
+        lambda: BoundaryModulus(lambda p: 0 * p).log(1.0),
+        "boundary modulus vanishes at a given point"),
 }
 
 
