@@ -28,7 +28,6 @@ from .hankel import (
 from .hardy import KernelCombination
 from .kernels import approx_identity, halfmass
 from .measures import BoundaryMeasure, load_measure, psi_big
-from .numerics import QuadratureError, UnderSampledCurveError
 from .pick import (
     RationalPickFunction,
     compose_scalar,
@@ -317,14 +316,13 @@ def run(argv: Sequence[str]) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (FileNotFoundError, json.JSONDecodeError, KeyError,
-            ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (QuadratureError, UnderSampledCurveError, RuntimeError,
-            np.linalg.LinAlgError, OverflowError) as exc:
+    # LinAlgError is a ValueError, so the numerical failures come first
+    except (RuntimeError, np.linalg.LinAlgError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (FileNotFoundError, KeyError, ValueError, ZeroDivisionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def main() -> None:

@@ -22,10 +22,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-# the benchmark's tracer wraps every module's quad binding, this one included
-from scipy.integrate import quad  # noqa: F401
 
 from .numerics import QuadratureConfig, QuadratureError, integrate_batched
+
+# the name perfbench/tracing.py rebinds; ROADMAP item 13 deletes it
+quad = None
 
 __all__ = [
     "KernelParams",

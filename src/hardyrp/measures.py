@@ -22,10 +22,11 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-# the benchmark's tracer wraps every module's quad binding, this one included
-from scipy.integrate import quad  # noqa: F401
 
 from .numerics import QuadratureConfig, integrate_batched
+
+# the name perfbench/tracing.py rebinds; ROADMAP item 13 deletes it
+quad = None
 
 __all__ = [
     "DensityPiece",

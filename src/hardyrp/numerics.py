@@ -10,8 +10,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-# the benchmark's tracer wraps every module's quad binding, this one included
-from scipy.integrate import quad  # noqa: F401
+
+# the name perfbench/tracing.py rebinds; ROADMAP item 13 deletes it
+quad = None
 
 __all__ = [
     "QuadratureConfig",

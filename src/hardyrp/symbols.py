@@ -22,12 +22,13 @@ from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
-# the benchmark's tracer wraps every module's quad binding, this one included
-from scipy.integrate import quad  # noqa: F401
 
 from .hardy import SymbolFunction
 from .measures import BoundaryMeasure, _on_nodes, psi_big
 from .numerics import QuadratureConfig, integrate_batched
+
+# the name perfbench/tracing.py rebinds; ROADMAP item 13 deletes it
+quad = None
 
 __all__ = [
     "BoundaryModulus",
@@ -443,6 +444,9 @@ def _sqrt_psi_modulus(nu: BoundaryMeasure) -> BoundaryModulus:
     lead = atom_inf if positive, else sum c_i, and the -r_k are the roots
     of the numerator in p^2 (_secular_roots).  So K has a = sqrt(lead/pi),
     zeros s_k = sqrt(r_k) and poles l_i.  Atoms of weight 0 are no poles.
+
+    K raises RuntimeError, a numerical failure, at a p where psi_big is 0:
+    there p^2 overflows, and the true value mass / (pi p^2) underflows.
     """
     if nu.is_zero:
         raise ValueError("the zero measure has no outer function")
@@ -458,7 +462,15 @@ def _sqrt_psi_modulus(nu: BoundaryMeasure) -> BoundaryModulus:
         lead = nu.atom_inf if nu.atom_inf > 0 else c.sum()
         rational = (math.sqrt(lead / np.pi), tuple(np.sqrt(r).tolist()),
                     tuple(poles.tolist()))
-    return BoundaryModulus(lambda p: np.sqrt(psi_big(nu, p)), rational)
+
+    def modulus(p):
+        v = psi_big(nu, p)
+        if not np.all(v):
+            at = np.asarray(p)[np.asarray(v) == 0.0][0]
+            raise RuntimeError(f"psi_big underflows to 0 at p = {at:.3g}")
+        return np.sqrt(v)
+
+    return BoundaryModulus(modulus, rational)
 
 
 def _phase(nu: BoundaryMeasure, x) -> NDArray[np.float64]:

@@ -2,8 +2,11 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +69,14 @@ def two_atom_path(tmp_path):
     # the atom-only measure of the console-script step in CI
     path = tmp_path / "two_atoms.json"
     path.write_text(json.dumps({"atoms": [[1.0, 1.0], [2.0, 1.0]]}))
+    return str(path)
+
+
+@pytest.fixture
+def atom_inf_path(tmp_path):
+    path = tmp_path / "atom_inf.json"
+    path.write_text(json.dumps({"atomInf": 0.5, "atoms": [[1, 1]], "density": [
+        {"interval": [0.5, 2], "expr": "1"}]}))
     return str(path)
 
 
@@ -502,6 +513,18 @@ class TestHankelCommands:
         assert run(["rp-certify", "--measure", lebesgue_path,
                     "--times", "0.5,1,2"]) == 0
 
+    def test_linalg_error_is_numerical_failure(self, atom_path, monkeypatch,
+                                               capsys):
+        # LinAlgError is a ValueError, and it once exited 2 as an input error
+        def fails(*args):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(hardyrp.cli, "rp_certify", fails)
+        assert run(["rp-certify", "--measure", atom_path]) == 3
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("numerical failure: Eigenvalues")
+
     def test_rp_certify_cauchy_default_times_name_phi0(self, cauchy_path, capsys):
         # the default times include 0, and the density's t = 0 integrand
         # never decays: the message named the cut, not phi(0)
@@ -885,6 +908,20 @@ class TestExtremePoints:
         assert code == 0 and not caught
         assert not capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, points", [("outer-eval", "1e140j"),
+                                                 ("symbol", "1e140")])
+    def test_psi_big_underflow_exits_three(self, command, points, sample_path,
+                                           capsys):
+        # the window reaches p = 1.49e154, where p^2 overflows and psi_big is
+        # 0; these once exited 2, saying the boundary modulus vanishes
+        code, caught = run_recording_warnings(
+            [command, "--measure", sample_path, "--points", points])
+        assert code == 3 and not caught
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith(
+            "numerical failure: psi_big underflows to 0 at p = 1.49e+154")
+
     @pytest.mark.parametrize("args, measure, out", [
         (["psi", "--points", "1e200"], "sample_path",
          "p,psi\n9.9999999999999997e+199,0\n"),
@@ -892,11 +929,20 @@ class TestExtremePoints:
          "p,psi\n9.9999999999999997e+199,0\n"),
         (["symbol", "--points", "1e300"], "two_atom_path",
          "x,h_re,h_im\n1.0000000000000001e+300,-1,1.2246467991473532e-16\n"),
-    ], ids=["psi-sample", "psi-atoms", "symbol-atoms"])
+        (["outer-eval", "--points", "1e130j"], "sample_path",
+         "z_re,z_im,F_re,F_im\n0,1.0000000000000001e+130,"
+         "1.3962979814050006e-130,0\n"),
+        (["outer-eval", "--points", "1e200j"], "atom_inf_path",
+         "z_re,z_im,F_re,F_im\n0,9.9999999999999997e+199,"
+         "0.3989422804014327,0\n"),
+    ], ids=["psi-sample", "psi-atoms", "symbol-atoms", "outer-sample",
+            "outer-atom-inf"])
     def test_huge_points_do_not_overflow(self, args, measure, out, request,
                                          capsys):
         # p * p in psi_big and x * x in the rational phase once warned of
-        # an overflow before printing these values
+        # an overflow before printing these values; the window of 1e130j
+        # stays below the p where psi_big underflows, and an atom at
+        # infinity keeps psi_big >= atom_inf / pi at every p
         code, caught = run_recording_warnings(
             [*args, "--measure", request.getfixturevalue(measure)])
         assert code == 0 and not caught
@@ -957,3 +1003,41 @@ class TestSvgWriter:
         xs = np.linspace(0.0, 1.0, 10)
         svg = polyline_svg([(xs, xs), (xs, xs * xs)])
         assert "crimson" in svg and "steelblue" in svg
+
+
+# runs each argv list of sys.argv[1] in this interpreter, then prints the
+# exit codes and the scipy modules it loaded
+EVERY_SUBCOMMAND = """
+import contextlib, io, json, sys
+from hardyrp.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [run(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules
+                                if m == "scipy" or m.startswith("scipy."))]))
+"""
+
+
+def test_no_subcommand_imports_scipy(sample_path, pick_path, tmp_path):
+    # numpy is hardyrp's one run-time dependency
+    m, pick = ["--measure", sample_path], ["--pick", pick_path]
+    argvs = [["psi", *m, "--points", "0.5,1,3"],
+             ["outer-eval", *m, "--points", "2j,1+1j"],
+             ["symbol", *m, "--points=-2,0.5,3"],
+             ["symbol-from-measure", *m, "--points", "0.5,1,3"],
+             ["hankel-gram", *m], ["certify-psd", *m], ["rp-certify", *m],
+             ["os-check", *m], ["compactness", *m], ["fixed-point", *m],
+             ["kernel-demo"], ["degree", *pick],
+             ["compose", "--f", TestCompose.shift(tmp_path, -1.0), "--F",
+              pick_path, "--g", TestCompose.shift(tmp_path, 1.0)],
+             ["plot-eigencurves", *pick]]
+    usage = hardyrp.cli.build_parser().format_usage()
+    assert {a[0] for a in argvs} == set(
+        usage.split("{")[1].split("}")[0].split(","))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", EVERY_SUBCOMMAND, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=300, check=True)
+    codes, scipy = json.loads(done.stdout)
+    assert codes == [0] * len(argvs), done.stderr
+    assert scipy == []

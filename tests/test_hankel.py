@@ -243,14 +243,6 @@ class TestGramAgainstMpmath:
         assert_gram_matches(G, anchors, segments=[
             (l0, l1, d0, d1) for (l0, d0), (l1, d1) in zip(rows[:-1], rows[1:])])
 
-    def test_density_gram_makes_no_scalar_quad(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(hardyrp.measures, "quad",
-                            lambda *a, **k: calls.append(a) or (0.0, 0.0))
-        for mu in (table_measure(), lebesgue_cauchy_measure()):
-            gram_from_measure(mu, default_anchors(10))
-        assert calls == []
-
     def test_divergent_form_raises(self):
         # l dl on (1, inf) is not a Carleson measure: |Q|^2 l does not decay
         mu = BoundaryMeasure(density=[DensityPiece(1.0, np.inf, expr="lam")])
@@ -418,14 +410,6 @@ class TestReflectionPositivity:
         ok, _ = rp_certify(table_measure(), (0.0, 0.5, 1.0, 2.0, 4.0))
         assert ok
         assert calls == [12]        # the distinct sums t_j + t_k
-
-    def test_phi_of_density_makes_no_scalar_quad(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(hardyrp.measures, "quad",
-                            lambda *a, **k: calls.append(a) or (0.0, 0.0))
-        phi_from_psi(table_measure(), np.array([0.0, 1.0, 8.0]))
-        phi_from_psi(lebesgue_cauchy_measure(), 0.5)
-        assert calls == []
 
     def test_phi_array_equals_its_floats(self):
         nu = table_measure()

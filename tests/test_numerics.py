@@ -192,8 +192,8 @@ QUAD_CALL_BUDGET = {}
 def quad_call_sites(path: Path) -> int:
     """Calls of a name or attribute `quad` in a source file.
 
-    The bare `from scipy.integrate import quad` bindings the benchmark's
-    tracer rebinds are imports, not calls, and are not counted.
+    The inert `quad = None` bindings the benchmark's tracer rebinds are
+    assignments, not calls, and are not counted.
     """
     tree = ast.parse(path.read_text())
     return sum(1 for node in ast.walk(tree)

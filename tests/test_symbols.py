@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardyrp import hankel, measures, symbols
+from hardyrp import hankel, symbols
 from hardyrp.hankel import default_anchors, os_isometry_check
 from hardyrp.hardy import KernelCombination
 from hardyrp.measures import (
@@ -384,26 +384,13 @@ class TestDensityModulus:
         {"density": [DensityPiece(1e-12, np.inf, expr="2.6/(1.69+lam**2)")]},
         {"atoms": [(1.7, 0.6)], "density": [DensityPiece(0.4, 2.9, expr="1.1")]},
     ])
-    def test_modulus_is_sqrt_of_array_psi_big(self, density, monkeypatch):
-        # K on a density is sqrt(psi_big) of the array route: f_nu builds
-        # nothing, and an array of nodes is one batched psi_big call with no
-        # scalar quad; its values equal a fresh measure's array values and
-        # agree with its one-point calls
-        quads = []
-        real = measures.quad
-
-        def counted(*args, **kwargs):
-            quads.append(args)
-            return real(*args, **kwargs)
-
+    def test_modulus_is_sqrt_of_array_psi_big(self, density):
+        # K on a density is sqrt(psi_big) of the array route: its values
+        # equal a fresh measure's array values and agree with its one-point
+        # calls
         nu = BoundaryMeasure(**density)
         p = np.exp(np.linspace(-40.0, 40.0, 501))
-        with monkeypatch.context() as m:
-            m.setattr(measures, "quad", counted)
-            K = f_nu(nu).K
-            assert not quads
-            got = K.fn(p)
-        assert not quads
+        got = f_nu(nu).K.fn(p)
         fresh = BoundaryMeasure(**density)
         assert np.array_equal(got, np.sqrt(psi_big(fresh, p)))
         floats = BoundaryMeasure(**density)
