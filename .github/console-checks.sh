@@ -75,6 +75,18 @@ for args in "psi --points 1e-200" "psi --points 1e200" "symbol --points 1e300"; 
     exit 1
   fi
 done
+# atoms whose rational form leaves the doubles: no root, or w (1 + l^2)
+# overflows; a numerical failure, without a warning
+printf '{"atoms": [[1, 1], [1e40, 1]]}' > "$RUNNER_TEMP/faratom.json"
+printf '{"atoms": [[1e-200, 1], [1, 1], [1e200, 1]]}' > "$RUNNER_TEMP/wideatoms.json"
+for args in "outer-eval --points 1j --measure $RUNNER_TEMP/faratom.json" "symbol --points 1,2 --measure $RUNNER_TEMP/wideatoms.json"; do
+  expect_exit 3 hardyrp $args 2> "$RUNNER_TEMP/stderr"
+  if grep -q RuntimeWarning "$RUNNER_TEMP/stderr"; then
+    echo "hardyrp $args warned:"
+    cat "$RUNNER_TEMP/stderr"
+    exit 1
+  fi
+done
 printf '{"dim": 2, "C": [[[1, 0], [1, 0]], [[1, 0], [0, 0]]], "D": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]], "poles": []}' > "$RUNNER_TEMP/pick.json"
 degree=$(hardyrp degree --pick "$RUNNER_TEMP/pick.json" --method both)
 expected='{"rank": 1, "winding": 1, "winding_pole_count": 1, "regular": true}'

@@ -205,7 +205,8 @@ def gram_from_symbol(h: Callable, anchors: Sequence[complex]) -> HankelGram:
 
     def entries(x):
         hq = np.conj(_kernels(z, x)) * np.asarray(h(x), dtype=complex)[:, None]
-        return (hq[:, :, None] * _kernels(z, -x)[:, None, :]).reshape(x.size, -1)
+        out = hq[:, :, None] * _kernels(z, -x)[:, None, :]
+        return out.reshape(x.size, n * n)
 
     G = _boundary_pairing(entries, z).reshape(n, n)
     return HankelGram(tuple(anchors), G, _kernels(z, z))

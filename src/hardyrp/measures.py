@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import QuadratureConfig, integrate_batched
+from .numerics import QuadratureConfig, integrate_batched, sorted_unique
 
 # the name perfbench/tracing.py rebinds; ROADMAP item 13 deletes it
 quad = None
@@ -197,7 +197,7 @@ class BoundaryMeasure:
         it is not called when every key is cached.  The result has the
         shape of keys.  A table is a pair of arrays, the sorted keys and
         their values: a lookup is one searchsorted, and the new keys of a
-        call go in with one np.unique and one sort.
+        call go in with one sorted_unique and one sort.
         """
         keys = np.asarray(keys, dtype=float)
         flat = keys.ravel()
@@ -206,7 +206,7 @@ class BoundaryMeasure:
         missing = (flat[known[np.minimum(at, known.size - 1)] != flat]
                    if known.size else flat)
         if missing.size:
-            todo = np.unique(missing)
+            todo = sorted_unique(missing)
             new = np.asarray(compute(todo), dtype=float)
             order = np.argsort(np.concatenate([known, todo]), kind="stable")
             known = np.concatenate([known, todo])[order]
@@ -228,35 +228,25 @@ class BoundaryMeasure:
         """Integral of the vector-valued fn against the measure.
 
         fn maps an ndarray of n points l to a new (n, m) float array, the
-        m components of the integrand, which the density passes scale in
-        place.  The interior atoms are one numpy sum; each density piece is
-        one integrate_batched pass in v = log l (_piece_integral) under
-        cfg's componentwise tolerances.  at_zero / at_inf are the m
-        integrand values at the endpoint atoms, required only when that
-        atom carries mass.  Raises QuadratureError when a pass spends its
-        panel budget and ValueError on a non-finite integrand or a density
-        whose integrand has not decayed at the cut l = e^log_cut (by
-        default _LOG_LAM_MAX, the largest that keeps l^2 finite).
+        m components of the integrand, which is scaled in place by the
+        points' weights: this is _weighted_integral with those rows.  The
+        interior atoms are one numpy sum; each density piece is one
+        integrate_batched pass in v = log l (_piece_integral) under cfg's
+        componentwise tolerances.  at_zero / at_inf are the m integrand
+        values at the endpoint atoms, required only when that atom carries
+        mass.  Raises QuadratureError when a pass spends its panel budget
+        and ValueError on a non-finite integrand or a density whose
+        integrand has not decayed at the cut l = e^log_cut (by default
+        _LOG_LAM_MAX, the largest that keeps l^2 finite).
         """
-        total = 0.0
-        if self.atoms:
-            locs, weights = np.array(self.atoms, dtype=float).T
-            total = weights @ fn(locs)
-        for mass, value, name in ((self.atom0, at_zero, "at_zero"),
-                                  (self.atom_inf, at_inf, "at_inf")):
-            if mass > 0:
-                if value is None:
-                    raise ValueError(f"measure has an endpoint atom; "
-                                     f"supply {name}")
-                total = total + mass * np.asarray(value, dtype=float)
-        for piece in self.density:
-            total = total + _piece_integral(piece, fn, cfg, log_cut)
-        if not np.ndim(total):
-            # no term had the integrand's shape: its zero, from no nodes
-            total = total + fn(_NO_KEYS).sum(axis=0)
-        if not np.isfinite(total).all():
-            raise ValueError("integral against the measure is not finite")
-        return total
+        def rows(lam, w):
+            out = fn(lam)
+            out *= w[:, None]
+            if not np.isfinite(out).all():
+                raise ValueError(_NOT_FINITE)
+            return out
+
+        return _weighted_integral(self, rows, cfg, at_zero, at_inf, log_cut)
 
     @property
     def is_zero(self) -> bool:
@@ -280,6 +270,42 @@ class BoundaryMeasure:
             self.atom0 + other.atom0, self.atom_inf + other.atom_inf,
             sorted(merged.items()), self.density + other.density,
         )
+
+
+_NOT_FINITE = "integral against the measure is not finite"
+
+
+def _weighted_integral(nu: BoundaryMeasure, rows: Callable, cfg, at_zero,
+                       at_inf, log_cut) -> np.ndarray:
+    """BoundaryMeasure.integrate for an integrand given by its weighted rows.
+
+    rows maps n points l and their n weights w to the new (n, m) array of
+    w_i times the m integrand components at l_i, and raises ValueError
+    where that is not finite.  A density pass gives it the weights
+    w = d(l) l of its nodes in v = log l (_piece_integral), so an
+    integrand may fold them into an n-vector before it forms the n x m
+    rows; the interior atoms come with unit weights, and their masses are
+    one product.
+    """
+    total = 0.0
+    if nu.atoms:
+        locs, weights = np.array(nu.atoms, dtype=float).T
+        total = weights @ rows(locs, np.ones(locs.size))
+    for mass, value, name in ((nu.atom0, at_zero, "at_zero"),
+                              (nu.atom_inf, at_inf, "at_inf")):
+        if mass > 0:
+            if value is None:
+                raise ValueError(f"measure has an endpoint atom; "
+                                 f"supply {name}")
+            total = total + mass * np.asarray(value, dtype=float)
+    for piece in nu.density:
+        total = total + _piece_integral(piece, rows, cfg, log_cut)
+    if not np.ndim(total):
+        # no term had the integrand's shape: its zero, from no nodes
+        total = total + rows(_NO_KEYS, _NO_KEYS).sum(axis=0)
+    if not np.isfinite(total).all():
+        raise ValueError(_NOT_FINITE)
+    return total
 
 
 def _scalar_integral(nu: BoundaryMeasure, fn: Callable, **ends) -> float:
@@ -338,16 +364,18 @@ def _first_edges(lo: float, hi: float, kinks) -> list[float]:
     return sorted(fixed[1:-1] + graded)
 
 
-def _piece_integral(piece: DensityPiece, fn: Callable,
+def _piece_integral(piece: DensityPiece, rows: Callable,
                     cfg: QuadratureConfig, log_cut: float | None = None):
-    """int fn(l) piece(l) dl, fn(l) a new (n, m) array for n nodes l, in one
+    """int g(l) piece(l) dl for the integrand g whose weighted rows, the
+    (n, m) array w_i g(l_i), rows(l, w) gives (_weighted_integral), in one
     adaptive Gauss-Kronrod pass in v = log l, dl = l dv: the density is
-    evaluated once per node for all m components, and a negative value of
-    a closed-form density raises ValueError there.  The first panels are
-    _first_edges': v = 0 (where 1 + l^2 turns from 1 to l^2), the table
-    kinks and the graded points +-2^k.  The piece is cut at l = e^log_cut
-    (default _LOG_LAM_MAX), and ValueError says the integral diverges when
-    the integrand there is above some component's tolerance."""
+    evaluated once per node for all m components, the weights are w =
+    piece(l) l, and a negative value of a closed-form density raises
+    ValueError there.  The first panels are _first_edges': v = 0 (where
+    1 + l^2 turns from 1 to l^2), the table kinks and the graded points
+    +-2^k.  The piece is cut at l = e^log_cut (default _LOG_LAM_MAX), and
+    ValueError says the integral diverges when the integrand there is
+    above some component's tolerance."""
     cut = _LOG_LAM_MAX if log_cut is None else log_cut
     lo = math.log(piece.a)
     hi = min(math.log(piece.b), cut)
@@ -365,11 +393,7 @@ def _piece_integral(piece: DensityPiece, fn: Callable,
             raise ValueError(
                 f"the density on ({piece.a:g}, {piece.b:g}) is negative at "
                 f"l = {lam[np.argmax(d < 0.0)]:g}")
-        out = fn(lam)
-        out *= (d * lam)[:, None]
-        if not np.isfinite(out).all():
-            raise ValueError("integrand against the measure is not finite")
-        return out
+        return rows(lam, d * lam)
 
     value = integrate_batched(f, lo, hi, cfg,
                               _first_edges(lo, hi, piece.log_kinks))
@@ -385,11 +409,20 @@ def _piece_integral(piece: DensityPiece, fn: Callable,
 
 
 def _psi_kernel(p2: np.ndarray) -> Callable:
-    """l -> (1+l^2)/(p2_i+l^2), an (n, m) array for n nodes and m keys."""
-    def fn(lam):
+    """The weighted rows (l, w) -> w (1+l^2)/(p2_j+l^2), an (n, m) array
+    for n nodes and m keys (_weighted_integral).
+
+    The weight goes into the numerator w (1+l^2), an n-vector, and so does
+    the finiteness test: every denominator is positive where p2 > 0 or
+    l^2 > 0, so an entry is finite exactly when its numerator is.
+    """
+    def rows(lam, w):
         lam2 = lam * lam
-        return (1.0 + lam2)[:, None] / (p2 + lam2[:, None])
-    return fn
+        num = w * (1.0 + lam2)
+        if not (np.isfinite(num).all() and (p2.all() or lam2.all())):
+            raise ValueError(_NOT_FINITE)
+        return num[:, None] / (p2 + lam2[:, None])
+    return rows
 
 
 def _psi_values(nu: BoundaryMeasure, p2: np.ndarray) -> np.ndarray:
@@ -408,8 +441,8 @@ def _psi_values(nu: BoundaryMeasure, p2: np.ndarray) -> np.ndarray:
     chunks = [p2[start:start + _PSI_CHUNK]
               for start in range(0, max(p2.size, 1), _PSI_CHUNK)]
     return np.concatenate([
-        nu.integrate(_psi_kernel(keys), _PSI_QUADRATURE,
-                     at_zero=1.0 / keys if nu.atom0 > 0 else None, at_inf=1.0)
+        _weighted_integral(nu, _psi_kernel(keys), _PSI_QUADRATURE,
+                           1.0 / keys if nu.atom0 > 0 else None, 1.0, None)
         for keys in chunks]) / np.pi
 
 
@@ -425,12 +458,14 @@ def psi_big(nu: BoundaryMeasure, p):
     <= pi psi_big <= mass max(1, 1/p^2).  The values are cached on nu,
     keyed by p^2, and all uncached p of a call are integrated at once, in
     sorted chunks.  Raises QuadratureError when a pass spends its panel
-    budget and ValueError when p = 0, atom0 / p^2 overflows, or the mass
-    diverges.
+    budget and ValueError when p is 0 or NaN, atom0 / p^2 overflows, or
+    the mass diverges.
     """
     p = np.asarray(p, dtype=float)
     if not p.all():
         raise ValueError("psi_big is undefined at p = 0")
+    if np.isnan(p).any():
+        raise ValueError("psi_big is undefined at p = nan")
     # a p^2 that overflows is the key inf, whose kernel is 0: the p -> inf
     # limit
     with np.errstate(over="ignore"):

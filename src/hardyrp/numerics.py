@@ -21,6 +21,7 @@ __all__ = [
     "UnderSampledCurveError",
     "DegenerateCurveError",
     "integrate_batched",
+    "sorted_unique",
     "winding_number",
 ]
 
@@ -114,42 +115,54 @@ _GK_WG = np.array([
     0.295524224714752870173892994651338,
 ])
 _GK_NODES = np.concatenate([-_GK_X[:-1], _GK_X[::-1]])
-_GK_WEIGHTS = np.concatenate([_GK_WK[:-1], _GK_WK[::-1]])
-_GAUSS_WEIGHTS = np.zeros(21)
-_GAUSS_WEIGHTS[1:10:2] = _GK_WG
-_GAUSS_WEIGHTS[11:20:2] = _GK_WG[::-1]
+# the Kronrod weights over the Gauss weights on the odd nodes, stacked: one
+# product gives both sums of every panel
+_GK_PAIR = np.zeros((2, 21))
+_GK_PAIR[0] = np.concatenate([_GK_WK[:-1], _GK_WK[::-1]])
+_GK_PAIR[1, 1:10:2] = _GK_WG
+_GK_PAIR[1, 11:20:2] = _GK_WG[::-1]
 
 # integrand values per call of f, nodes times components: keeps each
 # transient array of a pass near a megabyte however many components f has
 _BLOCK = 2 ** 17
+_NO_NODES = np.empty(0)
 
 
-def _gk_panels(f, lo, hi, m=None):
-    """Kronrod sums and |Kronrod - Gauss| error vectors of f on [lo_i, hi_i].
+def sorted_unique(x) -> NDArray[np.float64]:
+    """The distinct values of the float array x, ascending.
 
-    m is f's component count, when known: the panels then go to f in
-    blocks of _BLOCK values, one call for every pass that fits.  Without
-    it the first call, on the first panel alone, reveals it.
+    np.unique does the same, but numpy 2.4's imports numpy.ma on its first
+    call, 11-13 ms of a command's start-up.
+    """
+    x = np.sort(np.asarray(x, dtype=float).ravel())
+    keep = np.empty(x.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
+def _gk_panels(f, lo, hi, m):
+    """Kronrod sums and |Kronrod - Gauss| error vectors of f's m components
+    on the panels [lo_i, hi_i].
+
+    The panels' nodes go to f in blocks of at most _BLOCK values, one call
+    for every pass that fits.  Both sums of a block are one product with
+    the stacked weights _GK_PAIR, scaled by the half-widths afterwards.
     """
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    kron, err = [], []
-    start = 0
-    step = 1 if m is None else max(1, _BLOCK // (21 * m))
-    while start < lo.size:
+    step = max(1, _BLOCK // (21 * m))
+    sums = []
+    for start in range(0, lo.size, step):
         blk = slice(start, start + step)
         s = (mid[blk, None] + half[blk, None] * _GK_NODES).ravel()
-        v = np.asarray(f(s), dtype=float)
-        v = v.reshape(-1, 21, v.shape[-1])
-        v *= half[blk, None, None]      # in place: one block live, not two
-        k = _GK_WEIGHTS @ v
-        kron.append(k)
-        err.append(np.abs(k - _GAUSS_WEIGHTS @ v))
-        start += step
-        step = max(1, _BLOCK // (21 * v.shape[-1]))
-    err = np.concatenate(err)
+        v = np.asarray(f(s), dtype=float).reshape(-1, 21, m)
+        sums.append(_GK_PAIR @ v)
+    sums = np.concatenate(sums) * half[:, None, None]
+    kron = sums[:, 0]
+    err = np.abs(kron - sums[:, 1])
     # a non-finite panel is split first and, if it stays so, spends the budget
     err[~np.isfinite(err)] = np.inf
-    return np.concatenate(kron), err
+    return kron, err
 
 
 def integrate_batched(
@@ -160,15 +173,15 @@ def integrate_batched(
 ) -> NDArray[np.float64]:
     """Integrate a vector-valued f over the finite interval [a, b].
 
-    f maps a 1-D array of n nodes to a new (n, m) array, the m components
-    of the integrand at each node, which the integrator scales in place.
-    The first call, on the first panel's 21 nodes, reveals m; after it
-    every pass evaluates f on all nodes of the panels it refines in one
-    call, or in blocks of _BLOCK values where m is so large that one call
-    would hold more.  The first panels are [a, b] cut at the breakpoints
-    inside it (kinks of f, where no panel should straddle, and the edges
-    of a partition graded to f's scales, which saves the passes that
-    bisecting toward them would take).
+    f maps a 1-D array of n nodes to an (n, m) array, the m components of
+    the integrand at each node.  The first call, on zero nodes, reveals m
+    (an f with m = 0 gives an empty result and no other call); after it
+    every pass, the first partition included, evaluates f on all nodes of
+    its panels in one call, or in blocks of _BLOCK values where m is so
+    large that one call would hold more.  The first panels are [a, b] cut
+    at the breakpoints inside it (kinks of f, where no panel should
+    straddle, and the edges of a partition graded to f's scales, which
+    saves the passes that bisecting toward them would take).
     Each panel carries the 21-point Kronrod sum and, as its error vector,
     the componentwise difference to the embedded 10-point Gauss sum.
 
@@ -185,11 +198,12 @@ def integrate_batched(
     tolerance, when the budget is spent: by a refinement, or by first
     panels that alone are more than cfg.max_subdivisions.
     """
-    edges = np.unique(np.r_[float(a), float(b),
-                            [t for t in breakpoints if a < t < b]])
+    m = np.shape(f(_NO_NODES))[1]
+    if not m:
+        return np.empty(0)
+    edges = sorted_unique([a, b, *(t for t in breakpoints if a < t < b)])
     lo, hi = edges[:-1], edges[1:]
-    kron, err = _gk_panels(f, lo, hi)
-    m = kron.shape[1]
+    kron, err = _gk_panels(f, lo, hi, m)
     while True:
         value = kron.sum(axis=0)
         mag = np.abs(value)

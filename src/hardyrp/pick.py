@@ -56,6 +56,7 @@ from .numerics import (
     CurveSample,
     DegenerateCurveError,
     UnderSampledCurveError,
+    sorted_unique,
     winding_number,
 )
 
@@ -440,14 +441,17 @@ def _winding_with_features(fn, kinds: Sequence[bool], rs: float,
     while n0 < _TERM_SAMPLES * terms:
         n0 *= 2
     uniform, unit = _level_grids(n0)
-    t = np.unique(np.concatenate([uniform] + [np.mod(theta + d * unit, 2.0 * np.pi)
-                                              for theta, d in feats]))
+    t = sorted_unique(np.concatenate(
+        [uniform] + [np.mod(theta + d * unit, 2.0 * np.pi) for theta, d in feats]))
     counts = []
     for vals in fn(rs * np.exp(1j * t), kinds):
         if not np.all(np.isfinite(vals)):
             raise DegenerateCurveError("curve degenerated; singular contour point")
         vals = np.append(vals, vals[0])
-        scale = float(np.median(np.abs(vals)))
+        # the median modulus; np.median would import numpy.ma
+        mods = np.sort(np.abs(vals))
+        mid = (mods.size - 1) // 2, mods.size // 2
+        scale = float(0.5 * mods[mid[0]] + 0.5 * mods[mid[1]])
         try:
             curve = CurveSample(vals, 1e-13 * scale)
         except ValueError as exc:

@@ -25,7 +25,7 @@ from numpy.typing import NDArray
 
 from .hardy import SymbolFunction
 from .measures import BoundaryMeasure, _on_nodes, psi_big
-from .numerics import QuadratureConfig, integrate_batched
+from .numerics import QuadratureConfig, integrate_batched, sorted_unique
 
 # the name perfbench/tracing.py rebinds; ROADMAP item 13 deletes it
 quad = None
@@ -214,7 +214,7 @@ def _log_window(u: NDArray[np.float64], breakpoints) -> Callable:
             f"a point of modulus {math.exp(far):.3g} is too close to 0 or to "
             f"infinity: its log window [{lo:g}, {hi:g}] leaves the doubles")
     # the 9 lattice points within _LOG_GRID = 4 _LOG_STEP of each u
-    near = np.unique(np.round(u / _LOG_STEP)[:, None] + np.arange(-4, 5))
+    near = sorted_unique(np.round(u / _LOG_STEP)[:, None] + np.arange(-4, 5))
     edges = [*np.arange(lo, hi, _LOG_GRID).tolist(),
              *(near * _LOG_STEP).tolist(), *breakpoints]
 
@@ -222,6 +222,28 @@ def _log_window(u: NDArray[np.float64], breakpoints) -> Callable:
         return integrate_batched(integrand, lo, hi, _LOG_QUADRATURE, edges)
 
     return integrate
+
+
+class _NodeLogs:
+    """log K(e^s) at the nodes s of a log-window pass, a callable, and
+    log K at the points' moduli r in at_points, which the first call on
+    nodes fills: it evaluates K at r and at those nodes in one K.log call,
+    so a psi_big modulus costs one psi_big pass per round of the pass, the
+    first round included.  Before that call at_points holds zeros, read
+    only by integrate_batched's zero-node call, on no rows."""
+
+    def __init__(self, K: BoundaryModulus, r: NDArray[np.float64]):
+        self.K, self.r = K, r
+        self.at_points = np.zeros(r.size)
+        self.filled = False
+
+    def __call__(self, s: NDArray[np.float64]) -> NDArray[np.float64]:
+        if self.filled or not s.size:
+            return self.K.log(np.exp(s))
+        v = self.K.log(np.concatenate([self.r, np.exp(s)]))
+        self.at_points[:] = v[:self.r.size]
+        self.filled = True
+        return v[self.r.size:]
 
 
 def log_integral(K: BoundaryModulus) -> float:
@@ -245,7 +267,9 @@ def out_eval(K: BoundaryModulus, z):
     same shape).  Each point is two components, the real and imaginary
     parts of log Out(K)(z) - log K(|z|), of one integrate_batched pass in
     s = log|p| (kernels and tail bound at _LOG_TAIL), so log K is
-    evaluated once per node for every point.  The points' log|z|, and
+    evaluated once per node for every point, and log K(|z|) comes from
+    the first round's K.log call (_NodeLogs): on a density measure each
+    round is one psi_big pass.  The points' log|z|, and
     log|Re z| where Im z < 0.1 (the kernel peaks there), are initial panel
     edges.  Each component meets max(1e-12, 1e-10 |.|) (_LOG_QUADRATURE).
 
@@ -287,15 +311,15 @@ def out_eval(K: BoundaryModulus, z):
     # which does not cancel at the kernel's peak near the boundary
     pole = 2j * (flat.imag / r) * zeta
     even_k = -2j * zeta / np.pi     # 2 zeta / (pi i)
-    c = K.log(r)
+    log_k = _NodeLogs(K, r)
 
     def integrand(s):
         t = np.clip(s[:, None] - u, -_T_CLIP, _T_CLIP)
         k = even_k * np.exp(t) / (np.expm1(2.0 * t) - pole)
-        return (k * (K.log(np.exp(s))[:, None] - c)).view(float)
+        return (k * (log_k(s)[:, None] - log_k.at_points)).view(float)
 
     val = window(integrand)
-    out = np.exp(c + val[0::2] + 1j * val[1::2])
+    out = np.exp(log_k.at_points + val[0::2] + 1j * val[1::2])
     return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
@@ -318,7 +342,9 @@ def boundary_phase_difference(K: BoundaryModulus, x):
     like e^{-|s-u|}.  All |x| share one vector integral over
     [log min|x| - T, log max|x| + T] (_log_window, T = _LOG_TAIL; the tail
     bound is at its definition), so K is evaluated once per node for every
-    x at once; the test is componentwise, so each phase meets
+    x at once, and at the |x| themselves in the first round's K.log call
+    (_NodeLogs), one psi_big pass per round on a density measure; the
+    test is componentwise, so each phase meets
     max(1e-12, 1e-10 |phase|) on its own.  The window's panel edges are
     those of every other pass, so the phase nodes of successive calls on
     one measure, and their cached psi_big values, are shared.
@@ -349,11 +375,11 @@ def boundary_phase_difference(K: BoundaryModulus, x):
     ax = np.abs(x).ravel()
     u = np.log(ax)
     window = _log_window(u, [])
-    log_kx = K.log(ax)
+    log_k = _NodeLogs(K, ax)
 
     def integrand(s):
         d = s[:, None] - u
-        num = K.log(np.exp(s))[:, None] - log_kx
+        num = log_k(s)[:, None] - log_k.at_points
         # at a node on some u_j the quotient is 0/0 and counts as 0; the
         # Kronrod-Gauss difference of its panel exposes that, so it is split
         out = np.divide(num, np.sinh(d), out=np.zeros_like(num), where=d != 0)
@@ -398,6 +424,8 @@ def _secular_roots(d: NDArray[np.float64], c: NDArray[np.float64],
     differences d_i - d_j where they are small), by safeguarded Newton
     steps on tau f = tau psi(tau) - c_j, psi the other terms of f: without
     the pole, Newton does not overshoot a root that lies next to it.
+    Raises RuntimeError, a numerical failure, when a root has not
+    converged after _SECULAR_STEPS steps.
     """
     u = np.sqrt(c)
     if b > 0:
@@ -420,12 +448,19 @@ def _secular_roots(d: NDArray[np.float64], c: NDArray[np.float64],
         q = c[:, None] / (delta - tau)
         psi = b + q.sum(axis=0)
         g = tau * psi - c[j]        # tau f(d_j + tau)
-        lo = np.where(g * tau < 0, tau, lo)
-        hi = np.where(g * tau > 0, tau, hi)
+        # g sign(tau) has the sign of g tau, which overflows for poles
+        # beyond l = 1e77
+        side = g * np.sign(tau)
+        lo = np.where(side < 0, tau, lo)
+        hi = np.where(side > 0, tau, hi)
         step = g / (psi + tau * (q * q / c[:, None]).sum(axis=0))
         tau = tau - step
         if (np.abs(step) <= 4 * np.finfo(float).eps * (d[j] + tau)).all():
             break
+    else:
+        raise RuntimeError(
+            f"the roots of psi_big's numerator have not converged after "
+            f"{_SECULAR_STEPS} safeguarded Newton steps")
     return d[j] + tau
 
 
@@ -445,20 +480,39 @@ def _sqrt_psi_modulus(nu: BoundaryMeasure) -> BoundaryModulus:
     of the numerator in p^2 (_secular_roots).  So K has a = sqrt(lead/pi),
     zeros s_k = sqrt(r_k) and poles l_i.  Atoms of weight 0 are no poles.
 
-    K raises RuntimeError, a numerical failure, at a p where psi_big is 0:
-    there p^2 overflows, and the true value mass / (pi p^2) underflows.
+    Raises RuntimeError, a numerical failure, when some c_i overflows (for
+    w_i = 1, an atom beyond l = 1.3e154), two l_i^2 round to one double,
+    or a root does not converge (_secular_roots); K raises it at a
+    p where psi_big is 0: there p^2 overflows, and the true value
+    mass / (pi p^2) underflows.
     """
     if nu.is_zero:
         raise ValueError("the zero measure has no outer function")
     rational = None
     if not nu.density:
-        lam, w = np.array(sorted(nu.atoms), dtype=float).reshape(-1, 2).T
-        poles, c = lam[w > 0], (w * (1.0 + lam * lam))[w > 0]
+        atoms = sorted((l, w) for l, w in nu.atoms if w > 0)
+        # in Python floats, which overflow to inf without a numpy warning
+        for l, w in atoms:
+            if not math.isfinite(w * (1.0 + l * l)):
+                raise RuntimeError(
+                    f"the atom at l = {l:g} has w (1 + l^2) beyond the "
+                    f"doubles: sqrt(psi_big) has no rational form there")
+        poles, w = np.array(atoms, dtype=float).reshape(-1, 2).T
+        c = w * (1.0 + poles * poles)
         if nu.atom0 > 0:
             poles, c = np.append(0.0, poles), np.append(nu.atom0, c)
         if not (c.size or nu.atom_inf):
             raise ValueError("the measure has no mass: psi_big vanishes")
-        r = _secular_roots(poles * poles, c, nu.atom_inf) if c.size else c
+        d = poles * poles
+        # below l = 1.5e-162, l^2 underflows: two poles can share one d
+        rising = d[1:] > d[:-1]
+        if not rising.all():
+            i = np.argmin(rising)
+            raise RuntimeError(
+                f"the atoms at l = {poles[i]:g} and {poles[i + 1]:g} have "
+                f"one l^2 in the doubles: sqrt(psi_big) has no rational "
+                f"form there")
+        r = _secular_roots(d, c, nu.atom_inf) if c.size else c
         lead = nu.atom_inf if nu.atom_inf > 0 else c.sum()
         rational = (math.sqrt(lead / np.pi), tuple(np.sqrt(r).tolist()),
                     tuple(poles.tolist()))

@@ -949,6 +949,44 @@ class TestExtremePoints:
         assert capsys.readouterr() == (out, "")
 
 
+class TestSecularRoots:
+    """Atoms so far apart that the rational form's roots lose their
+    doubles: an answer to 1e-13 or exit 3, never a wrong one or a warning."""
+
+    @pytest.mark.parametrize("far", ["1e20", "1e40", "1e80", "1e150"])
+    def test_far_atom_answers_or_exits_three(self, far, capsys):
+        # 1e40 once printed 1/sqrt(pi), and from 1e80 on with numpy's
+        # overflow warnings, both with exit 0
+        code, caught = run_recording_warnings(
+            ["outer-eval", "--points", "1j", "--measure",
+             f'{{"atoms": [[1, 1], [{far}, 1]]}}'])
+        assert not caught
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert abs(float(out.splitlines()[1].split(",")[2])
+                       - 0.77069730367679801) <= 1e-13
+        else:
+            assert code == 3 and not out
+            assert err.startswith("numerical failure: the roots of "
+                                  "psi_big's numerator have not converged")
+
+    @pytest.mark.parametrize("atoms, says", [
+        # w (1 + l^2) overflows at l = 1e200
+        ("[[1e-200, 1], [1, 1], [1e200, 1]]", "the atom at l = 1e+200 "),
+        # both l^2 underflow to 0
+        ("[[1e-170, 1], [1e-165, 1], [1, 1]]",
+         "the atoms at l = 1e-170 and 1e-165 ")])
+    def test_atoms_beyond_the_doubles_exit_three(self, atoms, says, capsys):
+        # both once printed nan,nan with exit 0, after numpy warnings
+        code, caught = run_recording_warnings(
+            ["symbol", "--points", "1,2", "--measure",
+             f'{{"atoms": {atoms}}}'])
+        assert code == 3 and not caught
+        out, err = capsys.readouterr()
+        assert not out
+        assert err.startswith(f"numerical failure: {says}")
+
+
 def per_point_polylines(curves, width=640, height=480):
     """The points attributes as the writer once made them, point by point."""
     xs = np.concatenate([c[0] for c in curves])
@@ -1013,12 +1051,14 @@ from hardyrp.cli import run
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [run(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps([codes, sorted(m for m in sys.modules
-                                if m == "scipy" or m.startswith("scipy."))]))
+                                if m.split(".")[0] == "scipy"
+                                or m.split(".")[:2] == ["numpy", "ma"])]))
 """
 
 
 def test_no_subcommand_imports_scipy(sample_path, pick_path, tmp_path):
-    # numpy is hardyrp's one run-time dependency
+    # numpy is hardyrp's one run-time dependency; numpy.ma, which np.unique
+    # imports, stays out too (11-13 ms of each command's start-up)
     m, pick = ["--measure", sample_path], ["--pick", pick_path]
     argvs = [["psi", *m, "--points", "0.5,1,3"],
              ["outer-eval", *m, "--points", "2j,1+1j"],
@@ -1038,6 +1078,6 @@ def test_no_subcommand_imports_scipy(sample_path, pick_path, tmp_path):
     done = subprocess.run(
         [sys.executable, "-c", EVERY_SUBCOMMAND, json.dumps(argvs)],
         env=env, capture_output=True, text=True, timeout=300, check=True)
-    codes, scipy = json.loads(done.stdout)
+    codes, unwanted = json.loads(done.stdout)
     assert codes == [0] * len(argvs), done.stderr
-    assert scipy == []
+    assert unwanted == []

@@ -206,7 +206,7 @@ class TestBatchedRegions:
         # p -+ 1/sqrt(n), p and 1 took 5 to 12 passes of bisection
         passes = []
         real = numerics._gk_panels
-        monkeypatch.setattr(numerics, "_gk_panels", lambda f, lo, hi, m=None:
+        monkeypatch.setattr(numerics, "_gk_panels", lambda f, lo, hi, m:
                             passes.append(lo.size) or real(f, lo, hi, m))
         for n in (100, 300, 1000, 3000, 10000):
             passes.clear()

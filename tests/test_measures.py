@@ -412,7 +412,7 @@ class TestDensityRoutes:
         # took 9 passes
         passes = []
         real = numerics._gk_panels
-        monkeypatch.setattr(numerics, "_gk_panels", lambda f, lo, hi, m=None:
+        monkeypatch.setattr(numerics, "_gk_panels", lambda f, lo, hi, m:
                             passes.append(lo.size) or real(f, lo, hi, m))
         psi_big(lebesgue_cauchy_measure(), np.geomspace(1e-3, 1e3, 7))
         assert len(passes) <= 4
@@ -495,6 +495,13 @@ class TestIntegrateVector:
         # a piece wholly beyond the cut, and no atom, adds zeros too
         beyond = BoundaryMeasure(density=[DensityPiece(1e200, np.inf, expr="1")])
         assert beyond.integrate(moments, VECTOR_CFG).tolist() == [0.0] * 4
+
+    def test_no_components_give_an_empty_result(self):
+        # integrate_batched's zero-node call reveals m = 0 on the density
+        nu = BoundaryMeasure(atoms=[(1.0, 1.0)], density=[
+            DensityPiece(0.5, 2.0, expr="1")])
+        got = nu.integrate(lambda lam: np.empty((lam.size, 0)), VECTOR_CFG)
+        assert got.shape == (0,)
 
     def test_non_finite_integrand_raises(self):
         nu = BoundaryMeasure(density=[DensityPiece(0.5, 2.0, expr="1")])
@@ -663,6 +670,14 @@ INPUT_CHECKS = {
     "phi_mu with atom at infinity": (
         lambda: phi_mu(BoundaryMeasure(atom_inf=1.0), 1.0),
         "phi_mu requires no atom at infinity"),
+    "psi_big at NaN": (
+        lambda: psi_big(BoundaryMeasure(density=[
+            DensityPiece(0.5, 2.0, expr="1")]), np.array([1.0, np.nan])),
+        "psi_big is undefined at p = nan"),
+    "psi_big where p^2 and l^2 both underflow to 0": (
+        lambda: psi_big(BoundaryMeasure(density=[
+            DensityPiece(1e-200, 1.0, expr="1")]), 1e-170),
+        "integral against the measure is not finite"),
     "atom with an infinite integrand": (
         lambda: BoundaryMeasure(atoms=[(1.0, 1.0)]).integrate(
             lambda lam: np.full((lam.size, 1), np.inf), QuadratureConfig()),

@@ -13,6 +13,7 @@ from hardyrp.numerics import (
     QuadratureError,
     UnderSampledCurveError,
     integrate_batched,
+    sorted_unique,
     winding_number,
 )
 
@@ -38,7 +39,7 @@ class TestIntegrateBatched:
             return np.stack([s ** k for k in range(0, 20, 2)], axis=1)
 
         val = integrate_batched(f, -1.0, 1.0, QuadratureConfig())
-        assert calls == [21]
+        assert calls == [0, 21]
         assert np.abs(val - [2.0 / (k + 1) for k in range(0, 20, 2)]).max() \
             < 1e-15
 
@@ -71,12 +72,12 @@ class TestIntegrateBatched:
 
     @pytest.mark.parametrize("m", [2, 2048])
     def test_one_probe_call_then_one_call_per_pass(self, monkeypatch, m):
-        # the first call, on the first panel alone, reveals the component
-        # count; after it a pass is one call on all its panels, or calls of
-        # at most _BLOCK values when one call would hold more
+        # the first call, on zero nodes, reveals the component count; after
+        # it a pass, the first partition included, is one call on all its
+        # panels, or calls of at most _BLOCK values when one would hold more
         passes, calls = [], []
         real = numerics._gk_panels
-        monkeypatch.setattr(numerics, "_gk_panels", lambda f, lo, hi, m=None:
+        monkeypatch.setattr(numerics, "_gk_panels", lambda f, lo, hi, m:
                             passes.append(lo.size) or real(f, lo, hi, m))
         c = np.geomspace(1e-4, 1.0, m)
 
@@ -88,13 +89,30 @@ class TestIntegrateBatched:
                                 breakpoints=(-0.5, 0.5))
         assert np.abs(val / (2.0 * np.arctan(1.0 / np.sqrt(c)) / np.sqrt(c))
                       - 1.0).max() < 1e-10
-        assert len(passes) > 2 and calls[0] == 21
+        assert len(passes) > 2 and calls[0] == 0
         if 21 * m * max(passes) <= numerics._BLOCK:
-            assert calls[1:] == [21 * (passes[0] - 1), *(21 * n for n in
-                                                         passes[1:])]
+            assert calls[1:] == [21 * n for n in passes]
         else:
             assert max(calls) * m <= numerics._BLOCK
             assert sum(calls) == 21 * sum(passes)
+
+    def test_no_components_give_an_empty_result(self):
+        # the zero-node call alone: no panel is evaluated
+        calls = []
+
+        def f(s):
+            calls.append(s.size)
+            return np.empty((s.size, 0))
+
+        val = integrate_batched(f, 0.0, 1.0, QuadratureConfig(),
+                                breakpoints=(0.5,))
+        assert val.shape == (0,) and calls == [0]
+
+    def test_sorted_unique_matches_np_unique(self):
+        rng = np.random.default_rng(3)
+        for x in (np.empty(0), np.array([2.0]), rng.integers(0, 9, 40) / 4,
+                  np.array([-0.0, 0.0, np.inf, -np.inf, 1e-300, 1e-300])):
+            assert sorted_unique(x).tolist() == np.unique(x).tolist()
 
     def test_first_partition_counts_against_the_budget(self):
         # 16 first panels, each exact for a line, are over a budget of 8

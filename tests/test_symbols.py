@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardyrp import hankel, symbols
+from hardyrp import hankel, measures, symbols
 from hardyrp.hankel import default_anchors, os_isometry_check
 from hardyrp.hardy import KernelCombination
 from hardyrp.measures import (
@@ -396,6 +396,47 @@ class TestDensityModulus:
         floats = BoundaryMeasure(**density)
         want = np.array([psi_big(floats, float(q)) for q in p[::8]])
         assert np.abs(got[::8] ** 2 / want - 1.0).max() < 1e-13
+
+
+class TestPsiPassesPerRound:
+    """A log-window pass on a density measure costs one psi_big pass per
+    round, the first included: log K at the points comes from the first
+    round's K.log call, and integrate_batched's zero-node call costs none.
+    The measure is the console checks' sample."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        psi_keys, rounds = [], []
+        real_psi = measures._psi_values
+        monkeypatch.setattr(measures, "_psi_values", lambda nu, p2:
+                            psi_keys.append(p2.copy()) or real_psi(nu, p2))
+        real_pass = symbols.integrate_batched
+
+        def counted(f, *args):
+            def g(s):
+                if s.size:
+                    rounds.append(s.size)
+                return f(s)
+            return real_pass(g, *args)
+
+        monkeypatch.setattr(symbols, "integrate_batched", counted)
+        nu = BoundaryMeasure(atoms=[(1.0, 1.0)],
+                             density=[DensityPiece(0.5, 2.0, expr="1")])
+        return nu, psi_keys, rounds
+
+    def test_symbol_makes_one_psi_pass(self, monkeypatch):
+        nu, psi_keys, rounds = self.spy(monkeypatch)
+        x = np.array([-2.0, 0.5, 3.0])
+        h_nu(nu, x)
+        assert len(rounds) == 1 and len(psi_keys) == 1
+        assert np.isin(x * x, psi_keys[0]).all()
+
+    def test_outer_eval_makes_one_psi_pass_per_round(self, monkeypatch):
+        nu, psi_keys, rounds = self.spy(monkeypatch)
+        z = np.array([2j, 1 + 1j, -0.5 + 0.01j])
+        out_eval(f_nu(nu).K, z)
+        assert len(rounds) > 1 and len(psi_keys) == len(rounds)
+        assert np.isin(np.abs(z) ** 2, psi_keys[0]).all()
 
 
 # -- atom-only measures: the rational form of sqrt(psi_big) ------------------
