@@ -55,6 +55,19 @@ done
 printf '{"density": [{"interval": [1e-12, "inf"], "expr": "2/(1+lam**2)"}]}' > "$RUNNER_TEMP/lebesgue.json"
 hardyrp psi --measure "$RUNNER_TEMP/lebesgue.json" --points 1e-10,1,1e100 --out "$RUNNER_TEMP/lebesgue.csv"
 python -c 'import csv, math, sys; rows = list(csv.DictReader(open(sys.argv[1]))); err = max(abs(float(r["psi"]) / (2 / (math.pi * float(r["p"])) * math.atan(float(r["p"]) / 1e-12)) - 1) for r in rows); sys.exit(0 if len(rows) == 3 and err <= 1e-12 else f"psi on the Lebesgue-Cauchy measure: relative error {err} > 1e-12 against (2/(pi p)) arctan(p/1e-12)")' "$RUNNER_TEMP/lebesgue.csv"
+# a p beyond the reach of the density cut at l = e^300, on a measure of
+# finite mass, is a numerical failure, not an input error
+printf '{"density": [{"interval": [1e-12, "inf"], "expr": "(1+lam)**-1.5"}]}' > "$RUNNER_TEMP/heavy.json"
+expect_exit 3 hardyrp psi --measure "$RUNNER_TEMP/lebesgue.json" --points 1e120
+expect_exit 3 hardyrp outer-eval --measure "$RUNNER_TEMP/heavy.json" --points 1e90j
+# a density of infinite mass is an input error, without a numpy warning
+printf '{"density": [{"interval": [1, "inf"], "expr": "1"}]}' > "$RUNNER_TEMP/flat.json"
+expect_exit 2 hardyrp psi --measure "$RUNNER_TEMP/flat.json" --points 1 2> "$RUNNER_TEMP/stderr"
+if grep -q RuntimeWarning "$RUNNER_TEMP/stderr"; then
+  echo "hardyrp psi on the flat density warned:"
+  cat "$RUNNER_TEMP/stderr"
+  exit 1
+fi
 expect_exit 2 hardyrp certify-psd --measure "$RUNNER_TEMP/atoms.json" --anchors inf+1j,2j
 for args in "outer-eval --points 0j" "outer-eval --points 1+infj" "fixed-point --anchors ,"; do
   expect_exit 2 hardyrp $args --measure "$RUNNER_TEMP/atoms.json"
@@ -148,6 +161,10 @@ printf '{"density": [{"interval": [0.5, 2.0], "kind": "table", "samples": [[1.0,
 for input in negexpr negtable; do
   expect_exit 2 hardyrp psi --measure "$RUNNER_TEMP/$input.json" --points 1
 done
+# every evaluation of a density refuses a negative value, the band pass of
+# compactness too
+printf '{"density": [{"interval": [1e-6, 1], "expr": "lam-0.5"}]}' > "$RUNNER_TEMP/negnear0.json"
+expect_exit 2 hardyrp compactness --measure "$RUNNER_TEMP/negnear0.json"
 printf '{"dim": 1e400, "C": [[[1, 0]]], "D": [[[0, 0]]], "poles": []}' > "$RUNNER_TEMP/hugedim.json"
 expect_exit 2 hardyrp degree --pick "$RUNNER_TEMP/hugedim.json" --method rank
 printf '{"dim": 1, "C": [[[100000.0, 0]]], "D": [[[0, 0]]], "poles": [{"lambda": 0.0, "A": [[[1e-9, 0]]]}]}' > "$RUNNER_TEMP/tiny.json"

@@ -12,7 +12,6 @@ axis too, is symbols.out_eval.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -20,8 +19,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .hardy import KernelCombination, _anchor_array, _kernels
-from .measures import BoundaryMeasure, w_map
-from .numerics import QuadratureConfig, integrate_batched
+from .measures import BoundaryMeasure, _UndecayedAtCut, w_map
+from .numerics import (QuadratureConfig, _on_nodes, integrate_batched,
+                       sorted_unique)
 from .symbols import (BoundaryModulus, OuterFunction, _log_window,
                       _pole_residues, _sqrt_psi_modulus, _t_map,
                       f_nu_boundary, h_nu, out_eval)
@@ -198,13 +198,14 @@ def gram_from_symbol(h: Callable, anchors: Sequence[complex]) -> HankelGram:
     """G_jk = int conj(Q_{z_j}(x)) h(x) Q_{z_k}(-x) dx.
 
     The n^2 entries are the components of one _boundary_pairing pass, which
-    evaluates h once per node for every entry.
+    evaluates h (by numerics._on_nodes) once per node for every entry.
     """
     z = _checked_anchors(anchors)
     n = z.size
 
     def entries(x):
-        hq = np.conj(_kernels(z, x)) * np.asarray(h(x), dtype=complex)[:, None]
+        hx = _on_nodes(h, x, "the symbol h at x", complex)
+        hq = np.conj(_kernels(z, x)) * hx[:, None]
         out = hq[:, :, None] * _kernels(z, -x)[:, None, :]
         return out.reshape(x.size, n * n)
 
@@ -356,33 +357,34 @@ def phi_from_psi(nu: BoundaryMeasure, t):
         val = (2.0 / np.pi) * nu.integrate(
             lambda lam: _phi_kernel(lam, flat), _PHI_QUADRATURE,
             at_zero=1.0 / _P_MIN - (np.pi / 2) * flat, at_inf=at_inf)
-    except ValueError as exc:
-        if flat.all():
+    except _UndecayedAtCut as exc:
+        if flat[exc.component]:
             raise
-        # when the times above 0 converge on their own, t = 0 diverges
-        phi_from_psi(nu, flat[flat > 0] if flat.any() else 1.0)
         raise ValueError("phi(0) diverges: the t = 0 integrand of the density "
                          "has not decayed at the cut, so int psi_big dp is "
                          "infinite; choose times above 0") from exc
     return float(val[0]) if ts.ndim == 0 else val.reshape(ts.shape)
 
 
-def _time_sums(times: Sequence[float]) -> tuple[list[float], list[float]]:
-    times = [float(t) for t in times]
-    if not times:
+def _time_sums(times: Sequence[float]) -> tuple[NDArray, NDArray]:
+    """The distinct t_j + t_k, ascending, and at: [t_j + t_k] = sums[at]."""
+    t = np.array([float(s) for s in times])
+    if not t.size:
         raise ValueError("times must not be empty")
     # NaN fails every comparison, so "t < 0" alone would let it through
-    if not all(math.isfinite(t) and t >= 0 for t in times):
+    if not (np.isfinite(t) & (t >= 0)).all():
         raise ValueError("times must be finite and nonnegative")
-    return times, sorted({tj + tk for tj in times for tk in times})
+    grid = t[:, None] + t
+    sums = sorted_unique(grid)
+    return sums, np.searchsorted(sums, grid)
 
 
 def rp_matrix(phi: Callable[[float], float],
               times: Sequence[float]) -> NDArray[np.float64]:
-    """The reflection-positivity Gram matrix [phi(t_j + t_k)]."""
-    times, sums = _time_sums(times)
-    cache = {s: phi(s) for s in sums}
-    return np.array([[cache[tj + tk] for tk in times] for tj in times])
+    """The reflection-positivity Gram matrix [phi(t_j + t_k)], phi evaluated
+    once per distinct sum, by numerics._on_nodes."""
+    sums, at = _time_sums(times)
+    return _on_nodes(phi, sums, "phi at t")[at]
 
 
 def rp_certify(nu: BoundaryMeasure,
@@ -398,10 +400,8 @@ def rp_certify(nu: BoundaryMeasure,
     """
     if nu.is_zero:
         raise ValueError("reflection positivity is undefined for the zero measure")
-    _, sums = _time_sums(times)
-    phi = dict(zip(sums, phi_from_psi(nu, np.array(sums)).tolist()))
-    A = rp_matrix(phi.__getitem__, times)
-    w, _ = np.linalg.eigh(A.astype(complex))
+    sums, at = _time_sums(times)
+    w, _ = np.linalg.eigh(phi_from_psi(nu, sums)[at].astype(complex))
     scale = max(1.0, float(np.abs(w).max()))
     return bool(w.min() >= -_RP_TOL * scale), float(w.min())
 

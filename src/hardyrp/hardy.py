@@ -3,7 +3,7 @@
 Elements are finite combinations of reproducing (Szegö) kernels, with
 closed-form inner products; every kernel value, here and in the Gram
 sections of hankel, is an entry of the one kernel matrix _kernels.
-Multiplier symbols are vectorized callables on the real line, and the
+Multiplier symbols are callables on the real line (numerics._on_nodes); the
 Cayley transform relates the half-plane to the disc.  Boundary integrals
 that involve a symbol are computed by hankel._boundary_pairing, one
 adaptive pass in log|x|.
@@ -15,6 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
+
+from .numerics import _on_nodes
 
 __all__ = [
     "szego",
@@ -88,16 +90,17 @@ def inner(f: KernelCombination, g: KernelCombination) -> complex:
 class SymbolFunction:
     """Bounded measurable multiplier on the real line.
 
-    fn is vectorized over numpy arrays of real points.  The flat symmetry
-    h(-x)* = h(x) is checked on demand by flat_defect, not enforced
-    pointwise.
+    A call evaluates fn at real points by numerics._on_nodes.  The flat
+    symmetry h(-x)* = h(x) is checked on demand by flat_defect, not
+    enforced pointwise.
     """
 
     fn: Callable[[NDArray[np.float64]], NDArray[np.complex128]]
     name: str = "symbol"
 
     def __call__(self, x):
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=complex)
+        x = np.asarray(x, dtype=float)
+        return _on_nodes(self.fn, x, f"{self.name} at x", complex)
 
     @classmethod
     def i_sgn(cls) -> "SymbolFunction":
@@ -106,11 +109,10 @@ class SymbolFunction:
     @classmethod
     def constant(cls, c: complex) -> "SymbolFunction":
         c = complex(c)
-        return cls(lambda x, c=c: np.full(np.shape(x), c, dtype=complex),
-                   name=f"const({c})")
+        return cls(lambda x: c, name=f"const({c})")
 
     def negated(self) -> "SymbolFunction":
-        return SymbolFunction(lambda x: -self.fn(x), name=f"-({self.name})")
+        return SymbolFunction(lambda x: -self(x), name=f"-({self.name})")
 
     def flat_defect(self, x: NDArray[np.float64]) -> float:
         """max |h(-x)* - h(x)| over the probe points."""
@@ -137,11 +139,12 @@ def cayley_inverse(w):
 def cayley_gamma(f: Callable) -> Callable:
     """Unitary pullback from the disc Hardy space to the half-plane one.
 
-    (Gamma f)(x) = f((x-i)/(x+i)) / (sqrt(pi) (x+i)).
+    (Gamma f)(x) = f((x-i)/(x+i)) / (sqrt(pi) (x+i)), f by _on_nodes.
     """
 
     def gamma_f(x):
         x = np.asarray(x, dtype=complex)
-        return f(cayley(x)) / (np.sqrt(np.pi) * (x + 1j))
+        fw = _on_nodes(f, np.asarray(cayley(x)), "f at w", complex)
+        return fw / (np.sqrt(np.pi) * (x + 1j))
 
     return gamma_f

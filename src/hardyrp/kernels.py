@@ -23,7 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import QuadratureConfig, QuadratureError, integrate_batched
+from .numerics import (QuadratureConfig, QuadratureError, _on_nodes,
+                       integrate_batched)
 
 # the name perfbench/tracing.py rebinds; ROADMAP item 13 deletes it
 quad = None
@@ -179,10 +180,7 @@ def _first_edges(params: KernelParams) -> np.ndarray:
     - 2^k from 2 to 4n: for x well above 1 and p, f(x)(1 + x^2) is near
       (3 - p^2)/(n (1 + x^2/n^2)), flat up to the poles +-in of g_n, and
       decays only beyond them.
-    With them the pass starts at those scales instead of bisecting toward
-    them: kernel-demo's calls at p from 0.5 to 3 take one or two passes,
-    where the four edges arctan(p -+ 1/sqrt(n)), arctan p, arctan 1 took
-    6 to 12.
+    So the pass starts at those scales (README, "Window kernels").
 
     The pass reaches only the x = tan t of doubles t, which lie (1 + x^2)
     ulp(t) apart in x: (1 + p^2) 2^-52 near p > tan 1.  When
@@ -222,38 +220,29 @@ def approx_identity_regions(phi: Callable, p: float, n: int
     that.  Each region integral is exposed so the vanishing of inner and
     outer contributions can be observed separately.
 
-    phi maps an array of real x to an array of the same shape; a constant
-    result such as that of lambda x: 1.0 is broadcast.  As f_{p,n} is even,
-    the three pieces are one integrate_batched pass of
-    f(x) (phi(x) + phi(-x)) (1 + x^2) in theta = arctan x over [0, pi/2),
-    one component per region.  Its first panel edges (_first_edges) are
-    arctan of the region edges, of p, of 1 (where the indicator of f flips)
-    and of points graded to the kernel's scales: 2^k/n about p and 0, and
-    2^k up to 4n.  Raises QuadratureError when the panel budget is spent,
-    and before any integration when the doubles theta cannot place a panel
-    edge inside the resonance, 1/n wide about p: where (1 + p^2) 2^-52
-    reaches about 1/n, as at p = 1e6, n = 10^4.
+    phi goes through numerics._on_nodes (math.cos and lambda x: 1.0 are
+    phis too).  As f_{p,n} is even, the pieces are one integrate_batched
+    pass of f(x) (phi(x) + phi(-x)) (1 + x^2) in theta = arctan x over
+    [0, pi/2), a component per region, from _first_edges' panels.  Raises
+    QuadratureError when the panel budget is spent, or before any
+    integration where theta cannot resolve the resonance (_first_edges).
     """
     params = KernelParams(p, n)
     lo, hi = params.window
 
     def integrand(theta):
         x = np.tan(theta)
-        m = x.size
-        both = np.broadcast_to(np.asarray(phi(np.concatenate([x, -x])),
-                                          dtype=float), (2 * m,))
-        v = eval_f(p, n, x) * (1.0 + x * x) * (both[:m] + both[m:])
+        both = _on_nodes(phi, np.concatenate([x, -x]), "phi at x")
+        v = eval_f(p, n, x) * (1.0 + x * x) * (both[:x.size] + both[x.size:])
         # no panel straddles a region edge, so each node lies in one region
         return v[:, None] * np.column_stack([x < lo, (lo < x) & (x < hi),
                                              hi < x])
 
     val = integrate_batched(integrand, 0.0, math.pi / 2, _KERNEL_QUADRATURE,
                             breakpoints=_first_edges(params))
-    inner, window, outer = (float(v) / math.pi for v in val)
-    return inner, window, outer
+    return tuple(float(v) / math.pi for v in val)
 
 
 def approx_identity(phi: Callable, p: float, n: int) -> float:
     """(1/pi) int f_{p,n} phi, approximating (phi(p) + phi(-p))/2."""
-    inner, window, outer = approx_identity_regions(phi, p, n)
-    return inner + window + outer
+    return sum(approx_identity_regions(phi, p, n))

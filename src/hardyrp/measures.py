@@ -23,7 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import QuadratureConfig, integrate_batched, sorted_unique
+from .numerics import (QuadratureConfig, _on_nodes, integrate_batched,
+                       sorted_unique)
 
 # the name perfbench/tracing.py rebinds; ROADMAP item 13 deletes it
 quad = None
@@ -68,27 +69,14 @@ def _compile_expr(expr: str) -> Callable:
     return f
 
 
-def _on_nodes(fn: Callable, lam: np.ndarray) -> np.ndarray:
-    try:
-        v = np.asarray(fn(lam), dtype=float)
-    except (TypeError, ValueError):
-        # a conditional expression ("1 if lam < 2 else 0.5") or a callable
-        # written for floats: node by node
-        v = np.array([float(fn(l)) for l in lam.ravel().tolist()])
-        v = v.reshape(lam.shape)
-    # a constant expression or weight returns a scalar for every lam
-    return np.broadcast_to(v, lam.shape)
-
-
 @dataclass(frozen=True)
 class DensityPiece:
     """Nonnegative density on an interval (a, b) of (0, inf).
 
     kind is "closed-form" (expr: a formula in `lam`, or a Python callable)
     or "table" (samples: rows of (lam, value), linearly interpolated).
-    A piece evaluates an ndarray of lam (a float is returned for a float)
-    in one call where the expr and weight allow it (numpy arithmetic does)
-    and node by node where they do not.
+    A piece evaluates an ndarray of lam (a float for a float), its expr
+    and weight by numerics._on_nodes, and refuses a negative value.
     """
 
     a: float
@@ -121,7 +109,6 @@ class DensityPiece:
                 raise ValueError("table samples must be finite, with "
                                  "nonnegative density values")
             pts = pts[np.argsort(pts[:, 0], kind="stable")]
-            # np.interp: interp1d's values at a quarter of its cost per float
             fn = partial(np.interp, xp=pts[:, 0], fp=pts[:, 1],
                          left=0.0, right=0.0)
             x = pts[:, 0]
@@ -134,12 +121,16 @@ class DensityPiece:
         # measure is 0 there too, however large the weight (t_map's grows
         # like l^3 where a density has already underflowed to 0)
         lam = np.asarray(lam, dtype=float)
-        v = _on_nodes(self._fn, lam)
+        name = f"the density on ({self.a:g}, {self.b:g})"
+        v = _on_nodes(self._fn, lam, f"{name} at l")
         if self.weight is not None:
             out = np.zeros(lam.shape)
             live = v != 0.0
-            out[live] = v[live] * _on_nodes(self.weight, lam[live])
+            out[live] = v[live] * _on_nodes(self.weight, lam[live],
+                                            f"the weight of {name} at l")
             v = out
+        if (v < 0.0).any():
+            raise ValueError(f"{name} is negative at l = {lam[v < 0.0][0]:g}")
         return v if lam.ndim else float(v)
 
     @property
@@ -320,10 +311,8 @@ def total_mass(nu: BoundaryMeasure) -> float:
     return _scalar_integral(nu, np.ones_like, at_zero=1.0, at_inf=1.0)
 
 
-# psi_big's density passes, and the scalar integrals against a measure.
-# At relative 1e-10 the honest |Kronrod - Gauss| estimate left a Cauchy
-# density's long tail panel 1.6e-13 off, where QUADPACK landed within
-# 1e-15; relative 1e-12 per p matches that at next to no extra cost.
+# psi_big's density passes, and the scalar integrals against a measure:
+# relative 1e-12 per p (README, "psi_big on densities", says why).
 # abs_tol only keeps the componentwise test defined where a piece's
 # integral is 0.  Keys go in chunks of _PSI_CHUNK, so a pass holds at most
 # that many components whatever the array's size.
@@ -344,10 +333,8 @@ def _first_edges(lo: float, hi: float, kinks) -> list[float]:
     psi_big's kernel (1+l^2)/(p^2+l^2) and densities such as
     c/(b^2+l^2) are analytic in the strip |Im v| < pi/2, so panels about 1
     wide resolve them near their scales v = log p, log b, and away from
-    those scales they decay, so a panel may widen with |v|.  The graded
-    partition starts there: psi_big on the Cauchy density at 7 p from 1e-3
-    to 1e3 takes 3 passes, where bisecting [log a, 0] and [0, _LOG_LAM_MAX]
-    took 9.  A table's kinks, finer than the grading, get no graded point.
+    those scales they decay, so a panel may widen with |v|.  A table's
+    kinks, finer than the grading, get no graded point.
     """
     # plain floats: on a 64-row table's few dozen edges, numpy's per-call
     # overhead made this 5 times slower
@@ -364,17 +351,20 @@ def _first_edges(lo: float, hi: float, kinks) -> list[float]:
     return sorted(fixed[1:-1] + graded)
 
 
+class _UndecayedAtCut(ValueError):
+    """An integrand not decayed at a density's cut, first in .component."""
+
+
 def _piece_integral(piece: DensityPiece, rows: Callable,
                     cfg: QuadratureConfig, log_cut: float | None = None):
     """int g(l) piece(l) dl for the integrand g whose weighted rows, the
     (n, m) array w_i g(l_i), rows(l, w) gives (_weighted_integral), in one
     adaptive Gauss-Kronrod pass in v = log l, dl = l dv: the density is
     evaluated once per node for all m components, the weights are w =
-    piece(l) l, and a negative value of a closed-form density raises
-    ValueError there.  The first panels are _first_edges': v = 0 (where
-    1 + l^2 turns from 1 to l^2), the table kinks and the graded points
-    +-2^k.  The piece is cut at l = e^log_cut (default _LOG_LAM_MAX), and
-    ValueError says the integral diverges when the integrand there is
+    piece(l) l.  The first panels are _first_edges': v = 0 (where 1 + l^2
+    turns from 1 to l^2), the table kinks and the graded points +-2^k.
+    The piece is cut at l = e^log_cut (default _LOG_LAM_MAX), and
+    _UndecayedAtCut says the integral diverges when the integrand there is
     above some component's tolerance."""
     cut = _LOG_LAM_MAX if log_cut is None else log_cut
     lo = math.log(piece.a)
@@ -382,18 +372,9 @@ def _piece_integral(piece: DensityPiece, rows: Callable,
     if lo >= hi:
         return 0.0
 
-    # a table's samples were checked when it was built; a formula's sign
-    # shows only at its nodes
-    signed = piece.kind == "closed-form"
-
     def f(v):
         lam = np.exp(v)
-        d = piece(lam)
-        if signed and (d < 0.0).any():
-            raise ValueError(
-                f"the density on ({piece.a:g}, {piece.b:g}) is negative at "
-                f"l = {lam[np.argmax(d < 0.0)]:g}")
-        return rows(lam, d * lam)
+        return rows(lam, piece(lam) * lam)
 
     value = integrate_batched(f, lo, hi, cfg,
                               _first_edges(lo, hi, piece.log_kinks))
@@ -401,10 +382,12 @@ def _piece_integral(piece: DensityPiece, rows: Callable,
         edge = np.abs(f(np.array([hi]))[0])
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
         if not (edge <= tol).all():
-            raise ValueError(
+            exc = _UndecayedAtCut(
                 f"the integral against the density on ({piece.a:g}, "
                 f"{piece.b:g}) diverges: its integrand has not decayed at "
                 f"the cut l = e^{cut:g}")
+            exc.component = int(np.argmin(edge <= tol))
+            raise exc
     return value
 
 
@@ -418,7 +401,8 @@ def _psi_kernel(p2: np.ndarray) -> Callable:
     """
     def rows(lam, w):
         lam2 = lam * lam
-        num = w * (1.0 + lam2)
+        with np.errstate(over="ignore"):    # infinite mass: tested below
+            num = w * (1.0 + lam2)
         if not (np.isfinite(num).all() and (p2.all() or lam2.all())):
             raise ValueError(_NOT_FINITE)
         return num[:, None] / (p2 + lam2[:, None])
@@ -429,7 +413,9 @@ def _psi_values(nu: BoundaryMeasure, p2: np.ndarray) -> np.ndarray:
     """psi_big at the flat keys p2 = p^2, one integrate call per chunk of
     at most _PSI_CHUNK keys (an empty p2 is one empty chunk).  The atom at
     0 contributes atom0 / p^2, and ValueError says so where that overflows
-    (p^2 may underflow to 0)."""
+    (p^2 may underflow to 0).  As pi psi_big <= mass max(1, 1/p^2), a p
+    whose integrand has not decayed at the cut is beyond its reach
+    (RuntimeError) unless total_mass diverges (its ValueError)."""
     if nu.atom0 > 0:
         with np.errstate(divide="ignore", over="ignore"):
             if not np.isfinite(nu.atom0 * (1.0 / p2)).all():
@@ -438,28 +424,32 @@ def _psi_values(nu: BoundaryMeasure, p2: np.ndarray) -> np.ndarray:
                                  "finite at the smallest p")
     # sorted keys make each chunk a narrow band of p, whose kernels change
     # on the same stretch of v
-    chunks = [p2[start:start + _PSI_CHUNK]
-              for start in range(0, max(p2.size, 1), _PSI_CHUNK)]
-    return np.concatenate([
-        _weighted_integral(nu, _psi_kernel(keys), _PSI_QUADRATURE,
-                           1.0 / keys if nu.atom0 > 0 else None, 1.0, None)
-        for keys in chunks]) / np.pi
+    values = []
+    for start in range(0, max(p2.size, 1), _PSI_CHUNK):
+        keys = p2[start:start + _PSI_CHUNK]
+        try:
+            values.append(_weighted_integral(
+                nu, _psi_kernel(keys), _PSI_QUADRATURE,
+                1.0 / keys if nu.atom0 > 0 else None, 1.0, None))
+        except _UndecayedAtCut as exc:
+            total_mass(nu)      # raises where the mass diverges
+            raise RuntimeError(
+                f"psi_big at p = {math.sqrt(keys[exc.component]):g} is beyond "
+                f"the reach of the density cut l = e^{_LOG_LAM_MAX:g}, though "
+                f"the mass is finite") from exc
+    return np.concatenate(values) / np.pi
 
 
 def psi_big(nu: BoundaryMeasure, p):
     """(1/pi) int (1+l^2)/(p^2+l^2) dnu(l), the l = inf integrand being 1.
 
     p is a float (a float is returned) or an array-like (an array of the
-    same shape).  The values come from BoundaryMeasure.integrate as
-    computed, the atoms one numpy sum and each density piece one adaptive
-    Gauss-Kronrod pass in v = log l (integrate_batched) whose components
-    are the p of a chunk of at most _PSI_CHUNK keys, from the graded first
-    panels of _first_edges; no clamp pulls them into mass min(1, 1/p^2)
-    <= pi psi_big <= mass max(1, 1/p^2).  The values are cached on nu,
-    keyed by p^2, and all uncached p of a call are integrated at once, in
-    sorted chunks.  Raises QuadratureError when a pass spends its panel
-    budget and ValueError when p is 0 or NaN, atom0 / p^2 overflows, or
-    the mass diverges.
+    same shape).  The values are _psi_values' as computed: no clamp pulls
+    them into mass min(1, 1/p^2) <= pi psi_big <= mass max(1, 1/p^2).
+    They are cached on nu, keyed by p^2, and all uncached p of a call are
+    integrated at once.  Raises QuadratureError when a pass spends its
+    panel budget, RuntimeError at a p beyond the cut's reach, ValueError
+    when p is 0 or NaN, atom0 / p^2 overflows, or the mass diverges.
     """
     p = np.asarray(p, dtype=float)
     if not p.all():

@@ -141,6 +141,25 @@ def sorted_unique(x) -> NDArray[np.float64]:
     return x[keep]
 
 
+def _on_nodes(fn: Callable, x: NDArray, what: str, dtype=float) -> NDArray:
+    """fn's values at the points x, of x's shape and dtype float or complex:
+    the one evaluation of a scalar function a caller hands the library.  One
+    call on the array, or one per point where fn rejects it (TypeError or
+    ValueError), a constant broadcast.  ValueError names the first point,
+    "{what} = x", where a value is not finite."""
+    try:
+        v = np.asarray(fn(x), dtype=dtype)
+    except (TypeError, ValueError):
+        v = np.array([fn(t) for t in x.ravel().tolist()], dtype=dtype)
+        v = v.reshape(x.shape)
+    if v.shape != x.shape:
+        v = np.broadcast_to(v, x.shape).copy()
+    finite = np.isfinite(v)
+    if not finite.all():
+        raise ValueError(f"{what} = {x[~finite][0].item():g} is not finite")
+    return v
+
+
 def _gk_panels(f, lo, hi, m):
     """Kronrod sums and |Kronrod - Gauss| error vectors of f's m components
     on the panels [lo_i, hi_i].

@@ -24,8 +24,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .hardy import SymbolFunction
-from .measures import BoundaryMeasure, _on_nodes, psi_big
-from .numerics import QuadratureConfig, integrate_batched, sorted_unique
+from .measures import BoundaryMeasure, psi_big
+from .numerics import (QuadratureConfig, _on_nodes, integrate_batched,
+                       sorted_unique)
 
 # the name perfbench/tracing.py rebinds; ROADMAP item 13 deletes it
 quad = None
@@ -53,10 +54,10 @@ class BoundaryModulus:
     """The boundary modulus p -> K(|p|) of an outer function, K > 0.
 
     fn is K on p > 0: it takes a float or an ndarray of floats p > 0 and
-    returns K elementwise, and the library calls it nowhere else.  Every
+    returns K elementwise, and the library calls it nowhere else.  A call
+    evaluates it by numerics._on_nodes, and log is log of a call: every
     integral against log K (outer function, axis values, boundary phase)
-    evaluates it on whole arrays of nodes, and an fn written for floats
-    only, which rejects the array, is evaluated node by node.
+    takes whole arrays of nodes, node by node where fn rejects them.
 
     rational, when it is not None, is the factorization (a, zeros, poles)
     of a rational K,
@@ -74,12 +75,13 @@ class BoundaryModulus:
     fn: Callable
     rational: tuple[float, tuple[float, ...], tuple[float, ...]] | None = None
 
-    def __call__(self, p: float) -> float:
-        return float(self.fn(p))
+    def __call__(self, p):
+        v = _on_nodes(self.fn, np.asarray(p, dtype=float), "modulus K at p")
+        return v if v.ndim else float(v)
 
     def log(self, p):
-        v = _on_nodes(self.fn, np.asarray(p, dtype=float))
-        if not (v > 0.0).all():
+        v = self(p)
+        if not np.all(v > 0.0):
             raise ValueError("boundary modulus vanishes at a given point")
         return np.log(v)
 
@@ -178,9 +180,7 @@ _LOG_GRID = 10.0
 # panel edges are the multiples of _LOG_STEP, which bisecting the grid
 # reaches anyway, so nodes stay shared.  The kernels are analytic in the
 # strip |Im t| < min(theta, pi - theta) for a point at angle theta (pi/2 on
-# the axis, sech t), where a 21-point panel 2.5 wide resolves them:
-# outer_eval at three points on a Cauchy density takes 3 passes, where
-# bisecting the grid alone took 5
+# the axis, sech t), where a 21-point panel 2.5 wide resolves them
 _LOG_STEP = _LOG_GRID / 4
 # beyond |t| = 350 every kernel is below e^{-350}; clipping t there keeps
 # e^{2t} finite and the kernels' values unchanged far below any tolerance
@@ -274,9 +274,8 @@ def out_eval(K: BoundaryModulus, z):
     edges.  Each component meets max(1e-12, 1e-10 |.|) (_LOG_QUADRATURE).
 
     On the imaginary axis z = i lam the kernel is sech(s - u) / pi, real, so
-    F(i lam) comes out exactly real; being smooth there, its u is
-    no panel edge (t_map's 1365 axis points of a 64-row table took 1.0 s
-    with those edges and 0.04 s without).
+    F(i lam) comes out exactly real; being smooth there, its u is no panel
+    edge (README, "Outer functions", has the cost of such edges).
 
     A K with a rational form makes no pass: Out(K)(z) = a R(-i z),
     R(w) = prod (w + s_k) / prod (w + l_i), to roundoff.
@@ -566,7 +565,7 @@ def h_nu(nu: BoundaryMeasure, x):
 
 def h_nu_symbol(nu: BoundaryMeasure) -> SymbolFunction:
     """h_nu packaged as a multiplier symbol; its values are cached on nu."""
-    return SymbolFunction(lambda x: h_nu(nu, np.atleast_1d(x)), name="h_nu")
+    return SymbolFunction(lambda x: h_nu(nu, x), name="h_nu")
 
 
 def f_nu_boundary(nu: BoundaryMeasure, x):

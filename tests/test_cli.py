@@ -856,17 +856,23 @@ class TestInputErrors:
         assert captured.err == ("error: at least one kernel anchor is "
                                 "required\n")
 
-    @pytest.mark.parametrize("density, says", [
-        ({"interval": [0.5, 2.0], "expr": "-1"}, "negative at l ="),
-        ({"interval": [0.5, 2.0], "kind": "table",
-          "samples": [[0.5, 1.0], [1.0, -5.0], [2.0, 1.0]]},
+    @pytest.mark.parametrize("argv, density, says", [
+        (["psi", "--points", "1"], {"interval": [0.5, 2.0], "expr": "-1"},
+         "negative at l ="),
+        (["psi", "--points", "1"], {"interval": [0.5, 2.0], "kind": "table",
+                                    "samples": [[0.5, 1.0], [1.0, -5.0],
+                                                [2.0, 1.0]]},
          "nonnegative density values"),
-    ], ids=["closed-form", "table"])
-    def test_negative_density_rejected(self, tmp_path, capsys, density, says):
+        # the band pass once read the density unchecked and said compact
+        (["compactness"], {"interval": [1e-6, 1.0], "expr": "lam-0.5"},
+         "the density on (1e-06, 1) is negative at l ="),
+    ], ids=["closed-form", "table", "compactness"])
+    def test_negative_density_rejected(self, tmp_path, capsys, argv, density,
+                                       says):
         # psi_big of a negative density once printed a negative value
         path = tmp_path / "neg.json"
         path.write_text(json.dumps({"density": [density]}))
-        assert run(["psi", "--measure", str(path), "--points", "1"]) == 2
+        assert run([*argv, "--measure", str(path)]) == 2
         captured = capsys.readouterr()
         assert says in captured.err and not captured.out
 
@@ -947,6 +953,39 @@ class TestExtremePoints:
             [*args, "--measure", request.getfixturevalue(measure)])
         assert code == 0 and not caught
         assert capsys.readouterr() == (out, "")
+
+    @pytest.mark.parametrize("args, density", [
+        (["psi", "--points", "1e120"], "2/(1+lam**2)"),
+        (["outer-eval", "--points", "1e90j"], "(1+lam)**-1.5"),
+    ], ids=["psi-lebesgue", "outer-heavy"])
+    def test_beyond_the_density_cut_exits_three(self, args, density, tmp_path,
+                                                capsys):
+        # the mass is finite, so a psi_big whose integrand has not decayed at
+        # the cut l = e^300 is out of reach, not divergent: these once
+        # exited 2, saying the integral diverges
+        path = tmp_path / "finite.json"
+        path.write_text(json.dumps({"density": [
+            {"interval": [1e-12, "inf"], "expr": density}]}))
+        code, caught = run_recording_warnings([*args, "--measure", str(path)])
+        assert code == 3 and not caught
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("numerical failure: psi_big at p = ")
+        assert captured.err.endswith(" is beyond the reach of the density "
+                                     "cut l = e^300, though the mass is "
+                                     "finite\n")
+
+    def test_infinite_mass_exits_two_without_warning(self, tmp_path, capsys):
+        # w (1 + l^2) overflowed with a numpy warning on the way to exit 2;
+        # under python -W error the warning was a traceback and exit 1
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"density": [
+            {"interval": [1, "inf"], "expr": "1"}]}))
+        code, caught = run_recording_warnings(
+            ["psi", "--points", "1", "--measure", str(path)])
+        assert code == 2 and not caught
+        assert capsys.readouterr() == (
+            "", "error: integral against the measure is not finite\n")
 
 
 class TestSecularRoots:

@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 import warnings
@@ -125,6 +126,31 @@ class TestGram:
         # 1/(x - i) extends boundedly to the lower half-plane (pole at +i)
         g = gram_from_symbol(lambda x: 1.0 / (x - 1j), default_anchors(8))
         assert np.abs(g.G).max() < 1e-8
+
+    @pytest.mark.parametrize("h, numpy_h", [
+        (lambda x: 1j if x > 0 else -1j, lambda x: 1j * np.sign(x)),
+        (lambda x: cmath.exp(1j * math.atan(x)),
+         lambda x: np.exp(1j * np.arctan(x))),
+        (lambda x: 0.6 - 0.8j, lambda x: np.full(x.shape, 0.6 - 0.8j)),
+    ], ids=["conditional", "float-only", "constant"])
+    def test_scalar_symbol_matches_its_numpy_form(self, h, numpy_h):
+        # the conditional failed on the zero-node call ("truth value of an
+        # empty array"), the float-only symbol in complex() and the constant
+        # in indexing a 0-d array
+        anchors = default_anchors(6)
+        want = gram_from_symbol(numpy_h, anchors).G
+        assert np.abs(gram_from_symbol(h, anchors).G - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("h", [
+        lambda x: np.where(x > 2.0, np.nan, 1j), lambda x: math.inf],
+        ids=["nan", "inf"])
+    def test_non_finite_symbol_is_input_error(self, h):
+        # a NaN symbol once spent 1947 panels on a QuadratureError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^the symbol h at x = \S+ "
+                               r"is not finite$"):
+                gram_from_symbol(h, default_anchors(4))
 
     @pytest.mark.parametrize("measure", [expo_measure, table_measure])
     def test_symbol_of_density_matches_measure(self, measure):
@@ -331,6 +357,13 @@ class TestCompactness:
         mu = BoundaryMeasure(density=[DensityPiece(1e-12, 1.0, expr="1")])
         assert not compactness_check(mu)
 
+    def test_negative_density_near_zero_is_input_error(self):
+        # the band pass once read it unchecked and said compact
+        mu = BoundaryMeasure(density=[DensityPiece(1e-6, 1.0, expr="lam-0.5")])
+        with pytest.raises(ValueError, match=re.escape(
+                "the density on (1e-06, 1) is negative at l = ")):
+            compactness_check(mu)
+
     def test_linear_density_near_zero_is(self):
         mu = BoundaryMeasure(density=[DensityPiece(1e-12, 1.0, expr="lam")])
         assert compactness_check(mu)
@@ -366,6 +399,17 @@ class TestReflectionPositivity:
         A = rp_matrix(math.cos, (0.0, math.pi / 2, math.pi))
         w, _ = np.linalg.eigh(A.astype(complex))
         assert w.min() < -0.5
+
+    def test_scalar_phi_is_checked(self):
+        # phi(t_j + t_k) by numerics._on_nodes: a dict lookup point by point,
+        # and a value that is not finite names its t
+        phi = {0.0: 2.0, 1.0: 1.0, 2.0: 0.5}
+        assert rp_matrix(phi.__getitem__, (0.0, 1.0)).tolist() == [
+            [2.0, 1.0], [1.0, 0.5]]
+        with pytest.raises(ValueError, match=re.escape(
+                "phi at t = 2 is not finite")):
+            rp_matrix(lambda t: math.exp(-t) if t < 2.0 else math.nan,
+                      (0.0, 1.0))
 
     def test_negative_times_rejected(self):
         with pytest.raises(ValueError):

@@ -100,6 +100,25 @@ class TestSymbolsAndOperators:
         h = SymbolFunction.i_sgn().negated()
         assert h(np.array([2.0]))[0] == -1j
 
+    @pytest.mark.parametrize("fn, numpy_fn", [
+        (lambda x: complex(math.cos(x), math.sin(x)), lambda x: np.exp(1j * x)),
+        (lambda x: 1j if x > 0 else -1j, lambda x: 1j * np.sign(x)),
+    ], ids=["float-only", "conditional"])
+    def test_scalar_fn_matches_its_numpy_form(self, fn, numpy_fn):
+        # fn(array) once raised TypeError or ValueError
+        x = np.array([1.0, -2.0, 0.5])
+        for h, numpy_h in ((SymbolFunction(fn), SymbolFunction(numpy_fn)),
+                           (SymbolFunction(fn).negated(),
+                            SymbolFunction(numpy_fn).negated())):
+            got = h(x)
+            assert got.dtype == complex and got.shape == x.shape
+            assert np.abs(got - numpy_h(x)).max() <= 1e-15
+
+    def test_non_finite_value_names_its_point(self):
+        h = SymbolFunction(lambda x: np.where(x > 0, np.nan, 1j), name="h")
+        with pytest.raises(ValueError, match=r"^h at x = 2 is not finite$"):
+            h(np.array([-1.0, 2.0]))
+
     def test_constant(self):
         h = SymbolFunction.constant(0.6 - 0.8j)
         assert h(np.array([-2.0, 0.0, 3.0])).tolist() == [0.6 - 0.8j] * 3
@@ -124,6 +143,14 @@ class TestCayley:
         f = cayley_gamma(lambda w: np.ones(np.shape(w), dtype=complex))
         norm2 = _boundary_pairing(lambda x: np.abs(f(x))[:, None] ** 2, [1.0])
         assert abs(norm2[0] - 1.0) < 1e-12
+
+    def test_gamma_of_a_complex_only_function(self):
+        # f(array) once raised TypeError in complex()
+        x = np.array([0.5, -2.0, 3.0])
+        got = cayley_gamma(lambda w: complex(w) ** 2)(x)
+        assert np.abs(got - cayley_gamma(lambda w: w ** 2)(x)).max() <= 1e-15
+        with pytest.raises(ValueError, match=r"^f at w = \S+ is not finite$"):
+            cayley_gamma(lambda w: np.inf)(x)
 
     def test_gamma_orthogonality_of_disc_monomials(self):
         f0 = cayley_gamma(lambda w: np.ones(np.shape(w), dtype=complex))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -223,6 +224,28 @@ class TestBatchedRegions:
     def test_odd_probe_vanishes_in_every_region(self, p, n):
         regions = approx_identity_regions(lambda x: x / (1.0 + x * x), p, n)
         assert regions == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("phi, numpy_phi", [
+        (math.cos, np.cos),
+        (lambda x: 1.0 / (1.0 + x * x) if x > 0 else 2.0 / (1.0 + x * x),
+         lambda x: np.where(x > 0, 1.0, 2.0) / (1.0 + x * x)),
+    ], ids=["float-only", "conditional"])
+    def test_scalar_phi_matches_its_numpy_form(self, phi, numpy_phi):
+        # phi(array) once raised TypeError or ValueError
+        got = approx_identity_regions(phi, 1.0, 100)
+        want = approx_identity_regions(numpy_phi, 1.0, 100)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-14
+
+    @pytest.mark.parametrize("phi", [
+        lambda x: math.inf, lambda x: np.where(x > 3.0, np.nan, 1.0)],
+        ids=["inf", "nan"])
+    def test_non_finite_phi_is_input_error(self, phi):
+        # once numpy warnings, then a QuadratureError after 15082 panels
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^phi at x = \S+ is not "
+                               r"finite$"):
+                approx_identity(phi, 1.0, 100)
 
     def test_float_result_is_broadcast(self):
         p, n = 2.0, 1000

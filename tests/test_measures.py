@@ -183,13 +183,34 @@ class TestPsiBig:
         assert psi_big(nu, []).shape == (0,)
 
     @pytest.mark.parametrize("transform", [
-        total_mass, lambda nu: psi_big(nu, 0.5)], ids=["mass", "psi_big"])
+        total_mass, lambda nu: psi_big(nu, 0.5), lambda nu: psi_big(nu, 1e120)],
+        ids=["mass", "psi_big", "psi_big beyond the cut"])
     def test_infinite_mass_density_raises(self, transform):
         # int_1^inf dl/l diverges: QUADPACK returned a finite number with
         # only an IntegrationWarning
         nu = BoundaryMeasure(density=[DensityPiece(1.0, np.inf, expr="1/lam")])
         with pytest.raises(ValueError, match="diverges"):
             transform(nu)
+
+    def test_beyond_the_cut_on_a_finite_mass_is_a_numerical_failure(self):
+        # the integrand 2/(p^2 + l^2) l^2 is about 2/l at the cut l = e^300,
+        # above 1e-12 of psi_big ~ 1/p once p nears 1e120: this once raised
+        # the ValueError of a divergent mass, though the mass is pi
+        nu = lebesgue_cauchy_measure()
+        with pytest.raises(RuntimeError, match=re.escape(
+                "psi_big at p = 1e+120 is beyond the reach of the density "
+                "cut l = e^300, though the mass is finite")):
+            psi_big(nu, np.array([1.0, 1e120]))
+        assert abs(psi_big(nu, 1e118) * 1e118 - 1.0) < 1e-10
+
+    def test_infinite_mass_warns_nothing(self):
+        # w (1 + l^2) overflowed in _psi_kernel with a numpy warning first
+        nu = BoundaryMeasure(density=[DensityPiece(1.0, np.inf, expr="1")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "integral against the measure is not finite")):
+                psi_big(nu, 1.0)
 
     def test_array_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -682,6 +703,18 @@ INPUT_CHECKS = {
         lambda: BoundaryMeasure(atoms=[(1.0, 1.0)]).integrate(
             lambda lam: np.full((lam.size, 1), np.inf), QuadratureConfig()),
         "integral against the measure is not finite"),
+    "a density that is not finite": (
+        lambda: psi_big(BoundaryMeasure(density=[DensityPiece(
+            0.5, 2.0, expr=lambda lam: np.where(lam > 1.0, np.inf, 1.0))]),
+            1.0),
+        "the density on (0.5, 2) at l = "),
+    "a weight that is not finite": (
+        lambda: psi_big(BoundaryMeasure(density=[DensityPiece(
+            0.5, 2.0, expr="1").reweighted(lambda lam: math.inf)]), 1.0),
+        "the weight of the density on (0.5, 2) at l = "),
+    "a negative density, evaluated alone": (
+        lambda: DensityPiece(0.5, 2.0, expr="lam - 1")(np.array([2.0, 0.75])),
+        "the density on (0.5, 2) is negative at l = 0.75"),
     "dump of a reweighted piece": (
         lambda: dump_measure(BoundaryMeasure(
             density=[DensityPiece(0.5, 2.0, expr="1")]).scaled(2.0)),

@@ -94,6 +94,7 @@ class TestOuterEval:
         K = BoundaryModulus(lambda p: 1 / math.sqrt(1 + p * p))
         p = np.array([0.0, 1.0, -3.0])
         assert np.abs(K.log(p) + 0.5 * np.log1p(p * p)).max() < 1e-15
+        assert np.abs(K(p) * np.sqrt(1 + p * p) - 1.0).max() < 1e-15
         z = np.array([2j, 0.5 + 1j, -1.5 + 0.3j, 1e-9 + 1e-9j, 1e9j])
         want = 1j / (z + 1j)
         assert np.abs(out_eval(K, z) / want - 1.0).max() < 1e-12
@@ -752,6 +753,10 @@ INPUT_CHECKS = {
     "boundary value at inf": (
         lambda: f_nu_boundary(BoundaryMeasure(atoms=[(1, 1)]), np.inf),
         PHASE_POINTS),
+    "modulus that is not finite": (
+        lambda: BoundaryModulus(lambda p: np.where(p > 1, np.inf, 1.0)).log(
+            np.array([0.5, 2.0])),
+        "modulus K at p = 2 is not finite"),
     "modulus that vanishes": (
         lambda: BoundaryModulus(lambda p: 0 * p).log(1.0),
         "boundary modulus vanishes at a given point"),
